@@ -21,6 +21,16 @@ t = N_t is truncated at T.  The only approximation anywhere is truncation of
 the series at j_max; products decay like theta_j^-3 (A, C) and theta_j^-4 (M),
 so entry tails shrink like j_max^-2 and j_max^-3.
 
+Each coefficient is a power of theta_j times sines or cosines of theta_j x_i,
+x_i = t_i/T.  When every 2^p x_i is an integer (a dyadic mesh), these repeat
+in j with period P = 2^(p+1), since theta_{j+P} x_i = theta_j x_i + 2 pi 2^p x_i,
+and so does (-1)^j.  The truncated series then regroups exactly by residue
+r = j mod P, e.g. A = 2T^2 sum_{r<P} W_3(r) beta_r beta_r^T with beta_r the
+``_hat_bracket`` of the sines and W_k(r) the sum of theta_j^-k over j <= j_max,
+j = r mod P.  Assembly costs O(N_t^2 P + j_max), with P = 512 on the level-4
+mesh of (0, 1/2).  On any other mesh P = j_max + 1, every residue holds one
+term, and the same code sums the series term by term in O(N_t^2 j_max).
+
 A is symmetric positive definite and M has positive definite symmetric part
 for every partition, which is what makes the first-order time derivative
 tractable by Galerkin methods in the first place.
@@ -39,8 +49,8 @@ from .errors import DimensionMismatch, TruncationBudgetExceeded
 # tail decays like j_max^-2 and sits near 5e-9 at this budget (measured).
 DEFAULT_J_MAX = 2_000_000
 
-# Frequencies per accumulation block; keeps the sin/cos workspaces at a few
-# megabytes while the matrix products stay BLAS-bound.
+# Residues (and terms per weight fold) per accumulation block; keeps the
+# sin/cos workspaces at a few megabytes while the products stay BLAS-bound.
 _CHUNK = 1 << 15
 
 
@@ -126,31 +136,6 @@ def _hat_bracket(vals: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cosine_block(nodes: np.ndarray, j0: int, j1: int) -> np.ndarray:
-    """b[k][j] = int phi_k cos(theta_j t/T) dt (no 2/T normalization).
-
-    Same bracket as the sine table, applied to cosine values, plus the
-    boundary term (-1)^j T/theta_j for the truncated hat at t = T, where
-    sin(theta_j) = (-1)^j.
-    """
-    T = nodes[-1]
-    n = len(nodes) - 1
-    j = np.arange(j0, j1)
-    theta = np.pi * (j + 0.5)
-    c = np.cos(np.outer(nodes, theta / T))
-    b = _hat_bracket(c, nodes) * (T**2 / theta**2)
-    b[n - 1, :] += np.where(j % 2 == 0, 1.0, -1.0) * T / theta
-    return b
-
-
-def _cell_block(nodes: np.ndarray, j0: int, j1: int) -> np.ndarray:
-    """d[l][j] = int over cell l of cos(theta_j t/T) dt."""
-    T = nodes[-1]
-    theta = _theta(j0, j1)
-    s = np.sin(np.outer(nodes, theta / T))
-    return (s[1:, :] - s[:-1, :]) * (T / theta)
-
-
 @dataclass(frozen=True)
 class SineCoefficientTable:
     """Sine expansion coefficients a[l][j], l = 1..N_t, j = 0..j_max.
@@ -233,27 +218,84 @@ def _check_budget(bound: float, entry_tol, which: str):
         )
 
 
-def _chunk_starts(j_max: int):
-    # Descending j: small terms accumulate first, large chunks land last.
-    return range((j_max // _CHUNK) * _CHUNK, -1, -_CHUNK)
+def _blocks(n: int, size: int):
+    """[start, stop) blocks of at most `size` covering range(n), last block first."""
+    for start in range(((n - 1) // size) * size, -1, -size):
+        yield start, min(start + size, n)
+
+
+def _period(mesh: TemporalMesh, j_max: int) -> int:
+    """Phase period P of the series on `mesh`: sin/cos(theta_j t_i/T) depend on j mod P.
+
+    P = 2^(p+1) for the smallest p with every 2^p t_i/T integral (an exact
+    test on the floating-point ratios), provided P <= j_max + 1; otherwise
+    P = j_max + 1 and every residue holds a single term.
+    """
+    x = mesh.nodes / mesh.T
+    p = 0
+    while 2 ** (p + 1) <= j_max + 1:
+        scaled = np.ldexp(x, p)
+        if np.array_equal(scaled, np.floor(scaled)):
+            return 2 ** (p + 1)
+        p += 1
+    return j_max + 1
+
+
+def _residue_weights(r: np.ndarray, P: int, j_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """W_k(r) = sum of theta_j^-k over j = r + qP <= j_max, for k = 3 and 4."""
+    w3 = np.zeros(r.size)
+    w4 = np.zeros(r.size)
+    for q0, q1 in _blocks((j_max - int(r[0])) // P + 1, max(1, _CHUNK // r.size)):
+        j = r + P * np.arange(q1 - 1, q0 - 1, -1)[:, None]  # small terms first
+        inv = np.where(j <= j_max, 1.0 / (np.pi * (j + 0.5)), 0.0)
+        inv3 = inv**3
+        w3 += inv3.sum(axis=0)
+        w4 += (inv3 * inv).sum(axis=0)
+    return w3, w4
+
+
+def assemble_temporal_operators(mesh: TemporalMesh, j_max: int = DEFAULT_J_MAX) -> TemporalOperators:
+    """Assemble A, M, C from the series truncated at j_max, summed per phase residue.
+
+    With beta, gamma the hat brackets of sin/cos(theta_r t/T), delta the cell
+    differences of the sine values and W_k the residue weights (module
+    docstring), for residues r < P:
+
+        A = 2T^2 beta diag(W_3) beta^T
+        M = 2T^3 beta diag(W_4) gamma^T + 2T^2 beta diag(W_3) (-1)^r e_{N_t}^T
+        C = 2T^2 beta diag(W_3) delta^T
+    """
+    if j_max < 0:
+        raise ValueError("j_max must be >= 0")
+    nodes, T, n = mesh.nodes, mesh.T, mesh.n_cells
+    x = nodes / T
+    P = _period(mesh, j_max)
+    triA = np.zeros((n, n), order="F")
+    M = np.zeros((n, n))
+    C = np.zeros((n, n))
+    for r0, r1 in _blocks(P, _CHUNK):
+        r = np.arange(r0, r1)
+        w3, w4 = _residue_weights(r, P, j_max)
+        phase = np.outer(x, _theta(r0, r1))
+        s, c = np.sin(phase), np.cos(phase)
+        beta = _hat_bracket(s, nodes)
+        bw3 = beta * w3
+        triA = dsyrk(1.0, beta * np.sqrt(w3), beta=1.0, c=triA, trans=0, lower=1, overwrite_c=1)
+        M += (T * beta * w4) @ _hat_bracket(c, nodes).T
+        M[:, n - 1] += bw3 @ np.where(r % 2 == 0, 1.0, -1.0)
+        C += bw3 @ (s[1:, :] - s[:-1, :]).T
+    A = 2.0 * T**2 * (triA + np.tril(triA, -1).T)
+    return TemporalOperators(A=A, M=2.0 * T**2 * M, C=2.0 * T**2 * C, j_max=j_max)
 
 
 def assemble_temporal_A(coeffs: SineCoefficientTable, entry_tol=None) -> np.ndarray:
     """Derivative matrix A[l,k] = 1/2 sum_j theta_j a[k][j] a[l][j].
 
     Symmetric positive definite by construction; assembled with a symmetric
-    rank-j_max update so A equals its transpose exactly.
+    rank update so A equals its transpose exactly.
     """
     _check_budget(tail_bounds(coeffs.mesh, coeffs.j_max)[0], entry_tol, "A")
-    nodes = coeffs.mesh.nodes
-    n = coeffs.mesh.n_cells
-    tri = np.zeros((n, n), order="F")
-    for j0 in _chunk_starts(coeffs.j_max):
-        j1 = min(j0 + _CHUNK, coeffs.j_max + 1)
-        a = _sine_block(nodes, j0, j1)
-        w = a * np.sqrt(_theta(j0, j1))
-        tri = dsyrk(0.5, w, beta=1.0, c=tri, trans=0, lower=1, overwrite_c=1)
-    return tri + np.tril(tri, -1).T
+    return assemble_temporal_operators(coeffs.mesh, coeffs.j_max).A
 
 
 def assemble_temporal_M(coeffs: SineCoefficientTable, mesh: TemporalMesh | None = None,
@@ -264,14 +306,7 @@ def assemble_temporal_M(coeffs: SineCoefficientTable, mesh: TemporalMesh | None 
     """
     mesh = _same_mesh(coeffs, mesh)
     _check_budget(tail_bounds(mesh, coeffs.j_max)[1], entry_tol, "M")
-    n = mesh.n_cells
-    M = np.zeros((n, n))
-    for j0 in _chunk_starts(coeffs.j_max):
-        j1 = min(j0 + _CHUNK, coeffs.j_max + 1)
-        a = _sine_block(mesh.nodes, j0, j1)
-        b = _cosine_block(mesh.nodes, j0, j1)
-        M += a @ b.T
-    return M
+    return assemble_temporal_operators(mesh, coeffs.j_max).M
 
 
 def assemble_temporal_C(coeffs: SineCoefficientTable, mesh: TemporalMesh | None = None,
@@ -279,14 +314,7 @@ def assemble_temporal_C(coeffs: SineCoefficientTable, mesh: TemporalMesh | None 
     """Source coupling C[k,l] = <chi_l, H_T phi_k> = sum_j a[k][j] d[l][j]."""
     mesh = _same_mesh(coeffs, mesh)
     _check_budget(tail_bounds(mesh, coeffs.j_max)[2], entry_tol, "C")
-    n = mesh.n_cells
-    C = np.zeros((n, n))
-    for j0 in _chunk_starts(coeffs.j_max):
-        j1 = min(j0 + _CHUNK, coeffs.j_max + 1)
-        a = _sine_block(mesh.nodes, j0, j1)
-        d = _cell_block(mesh.nodes, j0, j1)
-        C += a @ d.T
-    return C
+    return assemble_temporal_operators(mesh, coeffs.j_max).C
 
 
 def _same_mesh(coeffs: SineCoefficientTable, mesh: TemporalMesh | None) -> TemporalMesh:
@@ -295,38 +323,6 @@ def _same_mesh(coeffs: SineCoefficientTable, mesh: TemporalMesh | None) -> Tempo
     if mesh.n_cells != coeffs.mesh.n_cells or not np.array_equal(mesh.nodes, coeffs.mesh.nodes):
         raise DimensionMismatch("coefficient table belongs to a different mesh")
     return mesh
-
-
-def assemble_temporal_operators(mesh: TemporalMesh, j_max: int = DEFAULT_J_MAX) -> TemporalOperators:
-    """Assemble A, M, C in one pass sharing the sin/cos evaluations.
-
-    Equivalent to the three assemble_temporal_* calls but roughly three times
-    cheaper, since each frequency chunk evaluates sin and cos once.
-    """
-    if j_max < 0:
-        raise ValueError("j_max must be >= 0")
-    nodes = mesh.nodes
-    T = mesh.T
-    n = mesh.n_cells
-    triA = np.zeros((n, n), order="F")
-    M = np.zeros((n, n))
-    C = np.zeros((n, n))
-    for j0 in _chunk_starts(j_max):
-        j1 = min(j0 + _CHUNK, j_max + 1)
-        j = np.arange(j0, j1)
-        theta = np.pi * (j + 0.5)
-        s = np.sin(np.outer(nodes, theta / T))
-        c = np.cos(np.outer(nodes, theta / T))
-        a = _hat_bracket(s, nodes) * (2.0 * T / theta**2)
-        b = _hat_bracket(c, nodes) * (T**2 / theta**2)
-        b[n - 1, :] += np.where(j % 2 == 0, 1.0, -1.0) * T / theta
-        d = (s[1:, :] - s[:-1, :]) * (T / theta)
-        w = a * np.sqrt(theta)
-        triA = dsyrk(0.5, w, beta=1.0, c=triA, trans=0, lower=1, overwrite_c=1)
-        M += a @ b.T
-        C += a @ d.T
-    A = triA + np.tril(triA, -1).T
-    return TemporalOperators(A=A, M=M, C=C, j_max=j_max)
 
 
 def dump_matrix_csv(path, X) -> None:

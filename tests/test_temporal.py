@@ -4,6 +4,7 @@ import pytest
 from scipy.integrate import quad
 
 from kronheat import (
+    DEFAULT_J_MAX,
     DimensionMismatch,
     SineCoefficientTable,
     TemporalMesh,
@@ -16,6 +17,7 @@ from kronheat import (
     sine_coefficients,
     tail_bounds,
 )
+from kronheat.temporal import _period
 
 mp.mp.dps = 30
 
@@ -175,6 +177,104 @@ class TestAssemblyProperties:
         other = TemporalMesh([0.0, 0.25, 0.5])
         with pytest.raises(DimensionMismatch):
             assemble_temporal_M(coeffs, other)
+
+
+def cosine_tables(mesh, j):
+    """b[k][j] = int phi_k cos(theta_j t/T) dt and d[l][j] = int_cell_l cos(theta_j t/T) dt.
+
+    Closed forms: the hat slopes integrated by parts, plus the boundary term
+    (-1)^j T/theta_j of the hat truncated at T.
+    """
+    w = theta(j) / mesh.T
+    cos, sin = np.cos(np.outer(mesh.nodes, w)), np.sin(np.outer(mesh.nodes, w))
+    slope = np.diff(cos, axis=0) / mesh.h[:, None]
+    b = slope.copy()
+    b[:-1] -= slope[1:]
+    b /= w**2
+    b[-1] += (-1.0) ** j / w
+    return b, np.diff(sin, axis=0) / w
+
+
+def series_oracle(mesh, j_max):
+    """A, M, C summed term by term from the sine table and ``cosine_tables``."""
+    table = sine_coefficients(mesh, j_max)
+    n = mesh.n_cells
+    A, M, C = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    for j0 in range(0, j_max + 1, 20_000):  # bounded workspace at level 4
+        j1 = min(j0 + 20_000, j_max + 1)
+        j = np.arange(j0, j1)
+        a = table.block(j0, j1)
+        b, d = cosine_tables(mesh, j)
+        A += 0.5 * (a * theta(j)) @ a.T
+        M += a @ b.T
+        C += a @ d.T
+    return A, M, C
+
+
+def one_ulp_off(mesh):
+    nodes = mesh.nodes.copy()
+    nodes[2] = np.nextafter(nodes[2], 1.0)
+    return TemporalMesh(nodes)
+
+
+ORACLE_MESHES = {
+    "base": lambda base: base,
+    "level2": lambda base: refine_bisect(refine_bisect(base)),
+    "single-cell": lambda base: TemporalMesh([0.0, 0.7]),
+    "scaled": lambda base: TemporalMesh(3.7 * base.nodes),
+    "non-dyadic": lambda base: TemporalMesh([0.0, 0.2, 0.5, 1.3]),
+    "one-ulp": one_ulp_off,
+}
+
+
+def assert_matches_oracle(mesh, j_max):
+    ops = assemble_temporal_operators(mesh, j_max)
+    for got, want in zip((ops.A, ops.M, ops.C), series_oracle(mesh, j_max)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(ops.A, ops.A.T)
+
+
+class TestResidueSummation:
+    """The per-residue kernel against the term-by-term series."""
+
+    def test_cosine_tables_match_quadrature(self):
+        mesh = TemporalMesh([0.0, 0.2, 0.5, 1.3])
+        nodes, T = mesh.nodes, mesh.T
+        j = np.array([0, 5, 12])
+        b, d = cosine_tables(mesh, j)
+        for col, jj in enumerate(j):
+            w = theta(jj) / T
+            for k in range(3):
+                hat = np.eye(4)[k + 1]
+                val, _ = quad(lambda t: np.interp(t, nodes, hat) * np.cos(w * t),
+                              0.0, T, points=nodes[1:-1], limit=200)
+                assert b[k, col] == pytest.approx(val, abs=1e-12)
+                val, _ = quad(lambda t: np.cos(w * t), nodes[k], nodes[k + 1])
+                assert d[k, col] == pytest.approx(val, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ORACLE_MESHES)
+    def test_matches_series_oracle(self, base_mesh, name):
+        # 20_001 terms: not a multiple of any dyadic period, so the last
+        # residue classes hold one term fewer than the others
+        assert_matches_oracle(ORACLE_MESHES[name](base_mesh), 20_000)
+
+    def test_periods(self, base_mesh):
+        assert _period(base_mesh, 20_000) == 32
+        assert _period(refine_bisect(refine_bisect(base_mesh)), 20_000) == 128
+        assert _period(TemporalMesh([0.0, 0.7]), 20_000) == 2
+        # the period never exceeds the number of terms
+        assert _period(base_mesh, 20) == 21
+        # non-dyadic meshes, even one node a single ulp off the grid, sum
+        # term by term
+        assert _period(TemporalMesh([0.0, 0.2, 0.5, 1.3]), 20_000) == 20_001
+        assert _period(one_ulp_off(base_mesh), 20_000) == 20_001
+
+    def test_level4(self, base_mesh):
+        mesh = base_mesh
+        for _ in range(4):
+            mesh = refine_bisect(mesh)
+        assert _period(mesh, DEFAULT_J_MAX) == 512
+        assert_matches_oracle(mesh, 100_000)
 
 
 class TestTruncation:
