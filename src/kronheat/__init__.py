@@ -18,6 +18,7 @@ from .errors import (
     ImaginaryResidueTooLarge,
     KronheatError,
     NotPositiveDefinite,
+    ResidualTooLarge,
     SingularMatrix,
     SizeGuardExceeded,
     TruncationBudgetExceeded,
@@ -39,9 +40,7 @@ from .temporal import (
 from .lshape import (
     TriangleMesh,
     build_lshape_mesh,
-    dump_mesh_txt,
     on_lshape_boundary,
-    refine_uniform,
 )
 from .fem import (
     SpatialOperators,
@@ -62,10 +61,7 @@ from .solvers import (
     eig_study,
     residual,
     solve,
-    solve_bs_complex,
-    solve_bs_real,
     solve_dense_oracle,
-    solve_fd,
 )
 from . import manufactured
 
@@ -77,6 +73,7 @@ __all__ = [
     "ImaginaryResidueTooLarge",
     "KronheatError",
     "NotPositiveDefinite",
+    "ResidualTooLarge",
     "SingularMatrix",
     "SizeGuardExceeded",
     "TruncationBudgetExceeded",
@@ -94,9 +91,7 @@ __all__ = [
     "tail_bounds",
     "TriangleMesh",
     "build_lshape_mesh",
-    "dump_mesh_txt",
     "on_lshape_boundary",
-    "refine_uniform",
     "SpatialOperators",
     "assemble_global_rhs",
     "assemble_p1",
@@ -113,9 +108,6 @@ __all__ = [
     "eig_study",
     "residual",
     "solve",
-    "solve_bs_complex",
-    "solve_bs_real",
     "solve_dense_oracle",
-    "solve_fd",
     "manufactured",
 ]

@@ -37,34 +37,22 @@ class RealSchurForm:
     Q: np.ndarray
     R: np.ndarray
 
-    def block_starts(self):
-        """Indices where diagonal blocks begin, scanning the subdiagonal."""
-        n = self.R.shape[0]
-        starts = []
-        k = 0
-        while k < n:
-            starts.append(k)
-            if k + 1 < n and self.R[k + 1, k] != 0.0:
-                k += 2
-            else:
-                k += 1
-        return starts
-
     def eigenvalues(self):
         """Eigenvalues recovered from the diagonal blocks."""
+        R = self.R
+        starts = block_starts(R)
         vals = []
-        n = self.R.shape[0]
-        k = 0
-        while k < n:
-            if k + 1 < n and self.R[k + 1, k] != 0.0:
-                alpha = self.R[k, k]
-                beta = np.sqrt(-self.R[k, k + 1] * self.R[k + 1, k])
-                vals.extend([alpha + 1j * beta, alpha - 1j * beta])
-                k += 2
+        for k, end in zip(starts, starts[1:] + [len(R)]):
+            if end - k == 1:
+                vals.append(R[k, k] + 0j)
             else:
-                vals.append(self.R[k, k] + 0j)
-                k += 1
+                beta = np.sqrt(-R[k, k + 1] * R[k + 1, k])
+                vals += [R[k, k] + 1j * beta, R[k, k] - 1j * beta]
         return np.array(vals)
+
+    def transforms(self):
+        """(left, T, right) with P^T = left T^T right: (Q, R, Q^T)."""
+        return self.Q, self.R, self.Q.T
 
 
 @dataclass(frozen=True)
@@ -76,6 +64,10 @@ class ComplexSchurForm:
 
     def eigenvalues(self):
         return np.diag(self.S).copy()
+
+    def transforms(self):
+        """(left, T, right) with P^T = left T^T right: (conj(W), S, W^T)."""
+        return np.conj(self.W), self.S, self.W.T
 
 
 @dataclass(frozen=True)
@@ -104,6 +96,32 @@ class EigenSvdForm:
     @property
     def kappa2(self):
         return float(self.sigma[0] / self.sigma[-1])
+
+    def eigenvalues(self):
+        return self.D
+
+    def transforms(self):
+        """(left, D, right) with P^T = left diag(D) right: (X^{-T}, D, X^T).
+
+        Both transforms are formed from the SVD of X.
+        """
+        left = (np.conj(self.U) / self.sigma[None, :]) @ np.conj(self.Vh)
+        right = (self.Vh.T * self.sigma[None, :]) @ self.U.T
+        return left, self.D, right
+
+
+def block_starts(T):
+    """Start indices of the diagonal blocks of an upper quasi-triangular T.
+
+    A nonzero subdiagonal entry T[k+1, k] opens a 2x2 block at k; a
+    triangular T, whose subdiagonal is exactly zero, has only 1x1 blocks.
+    """
+    n = T.shape[0]
+    starts, k = [], 0
+    while k < n:
+        starts.append(k)
+        k += 2 if k + 1 < n and T[k + 1, k] != 0.0 else 1
+    return starts
 
 
 def _check_square(P):
@@ -145,34 +163,6 @@ def complex_schur(P):
     if _frob(W @ S @ W.conj().T - P) > 100 * RESIDUAL_TOL * scale:
         raise ConvergenceFailure("complex Schur residual above tolerance")
     return ComplexSchurForm(W=W, S=S)
-
-
-def eig_svd(P, residual_tol=1e-8):
-    """Eigendecomposition of P with an SVD of the eigenvector matrix.
-
-    Parameters
-    ----------
-    P : (N, N) array
-        Real or complex square matrix, diagonalizable in practice.
-    residual_tol : float
-        Relative bound on ||P X - X D||_F; beyond it the matrix is
-        treated as numerically defective.
-
-    Raises
-    ------
-    DefectivePencil
-        If the eigenvector residual exceeds ``residual_tol``; the caller
-        is expected to fall back to a Schur-based solver.
-    """
-    P = _check_square(P)
-    vals, vecs = sla.eig(P)
-    scale = max(_frob(P), 1.0)
-    if _frob(P @ vecs - vecs * vals[None, :]) > residual_tol * scale:
-        raise DefectivePencil("eigenvector residual above tolerance")
-    U, sigma, Vh = sla.svd(vecs)
-    if sigma[-1] <= 0.0:
-        raise DefectivePencil("eigenvector matrix is numerically singular")
-    return EigenSvdForm(X=vecs, D=vals, U=U, sigma=sigma, Vh=Vh)
 
 
 def eig_pencil(M, A):

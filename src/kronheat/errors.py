@@ -33,6 +33,10 @@ class ImaginaryResidueTooLarge(KronheatError):
     """The imaginary part discarded from a real solution exceeds tolerance."""
 
 
+class ResidualTooLarge(KronheatError):
+    """A solve's relative residual exceeds the bound of its variant."""
+
+
 class SingularMatrix(KronheatError):
     """A pivot fell below the singularity threshold during factorization."""
 

@@ -15,9 +15,7 @@ from .errors import DegenerateElement
 __all__ = [
     "TriangleMesh",
     "build_lshape_mesh",
-    "refine_uniform",
     "on_lshape_boundary",
-    "dump_mesh_txt",
 ]
 
 
@@ -156,51 +154,3 @@ def build_lshape_mesh(level):
 
     flags = on_lshape_boundary(vertices)
     return TriangleMesh(vertices, triangles, flags, level=level)
-
-
-def refine_uniform(mesh):
-    """Split every triangle into four congruent children via edge midpoints."""
-    nv = mesh.n_vertices
-    tris = mesh.triangles
-
-    edges = {}
-    new_points = []
-
-    def midpoint(a, b):
-        key = (a, b) if a < b else (b, a)
-        idx = edges.get(key)
-        if idx is None:
-            idx = nv + len(new_points)
-            edges[key] = idx
-            new_points.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
-        return idx
-
-    children = np.empty((4 * len(tris), 3), dtype=np.int64)
-    for t, (v0, v1, v2) in enumerate(tris):
-        m01 = midpoint(v0, v1)
-        m12 = midpoint(v1, v2)
-        m20 = midpoint(v2, v0)
-        children[4 * t + 0] = (v0, m01, m20)
-        children[4 * t + 1] = (m01, v1, m12)
-        children[4 * t + 2] = (m20, m12, v2)
-        children[4 * t + 3] = (m01, m12, m20)
-
-    vertices = np.vstack([mesh.vertices, np.array(new_points)])
-    flags = np.concatenate(
-        [mesh.boundary_flags, on_lshape_boundary(vertices[nv:])]
-    )
-    return TriangleMesh(vertices, children, flags, level=mesh.level + 1)
-
-
-def dump_mesh_txt(mesh, path):
-    """Write a plain-text vertex/triangle listing.
-
-    Header line: n_vertices n_triangles.  Then one vertex per line as
-    "x y flag" and one triangle per line as "v0 v1 v2".
-    """
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.n_vertices} {mesh.n_triangles}\n")
-        for (x, y), b in zip(mesh.vertices, mesh.boundary_flags):
-            fh.write(f"{float(x)!r} {float(y)!r} {int(b)}\n")
-        for v0, v1, v2 in mesh.triangles:
-            fh.write(f"{v0} {v1} {v2}\n")

@@ -1,22 +1,29 @@
 """Direct space-time solvers for the Kronecker-sum global system.
 
-The global matrix K = A_t (x) M_x + M_t (x) A_x is never formed.  All
-three algorithms decompose the temporal pencil (M_t, A_t), transform the
-right-hand side, solve N_t spatial sparse systems, and transform back:
+The global matrix K = A_t (x) M_x + M_t (x) A_x is never formed: the
+coefficients U solve M_x U A_t + A_x U M_t^T = F.  :func:`solve` runs one
+driver for every variant.  It decomposes P = A_t^{-1} M_t as
+P^T = left T^T right, right = left^{-1} (:func:`build_pencil`):
 
-* Bartels-Stewart, real Schur: back-substitution over quasi-triangular
-  blocks; conjugate pairs couple two spatial solves into one symmetric
-  indefinite system of dimension 2 M_x.
-* Bartels-Stewart, complex Schur: triangular back-substitution in
-  complex arithmetic.
-* Fast diagonalization: N_t fully independent complex solves, suitable
-  for time parallelism, stabilized by applying the eigenvector inverse
-  through its SVD.
+* ``bs-real``: real Schur (Q, R, Q^T), R quasi-triangular;
+* ``bs-complex``: complex Schur (conj(W), S, W^T), S triangular;
+* ``fd``: eigenvectors (X^{-T}, D, X^T), both formed from the SVD of X.
+
+It then transforms in, G = F A_t^{-1} left, and sweeps the N_t spatial
+systems of M_x Z + A_x Z T^T = G.  The Schur variants back-substitute
+over the diagonal blocks of T (:func:`_back_substitution`): a 2x2 block
+of R, a conjugate pair, couples two spatial solves into one symmetric
+indefinite system of dimension 2 M_x, while S has only 1x1 blocks.  fd
+solves the N_t diagonal systems independently, optionally on a thread
+pool (:func:`_independent_sweep`).  Last, U = Z right drops an imaginary
+part below the variant's tolerance and the relative residual is checked
+against the variant's bound.  A failed fd solve is rerun with bs-complex
+and the report says so; a failed Schur solve raises.
 """
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,9 +31,7 @@ import scipy.sparse as sp
 
 from . import sparse_direct
 from .dense import (
-    ComplexSchurForm,
-    EigenSvdForm,
-    RealSchurForm,
+    block_starts,
     cholesky_lower,
     complex_schur,
     eig_pencil,
@@ -39,11 +44,20 @@ from .errors import (
     DefectivePencil,
     DimensionMismatch,
     ImaginaryResidueTooLarge,
+    ResidualTooLarge,
     SizeGuardExceeded,
+    UsageError,
 )
 from .fem import SpatialOperators
 from .temporal import TemporalOperators
 
+# variant -> (bound on the relative imaginary part discarded by the
+# transform out, bound on the relative residual); also the variant registry
+TOLERANCES = {
+    "bs-real": (1e-9, 1e-9),
+    "bs-complex": (1e-9, 1e-9),
+    "fd": (1e-6, 1e-6),
+}
 DENSE_ORACLE_GUARD = 5000
 
 
@@ -65,6 +79,8 @@ class SpaceTimeSystem:
                 f"rhs length {self.rhs.shape} does not match "
                 f"N_t*M_x = {self.n_t}*{self.m_x}"
             )
+        if not np.all(np.isfinite(self.rhs)):
+            raise UsageError("rhs contains non-finite entries")
 
     @property
     def n_t(self):
@@ -92,8 +108,6 @@ class PencilFactorization:
 
     @property
     def eigenvalues(self):
-        if isinstance(self.form, EigenSvdForm):
-            return self.form.D
         return self.form.eigenvalues()
 
     @property
@@ -148,20 +162,6 @@ class SolveReport:
         return (self.t_decompose + self.t_transform_in + self.t_spatial
                 + self.t_transform_out)
 
-    def csv_row(self):
-        return (
-            f"{self.dof},{self.n_t},{self.m_x},{self.variant},"
-            f"{self.t_decompose:.6f},{self.t_transform_in:.6f},"
-            f"{self.t_spatial:.6f},{self.t_transform_out:.6f},"
-            f"{self.residual:.3e},{self.min_re_lambda:.3e},"
-            f"{self.kappa2:.3e},{self.threads}"
-        )
-
-    @staticmethod
-    def csv_header():
-        return ("dof,N_t,M_x,variant,t_decomp,t_transform_in,t_spatial,"
-                "t_transform_out,residual,minReLambda,kappa2,threads")
-
 
 def build_pencil(temporal, variant):
     """Decompose the temporal pencil for one solver variant.
@@ -206,200 +206,100 @@ def build_pencil(temporal, variant):
     return pencil
 
 
-def _transform_in(system, pencil, right):
-    """vec(F_hat A_t^{-1} right) as an M_x-by-N_t matrix."""
-    F = system.rhs_matrix()
-    FA = spd_solve(pencil.chol_A, F.T).T
-    return FA @ right
+def _back_substitution(G, T, M, A):
+    """Solve M Z + A Z T^T = G for Z, with T upper quasi-triangular.
 
-
-def _spatial_csr(system):
-    M = system.spatial.M_II.tocsr()
-    A = system.spatial.A_II.tocsr()
-    return M, A
-
-
-def _union_symbolic(M, A):
-    return sparse_direct.analyze((M + A).tocsr())
-
-
-def solve_bs_real(system, pencil=None):
-    """Bartels-Stewart with real Schur decomposition.
-
-    Returns
-    -------
-    (SpaceTimeSolution, SolveReport)
+    Walks the diagonal blocks of T from the last one.  A 1x1 block is one
+    spatial system M + T[k, k] A; a 2x2 block (a real conjugate pair)
+    couples two columns into one scaled symmetric indefinite system of
+    dimension 2 M_x.  Symbolic analysis runs once per block size.
     """
-    report = SolveReport(variant="bs-real", dof=system.dof,
-                         n_t=system.n_t, m_x=system.m_x)
-    t0 = time.perf_counter()
-    if pencil is None:
-        pencil = build_pencil(system.temporal, "bs-real")
-    if not isinstance(pencil.form, RealSchurForm):
-        raise DimensionMismatch("solve_bs_real needs a real Schur pencil")
-    Q, R = pencil.form.Q, pencil.form.R
-    report.t_decompose = time.perf_counter() - t0
-    report.min_re_lambda = pencil.min_re_lambda
-
-    t0 = time.perf_counter()
-    G = _transform_in(system, pencil, Q)
-    report.t_transform_in = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    analyze_before = sparse_direct.analyze_call_count()
-    M, A = _spatial_csr(system)
-    n_t, m_x = system.n_t, system.m_x
-    sym1 = None
-    sym2 = None
-    Z = np.zeros((m_x, n_t))
-    acc = np.zeros((m_x, n_t))
-    k = n_t - 1
-    while k >= 0:
-        if k == 0 or R[k, k - 1] == 0.0:
-            # single real eigenvalue: one SPD spatial system
-            if sym1 is None:
-                sym1 = _union_symbolic(M, A)
-            K = (M + R[k, k] * A).tocsr()
-            rhs = G[:, k] - acc[:, k]
-            z = sparse_direct.factorize(sym1, K).solve(rhs)
-            Z[:, k] = z
-            Az = A @ z
-            if k > 0:
-                acc[:, :k] += np.outer(Az, R[:k, k])
-            k -= 1
+    m_x, n_t = G.shape
+    Z = np.zeros_like(G)
+    acc = np.zeros_like(G)
+    symbolic = {}
+    starts = block_starts(T)
+    for s, end in reversed(list(zip(starts, starts[1:] + [n_t]))):
+        size = end - s
+        D = (M + T[s, s] * A).tocsr()
+        if size == 1:
+            K, scale, sign = D, [1.0], [1.0]
         else:
-            # conjugate pair: scaled symmetric indefinite 2 M_x system
-            # for the unknown (z_{k-1}, -z_k)
-            alpha = R[k - 1, k - 1]
-            b1, b2 = R[k - 1, k], R[k, k - 1]
-            D = (M + alpha * A).tocsr()
-            top = sp.hstack([abs(b2) * D, -b1 * abs(b2) * A])
-            bot = sp.hstack([abs(b1) * b2 * A, -abs(b1) * D])
-            K2 = sp.vstack([top, bot]).tocsr()
-            if sym2 is None:
-                sym2 = sparse_direct.analyze(K2)
-            r_top = abs(b2) * (G[:, k - 1] - acc[:, k - 1])
-            r_bot = abs(b1) * (G[:, k] - acc[:, k])
-            zz = sparse_direct.factorize(sym2, K2).solve(
-                np.concatenate([r_top, r_bot]))
-            Z[:, k - 1] = zz[:m_x]
-            Z[:, k] = -zz[m_x:]
-            if k > 1:
-                Az1 = A @ Z[:, k - 1]
-                Az2 = A @ Z[:, k]
-                acc[:, :k - 1] += np.outer(Az1, R[:k - 1, k - 1])
-                acc[:, :k - 1] += np.outer(Az2, R[:k - 1, k])
-            k -= 2
-    report.analyze_calls = sparse_direct.analyze_call_count() - analyze_before
-    report.t_spatial = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    U = Z @ Q.T
-    coeffs = U.ravel(order="F")
-    report.t_transform_out = time.perf_counter() - t0
-    report.residual = residual(system, coeffs)
-    return SpaceTimeSolution(coefficients=coeffs), report
+            # unknown (z_s, -z_{s+1}); the pair is alpha +- i sqrt(-b1 b2)
+            b1, b2 = T[s, s + 1], T[s + 1, s]
+            K = sp.bmat([[abs(b2) * D, -b1 * abs(b2) * A],
+                         [abs(b1) * b2 * A, -abs(b1) * D]], format="csr")
+            scale, sign = [abs(b2), abs(b1)], [1.0, -1.0]
+        if size not in symbolic:
+            # 1x1 blocks share the union pattern of M and A
+            symbolic[size] = sparse_direct.analyze(
+                (M + A).tocsr() if size == 1 else K)
+        rhs = ((G[:, s:end] - acc[:, s:end]) * scale).ravel(order="F")
+        z = sparse_direct.factorize(symbolic[size], K).solve(rhs)
+        Z[:, s:end] = z.reshape(m_x, size, order="F") * sign
+        acc[:, :s] += (A @ Z[:, s:end]) @ T[:s, s:end].T
+    return Z
 
 
-def solve_bs_complex(system, pencil=None):
-    """Bartels-Stewart with complex Schur decomposition."""
-    report = SolveReport(variant="bs-complex", dof=system.dof,
-                         n_t=system.n_t, m_x=system.m_x)
-    t0 = time.perf_counter()
-    if pencil is None:
-        pencil = build_pencil(system.temporal, "bs-complex")
-    if not isinstance(pencil.form, ComplexSchurForm):
-        raise DimensionMismatch("solve_bs_complex needs a complex Schur pencil")
-    W, S = pencil.form.W, pencil.form.S
-    report.t_decompose = time.perf_counter() - t0
-    report.min_re_lambda = pencil.min_re_lambda
+def _independent_sweep(G, D, M, A, threads):
+    """Solve (M + D[k] A) z_k = g_k for every column k independently.
 
-    t0 = time.perf_counter()
-    G = _transform_in(system, pencil, np.conj(W))
-    report.t_transform_in = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    analyze_before = sparse_direct.analyze_call_count()
-    M, A = _spatial_csr(system)
-    n_t, m_x = system.n_t, system.m_x
-    Mc, Ac = M.astype(complex), A.astype(complex)
-    sym = _union_symbolic(M, A)
-    Z = np.zeros((m_x, n_t), dtype=complex)
-    acc = np.zeros((m_x, n_t), dtype=complex)
-    for k in range(n_t - 1, -1, -1):
-        K = (Mc + S[k, k] * Ac).tocsr()
-        rhs = G[:, k] - acc[:, k]
-        z = sparse_direct.factorize(sym, K).solve(rhs)
-        Z[:, k] = z
-        if k > 0:
-            Az = Ac @ z
-            acc[:, :k] += np.outer(Az, S[:k, k])
-    report.analyze_calls = sparse_direct.analyze_call_count() - analyze_before
-    report.t_spatial = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    U = Z @ W.T
-    coeffs = _discard_imaginary(U, 1e-9).ravel(order="F")
-    report.t_transform_out = time.perf_counter() - t0
-    report.residual = residual(system, coeffs)
-    return SpaceTimeSolution(coefficients=coeffs), report
-
-
-def solve_fd(system, pencil=None, threads=1):
-    """Fast diagonalization: N_t independent complex spatial solves.
-
-    ``threads`` sizes the worker pool for the independent solves; the
-    symbolic factorization is shared read-only.
+    ``threads`` sizes the worker pool; the symbolic factorization is
+    shared read-only.
     """
-    report = SolveReport(variant="fd", dof=system.dof, n_t=system.n_t,
-                         m_x=system.m_x, threads=threads)
-    t0 = time.perf_counter()
-    if pencil is None:
-        pencil = build_pencil(system.temporal, "fd")
-    form = pencil.form
-    if not isinstance(form, EigenSvdForm):
-        raise DimensionMismatch("solve_fd needs an eigen-SVD pencil")
-    report.t_decompose = time.perf_counter() - t0
-    report.min_re_lambda = pencil.min_re_lambda
-    report.sigma_min = form.sigma_min
-    report.sigma_max = form.sigma_max
-    report.kappa2 = form.kappa2
-
-    t0 = time.perf_counter()
-    # g = vec(F_hat A^{-1} conj(U) Sigma^{-1} V^T); V^T = conj(Vh)
-    FA = _transform_in(system, pencil, np.conj(form.U))
-    G = (FA / form.sigma[None, :]) @ np.conj(form.Vh)
-    report.t_transform_in = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    analyze_before = sparse_direct.analyze_call_count()
-    M, A = _spatial_csr(system)
-    n_t, m_x = system.n_t, system.m_x
-    Mc, Ac = M.astype(complex), A.astype(complex)
-    sym = _union_symbolic(M, A)
-    lam = form.D
-    Z = np.zeros((m_x, n_t), dtype=complex)
+    symbolic = sparse_direct.analyze((M + A).tocsr())
 
     def spatial_solve(k):
-        K = (Mc + lam[k] * Ac).tocsr()
-        return k, sparse_direct.factorize(sym, K).solve(G[:, k])
+        K = (M + D[k] * A).tocsr()
+        return sparse_direct.factorize(symbolic, K).solve(G[:, k])
 
+    columns = range(G.shape[1])
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for k, z in pool.map(spatial_solve, range(n_t)):
-                Z[:, k] = z
+            return np.column_stack(list(pool.map(spatial_solve, columns)))
+    return np.column_stack([spatial_solve(k) for k in columns])
+
+
+def _solve(system, variant, threads):
+    """One solve by one variant; see the module docstring."""
+    imag_tol, residual_bound = TOLERANCES[variant]
+    report = SolveReport(variant=variant, dof=system.dof, n_t=system.n_t,
+                         m_x=system.m_x)
+    t0 = time.perf_counter()
+    pencil = build_pencil(system.temporal, variant)
+    left, T, right = pencil.form.transforms()
+    report.t_decompose = time.perf_counter() - t0
+    report.min_re_lambda = pencil.min_re_lambda
+    if variant == "fd":
+        form = pencil.form
+        report.threads = threads
+        report.sigma_min, report.sigma_max = form.sigma_min, form.sigma_max
+        report.kappa2 = form.kappa2
+
+    t0 = time.perf_counter()
+    F = system.rhs_matrix()
+    G = spd_solve(pencil.chol_A, F.T).T @ left
+    report.t_transform_in = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    analyze_before = sparse_direct.analyze_call_count()
+    M, A = system.spatial.M_II.tocsr(), system.spatial.A_II.tocsr()
+    if variant == "fd":
+        Z = _independent_sweep(G, T, M, A, threads)
     else:
-        for k in range(n_t):
-            Z[:, k] = spatial_solve(k)[1]
+        Z = _back_substitution(G, T, M, A)
     report.analyze_calls = sparse_direct.analyze_call_count() - analyze_before
     report.t_spatial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # u = vec(Z X^T) with X^T = conj(V) Sigma U^T; conj(V) = Vh^T
-    U_mat = ((Z @ form.Vh.T) * form.sigma[None, :]) @ form.U.T
-    coeffs = _discard_imaginary(U_mat, 1e-6).ravel(order="F")
+    coeffs = _discard_imaginary(Z @ right, imag_tol).ravel(order="F")
     report.t_transform_out = time.perf_counter() - t0
     report.residual = residual(system, coeffs)
+    if not report.residual <= residual_bound:
+        raise ResidualTooLarge(
+            f"{variant} relative residual {report.residual:.3e} above "
+            f"{residual_bound:.0e}"
+        )
     return SpaceTimeSolution(coefficients=coeffs), report
 
 
@@ -440,27 +340,27 @@ def residual(system, coefficients):
     return float(np.linalg.norm(Ku - system.rhs) / denom)
 
 
-def solve(system, variant, threads=1, fallback=True):
-    """Dispatch a solve by variant name with the FD fallback policy.
+def solve(system, variant, threads=1):
+    """Solve the space-time system with one variant.
 
-    If the fast-diagonalization pencil is defective or its imaginary
-    residue is too large, the solve is rerun with the complex-Schur
-    variant and the report carries ``fallback``.
+    ``variant`` is "bs-real", "bs-complex" or "fd"; ``threads`` sizes the
+    fd sweep's worker pool.  Returns (SpaceTimeSolution, SolveReport).
+    A Schur variant whose residual exceeds its bound raises
+    ResidualTooLarge.  If fd fails (defective pencil, imaginary residue
+    or residual above its bound), the solve is rerun with bs-complex and
+    the report carries ``fallback``.
     """
-    if variant == "bs-real":
-        return solve_bs_real(system)
-    if variant == "bs-complex":
-        return solve_bs_complex(system)
-    if variant == "fd":
-        if not fallback:
-            return solve_fd(system, threads=threads)
-        try:
-            return solve_fd(system, threads=threads)
-        except (DefectivePencil, ImaginaryResidueTooLarge) as exc:
-            sol, report = solve_bs_complex(system)
-            report.fallback = f"fd failed: {type(exc).__name__}"
-            return sol, report
-    raise ValueError(f"unknown solver variant: {variant!r}")
+    if variant not in TOLERANCES:
+        raise ValueError(f"unknown solver variant: {variant!r}")
+    if variant != "fd":
+        return _solve(system, variant, threads)
+    try:
+        return _solve(system, "fd", threads)
+    except (DefectivePencil, ImaginaryResidueTooLarge,
+            ResidualTooLarge) as exc:
+        sol, report = _solve(system, "bs-complex", threads)
+        report.fallback = f"fd failed: {type(exc).__name__}"
+        return sol, report
 
 
 def eig_study(temporal):

@@ -58,14 +58,12 @@ class SymbolicFactorization:
 class NumericFactorization:
     """LU factors of one matrix, bound to a SymbolicFactorization."""
 
-    def __init__(self, symbolic, lu, is_complex, matrix):
+    def __init__(self, symbolic, lu):
         self.symbolic = symbolic
         self._lu = lu
-        self.is_complex = is_complex
-        self._matrix = matrix
 
-    def solve(self, rhs, refine=False):
-        return solve(self, rhs, refine=refine)
+    def solve(self, rhs):
+        return solve(self, rhs)
 
 
 def _etree_postorder(pattern):
@@ -172,7 +170,6 @@ def factorize(symbolic, matrix):
         )
     perm = symbolic.perm
     Ap = sp.csc_matrix(A[perm, :][:, perm])
-    is_complex = np.iscomplexobj(Ap)
     try:
         lu = spla.splu(Ap, permc_spec="NATURAL", options={"SymmetricMode": True})
     except RuntimeError as exc:
@@ -185,45 +182,17 @@ def factorize(symbolic, matrix):
         raise SingularMatrix(
             f"pivot {pivots.min():.3e} below threshold {PIVOT_THRESHOLD * dmax:.3e}"
         )
-    return NumericFactorization(symbolic, lu, is_complex, Ap)
+    return NumericFactorization(symbolic, lu)
 
 
-def solve(numeric, rhs, refine=False):
-    """Solve with a numeric factorization; accepts multi-column rhs.
-
-    One optional step of iterative refinement is available for mildly
-    ill-conditioned systems.
-    """
+def solve(numeric, rhs):
+    """Solve with a numeric factorization; accepts multi-column rhs."""
     rhs = np.asarray(rhs)
     n = numeric.symbolic.n
     if rhs.shape[0] != n:
         raise DimensionMismatch(f"rhs has {rhs.shape[0]} rows, expected {n}")
     perm = numeric.symbolic.perm
-    b = rhs[perm]
-    x = numeric._lu.solve(b)
-    if refine:
-        r = b - numeric._matrix @ x
-        x = x + numeric._lu.solve(r)
+    x = numeric._lu.solve(rhs[perm])
     out = np.empty_like(x)
     out[perm] = x
     return out
-
-
-def factor_solve(matrix, rhs):
-    """Convenience one-shot analyze + factorize + solve."""
-    sym = analyze(matrix)
-    return factorize(sym, matrix).solve(rhs)
-
-
-def write_matrix_market(path, matrix):
-    """Write a sparse matrix in Matrix Market coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), sp.coo_matrix(matrix))
-
-
-def read_matrix_market(path):
-    """Read a Matrix Market file as CSR."""
-    from scipy.io import mmread
-
-    return sp.csr_matrix(mmread(str(path)))

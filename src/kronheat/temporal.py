@@ -323,8 +323,3 @@ def _same_mesh(coeffs: SineCoefficientTable, mesh: TemporalMesh | None) -> Tempo
     if mesh.n_cells != coeffs.mesh.n_cells or not np.array_equal(mesh.nodes, coeffs.mesh.nodes):
         raise DimensionMismatch("coefficient table belongs to a different mesh")
     return mesh
-
-
-def dump_matrix_csv(path, X) -> None:
-    """Write a dense matrix as plain-text CSV, row-major, 17 significant digits."""
-    np.savetxt(path, np.asarray(X), delimiter=",", fmt="%.17g")

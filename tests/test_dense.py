@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from kronheat import solvers
 from kronheat.dense import (
     ComplexSchurForm,
     EigenSvdForm,
     RealSchurForm,
+    block_starts,
     cholesky_lower,
     complex_schur,
     eig_pencil,
-    eig_svd,
     kron_apply_right,
     real_schur,
     spd_solve,
@@ -27,6 +28,12 @@ from kronheat.errors import (
 def random_matrix(n, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, n))
+
+
+def eigen_svd_form(P):
+    """EigenSvdForm of a standard eigenproblem, built as the fd pencil is."""
+    vals, vecs = eig_pencil(P, np.eye(len(P)))
+    return svd_of_eigenvectors(vecs, vals)
 
 
 def sort_spectrum(vals):
@@ -66,7 +73,7 @@ class TestRealSchur:
                 if i > j + 1:
                     assert form.R[i, j] == 0.0
         # each 2x2 block has off-diagonal entries of opposite signs
-        for k in form.block_starts():
+        for k in block_starts(form.R):
             if k + 1 < 7 and form.R[k + 1, k] != 0.0:
                 assert form.R[k, k + 1] * form.R[k + 1, k] < 0.0
 
@@ -106,29 +113,36 @@ class TestComplexSchur:
 
 class TestEigSvd:
     def test_symmetric_has_unit_condition(self):
+        # eig_pencil keeps LAPACK's column scaling; with unit columns the
+        # eigenvectors of a symmetric matrix are orthonormal
         rng = np.random.default_rng(2)
         A = rng.standard_normal((6, 6))
-        form = eig_svd(A + A.T)
+        vals, vecs = eig_pencil(A + A.T, np.eye(6))
+        form = svd_of_eigenvectors(vecs / np.linalg.norm(vecs, axis=0), vals)
         assert form.kappa2 == pytest.approx(1.0, abs=1e-8)
 
     def test_near_defective_condition_blows_up(self):
-        form = eig_svd(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-8]]))
+        form = eigen_svd_form(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-8]]))
         assert form.kappa2 > 1e6
 
-    def test_defective_raises(self):
+    def test_defective_raises(self, base_ops, monkeypatch):
+        # build_pencil rejects eigenpairs whose residual exceeds 1e-8
+        vals, vecs = eig_pencil(base_ops.M, base_ops.A)
+        monkeypatch.setattr(solvers, "eig_pencil",
+                            lambda M, A: (vals * 1.001, vecs))
         with pytest.raises(DefectivePencil):
-            eig_svd(np.array([[1.0, 1.0], [0.0, 1.0]]), residual_tol=1e-30)
+            solvers.build_pencil(base_ops, "fd")
 
     def test_svd_reconstructs_eigenvectors(self):
         P = random_matrix(6, 13)
-        form = eig_svd(P)
+        form = eigen_svd_form(P)
         X2 = form.U @ np.diag(form.sigma) @ form.Vh
         assert np.linalg.norm(X2 - form.X) < 1e-12 * np.linalg.norm(form.X)
         assert np.all(np.diff(form.sigma) <= 1e-15)
 
     def test_spectrum_agrees_with_schur(self):
         P = random_matrix(6, 17)
-        evals = sort_spectrum(eig_svd(P).D)
+        evals = sort_spectrum(eigen_svd_form(P).D)
         svals = sort_spectrum(complex_schur(P).eigenvalues())
         assert np.allclose(evals, svals, atol=1e-10)
 
@@ -253,4 +267,4 @@ class TestFormTypes:
             form.Q = np.zeros((2, 2))
         assert isinstance(form, RealSchurForm)
         assert isinstance(complex_schur(np.eye(2)), ComplexSchurForm)
-        assert isinstance(eig_svd(np.eye(2)), EigenSvdForm)
+        assert isinstance(eigen_svd_form(np.eye(2)), EigenSvdForm)

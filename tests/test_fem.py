@@ -17,10 +17,10 @@ from kronheat.fem import (
     project_rhs,
     triangle_rule,
 )
-from kronheat.lshape import TriangleMesh, build_lshape_mesh, refine_uniform
+from kronheat.lshape import TriangleMesh, build_lshape_mesh
 from kronheat.temporal import TemporalMesh, assemble_temporal_operators
 
-from conftest import BASE_NODES
+from conftest import BASE_NODES, refine_uniform
 
 
 def reference_triangle():

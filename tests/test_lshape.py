@@ -7,10 +7,10 @@ from kronheat.errors import DegenerateElement
 from kronheat.lshape import (
     TriangleMesh,
     build_lshape_mesh,
-    dump_mesh_txt,
     on_lshape_boundary,
-    refine_uniform,
 )
+
+from conftest import refine_uniform
 
 # interior vertex counts of the refinement hierarchy
 INTERIOR_COUNTS = {0: 5, 1: 33, 2: 161, 3: 705}
@@ -140,15 +140,3 @@ class TestMeshType:
         with pytest.raises(ValueError):
             TriangleMesh(vertices=[(0.0, 0.0, 0.0)], triangles=[(0, 0, 0)],
                          boundary_flags=[True])
-
-    def test_dump_listing(self, tmp_path):
-        mesh = build_lshape_mesh(0)
-        path = tmp_path / "mesh.txt"
-        dump_mesh_txt(mesh, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == f"{mesh.n_vertices} {mesh.n_triangles}"
-        assert len(lines) == 1 + mesh.n_vertices + mesh.n_triangles
-        # vertex lines round-trip through repr
-        x, y, flag = lines[1].split()
-        assert float(x) == mesh.vertices[0, 0]
-        assert int(flag) in (0, 1)

@@ -8,7 +8,12 @@ import scipy.sparse as sp
 
 from kronheat import solvers
 from kronheat.dense import ComplexSchurForm, EigenSvdForm, RealSchurForm
-from kronheat.errors import DefectivePencil, SizeGuardExceeded
+from kronheat.errors import (
+    DefectivePencil,
+    ResidualTooLarge,
+    SizeGuardExceeded,
+    UsageError,
+)
 from kronheat.fem import (
     SpatialOperators,
     assemble_global_rhs,
@@ -24,10 +29,7 @@ from kronheat.solvers import (
     eig_study,
     residual,
     solve,
-    solve_bs_complex,
-    solve_bs_real,
     solve_dense_oracle,
-    solve_fd,
 )
 from kronheat.temporal import (
     TemporalMesh,
@@ -99,6 +101,13 @@ def random_system(n_t, m_x, seed):
     return SpaceTimeSystem(temporal=temp, spatial=wrap_spatial(M, A), rhs=rhs)
 
 
+def solve_as(system, variant, threads=1):
+    """solve() that fails the test if fd fell back to another variant."""
+    sol, report = solve(system, variant, threads=threads)
+    assert report.variant == variant and report.fallback is None
+    return sol, report
+
+
 def rel_diff(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
@@ -164,51 +173,51 @@ class TestEigStudy:
 
 class TestSolveSmall:
     def test_bs_real_matches_oracle(self, small_system, oracle_solution):
-        sol, report = solve_bs_real(small_system)
+        sol, report = solve_as(small_system, "bs-real")
         assert rel_diff(sol.coefficients, oracle_solution.coefficients) < 1e-10
         assert report.residual < 1e-9
 
     def test_bs_complex_matches_oracle(self, small_system, oracle_solution):
-        sol, report = solve_bs_complex(small_system)
+        sol, report = solve_as(small_system, "bs-complex")
         assert rel_diff(sol.coefficients, oracle_solution.coefficients) < 1e-10
         assert report.residual < 1e-9
 
     def test_fd_matches_oracle(self, small_system, oracle_solution):
-        sol, report = solve_fd(small_system)
+        sol, report = solve_as(small_system, "fd")
         assert rel_diff(sol.coefficients, oracle_solution.coefficients) < 1e-8
         assert report.residual < 1e-6
 
     def test_real_complex_agree_tightly(self, small_system):
-        a, _ = solve_bs_real(small_system)
-        b, _ = solve_bs_complex(small_system)
+        a, _ = solve_as(small_system, "bs-real")
+        b, _ = solve_as(small_system, "bs-complex")
         assert rel_diff(a.coefficients, b.coefficients) < 1e-10
 
     def test_reported_residual_is_reproducible(self, small_system):
-        sol, report = solve_bs_real(small_system)
+        sol, report = solve_as(small_system, "bs-real")
         assert residual(small_system, sol.coefficients) == pytest.approx(
             report.residual, rel=1e-12, abs=1e-16)
 
     def test_fd_threads_agree(self, small_system):
-        a, _ = solve_fd(small_system, threads=1)
-        b, r = solve_fd(small_system, threads=3)
+        a, _ = solve_as(small_system, "fd", threads=1)
+        b, r = solve_as(small_system, "fd", threads=3)
         assert rel_diff(a.coefficients, b.coefficients) < 1e-13
         assert r.threads == 3
 
     def test_one_symbolic_analysis_per_solve(self, small_system):
         # all temporal eigenvalues pair up here, so each variant touches
         # exactly one sparsity pattern
-        for solver in (solve_bs_real, solve_bs_complex, solve_fd):
-            _, report = solver(small_system)
+        for variant in ("bs-real", "bs-complex", "fd"):
+            _, report = solve_as(small_system, variant)
             assert report.analyze_calls == 1
 
     def test_fd_reports_spectral_stats(self, small_system):
-        _, report = solve_fd(small_system)
+        _, report = solve_as(small_system, "fd")
         assert report.kappa2 == pytest.approx(9.576, rel=1e-3)
         assert report.sigma_min > 0.0
         assert report.min_re_lambda > 0.0
 
     def test_full_coefficients_merges_boundary(self, small_system):
-        sol, _ = solve_bs_real(small_system)
+        sol, _ = solve_as(small_system, "bs-real")
         ops = small_system.spatial
         lift = np.ones((ops.boundary.size, small_system.n_t))
         sol = dataclasses.replace(sol, boundary_values=lift)
@@ -244,10 +253,10 @@ class TestMixedBlocks:
 
     def test_all_variants_match_oracle(self, odd_system):
         oracle = solve_dense_oracle(odd_system)
-        for solver, tol in ((solve_bs_real, 1e-10),
-                            (solve_bs_complex, 1e-10),
-                            (solve_fd, 1e-8)):
-            sol, _ = solver(odd_system)
+        for variant, tol in (("bs-real", 1e-10),
+                             ("bs-complex", 1e-10),
+                             ("fd", 1e-8)):
+            sol, _ = solve_as(odd_system, variant)
             assert rel_diff(sol.coefficients, oracle.coefficients) < tol
 
 
@@ -264,10 +273,10 @@ class TestScalarReductions:
             rhs=rhs,
         )
         expect = np.linalg.solve(m * base_ops.A + a * base_ops.M, rhs)
-        for solver, tol in ((solve_bs_real, 1e-12),
-                            (solve_bs_complex, 1e-12),
-                            (solve_fd, 1e-10)):
-            sol, _ = solver(system)
+        for variant, tol in (("bs-real", 1e-12),
+                             ("bs-complex", 1e-12),
+                             ("fd", 1e-10)):
+            sol, _ = solve_as(system, variant)
             assert rel_diff(sol.coefficients, expect) < tol
 
     def test_single_time_cell(self):
@@ -280,8 +289,8 @@ class TestScalarReductions:
         system = SpaceTimeSystem(temporal=temp, spatial=ops, rhs=rhs)
         K = temp.A[0, 0] * ops.M_II.toarray() + temp.M[0, 0] * ops.A_II.toarray()
         expect = np.linalg.solve(K, rhs)
-        for solver in (solve_bs_real, solve_bs_complex, solve_fd):
-            sol, _ = solver(system)
+        for variant in ("bs-real", "bs-complex", "fd"):
+            sol, _ = solve_as(system, variant)
             assert rel_diff(sol.coefficients, expect) < 1e-12
 
 
@@ -290,10 +299,10 @@ class TestRandomSystems:
     def test_variants_match_oracle(self, seed):
         system = random_system(n_t=6, m_x=7, seed=seed)
         oracle = solve_dense_oracle(system)
-        for solver, tol in ((solve_bs_real, 1e-10),
-                            (solve_bs_complex, 1e-10),
-                            (solve_fd, 1e-8)):
-            sol, report = solver(system)
+        for variant, tol in (("bs-real", 1e-10),
+                             ("bs-complex", 1e-10),
+                             ("fd", 1e-8)):
+            sol, report = solve_as(system, variant)
             assert rel_diff(sol.coefficients, oracle.coefficients) < tol
             assert report.residual < 1e-8
 
@@ -310,23 +319,71 @@ class TestDispatch:
             solve(small_system, "multigrid")
 
     def test_fd_falls_back_to_complex_schur(self, small_system, monkeypatch):
-        def broken(system, pencil=None, threads=1):
-            raise DefectivePencil("forced")
+        build = solvers.build_pencil
 
-        monkeypatch.setattr(solvers, "solve_fd", broken)
+        def broken(temporal, variant):
+            if variant == "fd":
+                raise DefectivePencil("forced")
+            return build(temporal, variant)
+
+        monkeypatch.setattr(solvers, "build_pencil", broken)
         sol, report = solve(small_system, "fd")
         assert report.variant == "bs-complex"
         assert "DefectivePencil" in report.fallback
         oracle = solve_dense_oracle(small_system)
         assert rel_diff(sol.coefficients, oracle.coefficients) < 1e-10
 
-    def test_no_fallback_propagates(self, small_system, monkeypatch):
-        def broken(system, pencil=None, threads=1):
-            raise DefectivePencil("forced")
 
-        monkeypatch.setattr(solvers, "solve_fd", broken)
-        with pytest.raises(DefectivePencil):
-            solve(small_system, "fd", fallback=False)
+class TestResidualGuard:
+    @pytest.fixture
+    def near_defective_system(self):
+        # kappa_2(M_t) = 2.2e12: fd's eigenvector basis is nearly singular
+        temp = dataclasses.replace(
+            assemble_temporal_operators(
+                TemporalMesh(np.linspace(0.0, 0.5, 4)), j_max=50),
+            A=np.eye(3),
+            M=np.array([[1.0, 1.0, 0.0],
+                        [0.0, 1.0 + 1e-12, 0.3],
+                        [0.0, 0.0, 2.0]]))
+        M, A = fem_pair_1d(6, 3)
+        rhs = np.random.default_rng(1).standard_normal(18)
+        return SpaceTimeSystem(temporal=temp, spatial=wrap_spatial(M, A),
+                               rhs=rhs)
+
+    def test_fd_falls_back_on_bad_residual(self, near_defective_system):
+        # unguarded, fd returns this solution with relative residual 4.2e-4
+        sol, report = solve(near_defective_system, "fd")
+        assert report.variant == "bs-complex"
+        assert report.fallback == "fd failed: ResidualTooLarge"
+        assert report.residual < 1e-9
+        oracle = solve_dense_oracle(near_defective_system)
+        assert rel_diff(sol.coefficients, oracle.coefficients) < 1e-9
+
+    @pytest.mark.parametrize("bad", [1e-3, np.nan])
+    def test_schur_variant_raises(self, small_system, monkeypatch, bad):
+        monkeypatch.setattr(solvers, "residual", lambda system, coeffs: bad)
+        with pytest.raises(ResidualTooLarge):
+            solve(small_system, "bs-real")
+
+    @pytest.mark.parametrize("refinements", [5, 6])
+    def test_fd_stays_under_bound_at_large_n_t(self, refinements):
+        # level-0 space, N_t = 128 and 256: kappa_2 = 9.3e6 and 1.1e8,
+        # residual 3.3e-10 and 7.6e-9, growing ~20x per bisection, so fd
+        # meets its 1e-6 bound here without falling back
+        system = make_problem(level=0, refinements=refinements)
+        assert system.n_t == 4 * 2**refinements
+        _, report = solve_as(system, "fd")
+        assert report.residual < solvers.TOLERANCES["fd"][1]
+
+
+class TestSystemValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected(self, small_system, bad):
+        rhs = small_system.rhs.copy()
+        rhs[3] = bad
+        with pytest.raises(UsageError):
+            SpaceTimeSystem(temporal=small_system.temporal,
+                            spatial=small_system.spatial, rhs=rhs)
 
 
 class TestOracleGuard:

@@ -335,11 +335,3 @@ class TestCouplingMatrix:
             for ell in range(2, base_mesh.n_cells + 1):
                 assert Cf[k, ell] == pytest.approx(Cc[k - 1, ell - 1], abs=tol)
 
-
-def test_dump_matrix_csv(tmp_path, base_ops):
-    from kronheat.temporal import dump_matrix_csv
-
-    path = tmp_path / "A.csv"
-    dump_matrix_csv(path, base_ops.A)
-    back = np.loadtxt(path, delimiter=",")
-    np.testing.assert_allclose(back, base_ops.A, rtol=1e-15)
