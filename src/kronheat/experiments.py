@@ -23,7 +23,7 @@ from .fem import (
     project_rhs,
 )
 from .lshape import build_lshape_mesh
-from .manufactured import exact_dt, exact_grad, exact_u, source_f
+from .manufactured import ExactFields, exact_u, source_f
 from .solvers import SpaceTimeSystem, eig_study, solve
 from .temporal import (
     DEFAULT_J_MAX,
@@ -141,13 +141,28 @@ def assemble_problem(level, config=None):
                        temp=temp, lift=lift, system=system)
 
 
-def solution_errors(problem, solution, quad_order=None):
-    """L2 and space-time H1-seminorm errors of a computed solution."""
-    full = dataclasses.replace(
-        solution, boundary_values=problem.lift
-    ).full_coefficients(problem.ops)
-    return error_norms(full, problem.mesh_x, problem.mesh_t,
-                       exact_u, exact_grad, exact_dt, quad_order=quad_order)
+def solution_errors(problem, solutions, quad_order=None):
+    """L2 and space-time H1-seminorm errors of computed solutions.
+
+    All solutions of one level are measured in one ``error_norms`` call,
+    so the exact fields are evaluated once per quadrature point whatever
+    their number.
+
+    Returns
+    -------
+    list of (l2_error, h1_error), one pair per solution.
+    """
+    if not solutions:
+        return []
+    stack = np.stack([
+        dataclasses.replace(
+            solution, boundary_values=problem.lift
+        ).full_coefficients(problem.ops)
+        for solution in solutions])
+    fields = ExactFields()
+    return error_norms(stack, problem.mesh_x, problem.mesh_t,
+                       fields.u, fields.grad, fields.dt,
+                       quad_order=quad_order)
 
 
 def eoc(err_prev, err, dof_prev, dof):
@@ -162,8 +177,10 @@ def eoc(err_prev, err, dof_prev, dof):
 def run_convergence(config=None, log=None):
     """Error table per solver variant over levels 0..max_level.
 
-    A variant whose solve raises is dropped from the remaining levels
-    with a note on ``log`` (default stderr); other variants continue.
+    Every live variant of a level is solved first, then all are measured
+    in one ``solution_errors`` call.  A variant whose solve raises is
+    dropped from the remaining levels with a note on ``log`` (default
+    stderr); other variants continue.
 
     Returns
     -------
@@ -177,20 +194,22 @@ def run_convergence(config=None, log=None):
     dead = {}
     for level in range(config.max_level + 1):
         problem = assemble_problem(level, config)
+        solved = {}
         for variant in config.variants:
             if variant in dead:
                 continue
             try:
-                solution, report = solve(problem.system, variant,
-                                         threads=config.threads)
-                l2, h1 = solution_errors(problem, solution,
-                                         quad_order=config.error_quad_order)
+                solved[variant] = solve(problem.system, variant,
+                                        threads=config.threads)
             except KronheatError as exc:
                 dead[variant] = exc
                 print(f"{variant}: level {level} failed "
                       f"({type(exc).__name__}: {exc}); dropping variant",
                       file=log)
-                continue
+        errors = solution_errors(
+            problem, [solution for solution, _ in solved.values()],
+            quad_order=config.error_quad_order)
+        for (variant, (_, report)), (l2, h1) in zip(solved.items(), errors):
             rows = tables[variant]
             if rows:
                 prev = rows[-1]

@@ -356,63 +356,96 @@ def _error_quadrature(quad_order):
 
 
 def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt, quad_order=None):
-    """Space-time L2 and H1-seminorm errors of a discrete function.
+    """Space-time L2 and H1-seminorm errors of discrete functions.
 
     The discrete function is piecewise linear in space and time with
     nodal coefficients at temporal nodes t_1..t_N; it vanishes at t = 0.
     The seminorm contains the full space-time gradient,
     sqrt(|dt e|^2 + |grad_x e|^2) integrated over the cylinder.
 
+    Several discrete functions on the same meshes (for instance one per
+    solver variant) are measured in one call by passing a stack of
+    coefficient arrays; they share every evaluation of the exact fields.
+    ``u``, ``grad`` and ``dt`` are each called once per temporal
+    quadrature point, always with the same ``x1`` and ``x2`` arrays (the
+    physical spatial quadrature points), whatever the stack size, so a
+    memoizing callable such as ``manufactured.ExactFields`` can keep its
+    t-independent factors.  The discrete values and gradients are formed
+    once per temporal node and interpolated linearly within each cell.
+
     Parameters
     ----------
-    coeffs : ndarray (n_vertices, N_t)
-        Total nodal coefficients including boundary values.
+    coeffs : ndarray (n_vertices, N_t) or (k, n_vertices, N_t)
+        Total nodal coefficients including boundary values, or a stack
+        of k such arrays.
     mesh_x : TriangleMesh
     mesh_t : TemporalMesh
     u, grad, dt : callables
-        Exact value, spatial gradient pair, and time derivative.
+        Exact value, spatial gradient pair, and time derivative, each
+        called as f(x1, x2, t) with a scalar t.
     quad_order : int or None
         None selects the default rule pair (degree 12 in space, 8 Gauss
-        points in time).
+        points in time, 12 graded panels on the first cell).
 
     Returns
     -------
-    (l2_error, h1_error) : pair of floats
+    (l2_error, h1_error) : pair of floats, or a list of k such pairs
+        for a stack.
     """
-    if coeffs.shape != (mesh_x.n_vertices, mesh_t.n_cells):
+    coeffs = np.asarray(coeffs)
+    shape = (mesh_x.n_vertices, mesh_t.n_cells)
+    if coeffs.ndim not in (2, 3) or coeffs.shape[-2:] != shape:
         raise DimensionMismatch(
-            f"coeffs shape {coeffs.shape} does not match "
-            f"{(mesh_x.n_vertices, mesh_t.n_cells)}"
+            f"coeffs shape {coeffs.shape} does not match {shape} "
+            f"or (k, *{shape})"
         )
+    stack = coeffs.reshape((-1,) + shape)
     (pts, wts), (tq, tw) = _error_quadrature(quad_order)
     area, grads = _geometry(mesh_x)
     tris = mesh_x.triangles
     x1, x2, lam = _space_points(mesh_x, pts)
     w_sp = 2.0 * area[:, None] * wts[None, :]  # physical spatial weights
 
-    full = np.hstack([np.zeros((mesh_x.n_vertices, 1)), coeffs])
-    nodes = mesh_t.nodes
+    def at_node(j):
+        # values (k, m, nq) and gradients (k, m, 2) at temporal node j
+        if j == 0:
+            c = np.zeros((len(stack),) + tris.shape)
+        else:
+            c = stack[:, :, j - 1][:, tris]
+        return c @ lam.T, np.einsum("kti,tid->ktd", c, grads)
 
-    acc_l2 = 0.0
-    acc_h1 = 0.0
+    def weighted_square(err):
+        return np.einsum("tq,tq,tq->", err, err, w_sp)
+
+    nodes = mesh_t.nodes
+    acc_l2 = np.zeros(len(stack))
+    acc_h1 = np.zeros(len(stack))
+    e = np.empty_like(x1)  # one error field at a time, reused
+    v_lo, g_lo = at_node(0)
     for ell in range(mesh_t.n_cells):
         h = nodes[ell + 1] - nodes[ell]
-        c_lo = full[:, ell][tris]  # (m, 3)
-        c_hi = full[:, ell + 1][tris]
-        c_dt = (c_hi - c_lo) / h
+        v_hi, g_hi = at_node(ell + 1)
+        v_dt = (v_hi - v_lo) / h
         for q, wq in zip(*_time_panels(ell, tq, tw)):
             t = nodes[ell] + h * q
-            c = (1.0 - q) * c_lo + q * c_hi
-            uh = np.einsum("ti,qi->tq", c, lam)
-            duh = np.einsum("ti,qi->tq", c_dt, lam)
-            gh = np.einsum("ti,tid->td", c, grads)
-
-            wt = wq * h
-            e = u(x1, x2, t) - uh
-            acc_l2 += wt * np.sum(w_sp * e * e)
-            ed = dt(x1, x2, t) - duh
+            ue = u(x1, x2, t)
             g1, g2 = grad(x1, x2, t)
-            e1 = g1 - gh[:, None, 0]
-            e2 = g2 - gh[:, None, 1]
-            acc_h1 += wt * np.sum(w_sp * (ed * ed + e1 * e1 + e2 * e2))
-    return math.sqrt(acc_l2), math.sqrt(acc_h1)
+            dte = dt(x1, x2, t)
+            wt = wq * h
+            for k in range(len(stack)):
+                # u_h = v_lo + (t - t_ell) v_dt within the cell
+                np.multiply(v_dt[k], q * h, out=e)
+                e += v_lo[k]
+                np.subtract(ue, e, out=e)
+                acc_l2[k] += wt * weighted_square(e)
+                np.subtract(dte, v_dt[k], out=e)
+                h1 = weighted_square(e)
+                gh = (1.0 - q) * g_lo[k] + q * g_hi[k]
+                np.subtract(g1, gh[:, 0, None], out=e)
+                h1 += weighted_square(e)
+                np.subtract(g2, gh[:, 1, None], out=e)
+                h1 += weighted_square(e)
+                acc_h1[k] += wt * h1
+        v_lo, g_lo = v_hi, g_hi
+    pairs = [(math.sqrt(a), math.sqrt(b)) for a, b in zip(acc_l2, acc_h1)]
+    return pairs if coeffs.ndim == 3 else pairs[0]

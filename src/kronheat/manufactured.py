@@ -9,11 +9,19 @@ The Gaussian factor solves the heat equation exactly, so the source
 f = dt u - laplace u involves only the cross terms with the sine factor.
 The center lies inside the removed quadrant of the L-shaped domain, so u
 is smooth up to the boundary and decays to zero as t -> 0.
+
+``exact_u``, ``exact_grad`` and ``exact_dt`` broadcast over all inputs.
+``ExactFields`` evaluates the same fields at many scalar times on one
+fixed point set, as the error norms do, without recomputing what does
+not depend on t.
 """
 
 import numpy as np
 
-__all__ = ["CENTER", "exact_u", "exact_dt", "exact_grad", "source_f"]
+from .errors import UsageError
+
+__all__ = ["CENTER", "ExactFields", "exact_u", "exact_dt", "exact_grad",
+           "source_f"]
 
 CENTER = (0.25, -0.25)
 
@@ -56,6 +64,85 @@ def exact_grad(x1, x2, t):
     dg1 = -g * (x1 - CENTER[0]) * half_t
     dg2 = -g * (x2 - CENTER[1]) * half_t
     return dg1 * s + g * x2 * c, dg2 * s + g * x1 * c
+
+
+class ExactFields:
+    """The manufactured solution, its gradient and time derivative, memoized.
+
+    The bound methods ``u``, ``grad`` and ``dt`` take ``(x1, x2, t)`` and
+    return what ``exact_u``, ``exact_grad`` and ``exact_dt`` return, for a
+    scalar ``t``.  Two things are kept between calls:
+
+    - the t-independent factors (``x - CENTER``, ``r2``, ``sin(pi x1 x2)``
+      and ``pi cos(pi x1 x2)``) of the last point set, keyed by the
+      identity of the ``x1`` and ``x2`` objects, which are held until a
+      new pair arrives.  Arrays passed in must therefore not be modified
+      in place between calls;
+    - all four fields at the last ``t``, so ``u``, ``grad`` and ``dt`` at
+      one time point cost a single ``exp`` per point together.
+
+    The returned arrays are shared between calls and read-only.
+    """
+
+    def __init__(self):
+        self._points = None
+        self._factors = None
+        self._t = None
+        self._fields = None
+
+    def u(self, x1, x2, t):
+        return self._at(x1, x2, t)[0]
+
+    def grad(self, x1, x2, t):
+        return self._at(x1, x2, t)[1:3]
+
+    def dt(self, x1, x2, t):
+        return self._at(x1, x2, t)[3]
+
+    def _at(self, x1, x2, t):
+        if np.ndim(t) != 0:
+            raise UsageError("ExactFields evaluates one scalar time per call")
+        points = self._points
+        if points is None or points[0] is not x1 or points[1] is not x2:
+            a1, a2 = np.broadcast_arrays(np.asarray(x1, dtype=float),
+                                         np.asarray(x2, dtype=float))
+            d1 = a1 - CENTER[0]
+            d2 = a2 - CENTER[1]
+            s = np.sin(np.pi * a1 * a2)
+            c = np.pi * np.cos(np.pi * a1 * a2)
+            self._factors = (d1**2 + d2**2, s, d1 * s, d2 * s, a2 * c, a1 * c)
+            self._points = (x1, x2)
+            self._t = None
+        if t != self._t:
+            self._fields = self._evaluate(float(t))
+            self._t = t
+        return self._fields
+
+    def _evaluate(self, t):
+        # (u, du/dx1, du/dx2, du/dt) at one time from the cached factors;
+        # the gradient is G (x2 pi cos - d1 sin / (2t)) and its mirror.
+        # In-place updates keep the temporaries of point-set size few.
+        r2, s, d1s, d2s, x2c, x1c = self._factors
+        if t <= 0.0:
+            fields = (np.zeros_like(r2),) * 4
+        else:
+            g = np.exp(r2 / (-4.0 * t))
+            g *= 5.0 / (2.0 * np.pi * t)
+            u = g * s
+            g1 = d1s * (-0.5 / t)
+            g1 += x2c
+            g1 *= g
+            g2 = d2s * (-0.5 / t)
+            g2 += x1c
+            g2 *= g
+            u_t = r2 / (4.0 * t**2)
+            u_t -= 1.0 / t
+            u_t *= u
+            fields = (u, g1, g2, u_t)
+        fields = tuple(map(np.asarray, fields))  # 0-d for scalar points
+        for field in fields:
+            field.flags.writeable = False
+        return fields
 
 
 def source_f(x1, x2, t):

@@ -368,8 +368,9 @@ def eig_study(temporal):
 
     Returns
     -------
-    dict with keys n_t, h_max, h_min, min_re_lambda, sigma_min,
-    sigma_max, kappa2.
+    dict with keys n_t, min_re_lambda, sigma_min, sigma_max, kappa2;
+    the mesh sizes are the caller's (``experiments.run_eigstudy`` adds
+    them from the temporal mesh).
     """
     pencil = build_pencil(temporal, "fd")
     form = pencil.form

@@ -247,7 +247,7 @@ def test_criterion_2_convergence_table(conv_result):
         config = ExperimentConfig(max_level=5, variants=("bs-complex",))
         problem = assemble_problem(5, config)
         solution, solve_report = solve(problem.system, "bs-complex")
-        l2, h1 = solution_errors(problem, solution)
+        [(l2, h1)] = solution_errors(problem, [solution])
         prev = tables["bs-complex"][-1]
         dof = problem.system.dof
         stretch = ConvergenceRow(

@@ -9,8 +9,9 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-# refinement_study.py is left out: it takes about 18 s on 2 cores
-DEMOS = ("solve_one_level.py", "temporal_matrices.py")
+# each runs in a few seconds on 2 cores (refinement_study.py, levels
+# 0-3 with all three variants, about 4 s)
+DEMOS = ("solve_one_level.py", "temporal_matrices.py", "refinement_study.py")
 
 
 @pytest.mark.parametrize("demo", DEMOS)

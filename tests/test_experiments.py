@@ -25,8 +25,10 @@ from kronheat.experiments import (
     format_eig_row,
     load_config_file,
     make_config,
+    assemble_problem,
     run_convergence,
     run_eigstudy,
+    solution_errors,
     time_mesh_at_level,
     write_convergence_csv,
 )
@@ -259,6 +261,23 @@ class TestRunConvergence:
         assert tables["fd"] == []
         assert calls.count("fd") == 1  # dropped after the first failure
         assert "SingularMatrix" in log.getvalue()
+
+
+class TestSolutionErrors:
+    def test_one_pair_per_solution_in_order(self):
+        problem = assemble_problem(1, ExperimentConfig(j_max=FAST_J))
+        rng = np.random.default_rng(7)
+        solution, _ = solve(problem.system, "bs-complex")
+        perturbed = dataclasses.replace(
+            solution, coefficients=solution.coefficients
+            + 0.1 * rng.standard_normal(solution.coefficients.shape))
+        both = np.array(solution_errors(problem, [solution, perturbed]))
+        alone = np.array([solution_errors(problem, [s])[0]
+                          for s in (solution, perturbed)])
+        assert both.shape == (2, 2)
+        np.testing.assert_allclose(both, alone, rtol=1e-14)
+        assert np.all(np.abs(both[1] - both[0]) > 1e-3 * both[0])
+        assert solution_errors(problem, []) == []
 
 
 class TestCompareSolvers:

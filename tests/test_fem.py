@@ -18,6 +18,7 @@ from kronheat.fem import (
     triangle_rule,
 )
 from kronheat.lshape import TriangleMesh, build_lshape_mesh
+from kronheat.manufactured import ExactFields, exact_dt, exact_grad, exact_u
 from kronheat.temporal import TemporalMesh, assemble_temporal_operators
 
 from conftest import BASE_NODES, refine_uniform
@@ -292,3 +293,51 @@ class TestErrorNorms:
         u = lambda x1, x2, t: 0 * x1
         with pytest.raises(DimensionMismatch):
             error_norms(bad, mesh_x, mesh_t, u, lambda *a: (0, 0), u)
+
+    @pytest.mark.parametrize("shape", [(3, 20, 4), (3, 21, 5), (2, 1, 21, 4),
+                                       (21 * 4,)])
+    def test_stack_shape_check(self, meshes, shape):
+        mesh_x, mesh_t = meshes
+        assert (mesh_x.n_vertices, mesh_t.n_cells) == (21, 4)
+        u = lambda x1, x2, t: 0 * x1
+        with pytest.raises(DimensionMismatch):
+            error_norms(np.zeros(shape), mesh_x, mesh_t, u,
+                        lambda *a: (0, 0), u)
+
+    def test_stack_equals_single_calls(self, meshes):
+        # three unrelated coefficient sets against the manufactured
+        # solution: the stacked call shares the exact fields and must
+        # reproduce every single call
+        mesh_x, mesh_t = meshes
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((3, mesh_x.n_vertices, mesh_t.n_cells))
+        fields = ExactFields()
+        pairs = error_norms(stack, mesh_x, mesh_t,
+                            fields.u, fields.grad, fields.dt)
+        assert len(pairs) == 3
+        for coeffs, (l2, h1) in zip(stack, pairs):
+            want = error_norms(coeffs, mesh_x, mesh_t,
+                               exact_u, exact_grad, exact_dt)
+            assert l2 == pytest.approx(want[0], rel=1e-13)
+            assert h1 == pytest.approx(want[1], rel=1e-13)
+
+    def test_fields_called_once_per_time_point(self, meshes):
+        # the same x1, x2 objects every call, one call per time point,
+        # however many coefficient sets are measured
+        mesh_x, mesh_t = meshes
+        seen = []
+
+        def u(x1, x2, t):
+            seen.append((id(x1), id(x2), t))
+            return 0 * x1
+
+        counts = []
+        for k in (1, 4):
+            seen.clear()
+            zero = np.zeros((k, mesh_x.n_vertices, mesh_t.n_cells))
+            error_norms(zero, mesh_x, mesh_t, u, lambda *a: (0, 0), u)
+            counts.append(len(seen))
+            assert len({key[:2] for key in seen}) == 1
+            times = [key[2] for key in seen]
+            assert times[::2] == times[1::2]  # u then dt at each point
+        assert counts[0] == counts[1] == 2 * (12 * 8 + 3 * 8)

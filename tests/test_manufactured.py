@@ -1,9 +1,19 @@
 """Consistency checks of the manufactured solution and its source term."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from kronheat.manufactured import CENTER, exact_dt, exact_grad, exact_u, source_f
+from kronheat.errors import UsageError
+from kronheat.manufactured import (
+    CENTER,
+    ExactFields,
+    exact_dt,
+    exact_grad,
+    exact_u,
+    source_f,
+)
 
 # probe points inside the L-shape, away from the removed quadrant
 POINTS = np.array([
@@ -90,3 +100,73 @@ class TestBroadcasting:
         r2 = (0.5 - CENTER[0]) ** 2 + (0.5 - CENTER[1]) ** 2
         expect = 5.0 / (2 * np.pi * 0.25) * np.exp(-r2 / 1.0) * np.sin(np.pi * 0.25)
         assert val == pytest.approx(expect, rel=1e-14)
+
+
+def lshape_points(n, seed):
+    # uniform points of (-1, 1)^2 outside the removed quadrant x1 > 0 > x2
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, size=(4 * n, 2))
+    pts = pts[~((pts[:, 0] > 0.0) & (pts[:, 1] < 0.0))][:n]
+    return pts[:, 0].reshape(-1, 5), pts[:, 1].reshape(-1, 5)
+
+
+def assert_matches_oracle(fields, x1, x2, t):
+    # within 1e-13 of the largest entry; a zero oracle must be matched
+    # exactly
+    got = (fields.u(x1, x2, t), *fields.grad(x1, x2, t), fields.dt(x1, x2, t))
+    want = (exact_u(x1, x2, t), *exact_grad(x1, x2, t), exact_dt(x1, x2, t))
+    for name, a, b in zip(("u", "u_x1", "u_x2", "u_t"), got, want):
+        assert a.shape == b.shape, name
+        scale = np.max(np.abs(b))
+        assert np.max(np.abs(a - b)) <= 1e-13 * scale, (name, t)
+
+
+class TestExactFields:
+    TIMES = (0.0, 1e-6, 1.0 / 64.0, 0.5)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(TIMES)))
+    def test_matches_oracle_in_any_time_order(self, order):
+        x1, x2 = lshape_points(200, seed=1)
+        fields = ExactFields()
+        for t in order:
+            assert_matches_oracle(fields, x1, x2, t)
+
+    def test_nonzero_at_sampled_times(self):
+        # guards the oracle comparison against vacuous all-zero fields
+        x1, x2 = lshape_points(200, seed=1)
+        for t in (1.0 / 64.0, 0.5):
+            assert np.max(np.abs(exact_u(x1, x2, t))) > 1e-3
+
+    def test_new_point_set_and_back(self):
+        xa1, xa2 = lshape_points(200, seed=2)
+        xb1, xb2 = lshape_points(200, seed=3)
+        fields = ExactFields()
+        for x1, x2 in ((xa1, xa2), (xb1, xb2), (xa1, xa2)):
+            assert_matches_oracle(fields, x1, x2, 0.25)
+        # one array of the pair replaced is a new point set too
+        assert_matches_oracle(fields, xa1, xb2, 0.25)
+
+    def test_repeated_times(self):
+        x1, x2 = lshape_points(200, seed=4)
+        fields = ExactFields()
+        for t in (0.1, 0.1, 0.3, 0.1, 0.1):
+            assert_matches_oracle(fields, x1, x2, t)
+
+    def test_scalar_and_broadcast_points(self):
+        fields = ExactFields()
+        x1 = POINTS[:, :1]
+        x2 = POINTS[:, 1:].T
+        assert fields.u(x1, x2, 0.2).shape == (len(POINTS), len(POINTS))
+        assert_matches_oracle(fields, x1, x2, 0.2)
+        assert fields.u(0.5, 0.5, 0.25) == pytest.approx(
+            exact_u(0.5, 0.5, 0.25), rel=1e-14)
+
+    def test_rejects_time_arrays(self):
+        with pytest.raises(UsageError):
+            ExactFields().u(POINTS[:, 0], POINTS[:, 1], TIMES)
+
+    def test_returned_fields_are_read_only(self):
+        fields = ExactFields()
+        u = fields.u(POINTS[:, 0], POINTS[:, 1], 0.2)
+        with pytest.raises(ValueError):
+            u[0] = 1.0
