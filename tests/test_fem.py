@@ -340,4 +340,6 @@ class TestErrorNorms:
             assert len({key[:2] for key in seen}) == 1
             times = [key[2] for key in seen]
             assert times[::2] == times[1::2]  # u then dt at each point
+        # u and dt at 12 graded panels x 8 points on cell 0 and 8 points
+        # on each of the other three cells
         assert counts[0] == counts[1] == 2 * (12 * 8 + 3 * 8)
