@@ -21,20 +21,14 @@ from .errors import (
     ResidualTooLarge,
     SingularMatrix,
     SizeGuardExceeded,
-    TruncationBudgetExceeded,
     UsageError,
 )
 from .temporal import (
     DEFAULT_J_MAX,
-    SineCoefficientTable,
     TemporalMesh,
     TemporalOperators,
-    assemble_temporal_A,
-    assemble_temporal_C,
-    assemble_temporal_M,
     assemble_temporal_operators,
     refine_bisect,
-    sine_coefficients,
     tail_bounds,
 )
 from .lshape import (
@@ -76,18 +70,12 @@ __all__ = [
     "ResidualTooLarge",
     "SingularMatrix",
     "SizeGuardExceeded",
-    "TruncationBudgetExceeded",
     "UsageError",
     "DEFAULT_J_MAX",
-    "SineCoefficientTable",
     "TemporalMesh",
     "TemporalOperators",
-    "assemble_temporal_A",
-    "assemble_temporal_C",
-    "assemble_temporal_M",
     "assemble_temporal_operators",
     "refine_bisect",
-    "sine_coefficients",
     "tail_bounds",
     "TriangleMesh",
     "build_lshape_mesh",

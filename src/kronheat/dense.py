@@ -235,28 +235,16 @@ def cholesky_lower(A):
         raise NotPositiveDefinite(str(exc)) from exc
 
 
-def tri_solve(T, rhs, lower=False, trans=False):
-    """Solve T x = rhs (or T^T x = rhs) with T triangular."""
-    T = _check_square(T)
-    rhs = np.asarray(rhs)
-    if rhs.shape[0] != T.shape[0]:
-        raise DimensionMismatch(
-            f"rhs has leading dimension {rhs.shape[0]}, matrix is {T.shape[0]}"
-        )
-    return sla.solve_triangular(T, rhs, lower=lower, trans=1 if trans else 0)
-
-
 def spd_solve(L, rhs):
     """Solve A x = rhs given the lower Cholesky factor L of A."""
-    return tri_solve(L, tri_solve(L, rhs, lower=True), lower=True, trans=True)
+    return sla.cho_solve((L, True), rhs)
 
 
-def kron_apply_right(B, A_action, v):
+def kron_apply_right(B, A, v):
     """Apply (B^T kron A) to v without forming the Kronecker product.
 
     Uses vec(A V B) = (B^T kron A) vec(V) with V the column-major
-    unvec of ``v``.  ``A_action`` is either a matrix (dense or sparse)
-    or a callable mapping an (N_A, N_B) matrix to its image under A.
+    unvec of ``v``; ``A`` is a dense or sparse matrix.
     """
     B = np.asarray(B)
     v = np.asarray(v)
@@ -269,8 +257,4 @@ def kron_apply_right(B, A_action, v):
         )
     n_a = v.size // n_b
     V = v.reshape(n_a, n_b, order="F")
-    AV = A_action(V) if callable(A_action) else A_action @ V
-    AV = np.asarray(AV)
-    if AV.ndim != 2 or AV.shape[1] != n_b:
-        raise DimensionMismatch("A_action changed the column count")
-    return (AV @ B).ravel(order="F")
+    return (A @ V @ B).ravel(order="F")

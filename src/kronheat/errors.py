@@ -5,10 +5,6 @@ class KronheatError(Exception):
     """Base class for all package errors."""
 
 
-class TruncationBudgetExceeded(KronheatError):
-    """The requested entry tolerance cannot be met by the given j_max."""
-
-
 class DimensionMismatch(KronheatError):
     """Operands have inconsistent shapes."""
 

@@ -58,6 +58,10 @@ class ExperimentConfig:
             raise UsageError("threads must be >= 1")
         if self.j_max < 0:
             raise UsageError("j_max must be >= 0")
+        if self.quad_order < 1:
+            raise UsageError("quad_order must be >= 1")
+        if self.error_quad_order is not None and self.error_quad_order < 1:
+            raise UsageError("error_quad_order must be None or >= 1")
         nodes = np.asarray(self.time_nodes, dtype=float)
         if nodes.size < 2 or np.any(np.diff(nodes) <= 0.0):
             raise UsageError("time_nodes must be strictly increasing")

@@ -8,7 +8,7 @@ symmetric systems are factorized in complex arithmetic without
 conjugation tricks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,15 +26,6 @@ def analyze_call_count():
     return _analyze_calls
 
 
-def _pattern_key(matrix):
-    """Hashable fingerprint of a CSR sparsity pattern."""
-    return (
-        matrix.shape,
-        matrix.indptr.tobytes(),
-        matrix.indices.tobytes(),
-    )
-
-
 @dataclass(frozen=True)
 class SymbolicFactorization:
     """Fill-reducing permutation and predicted factor structure.
@@ -47,7 +38,6 @@ class SymbolicFactorization:
     n: int
     perm: np.ndarray
     factor_nnz: int
-    pattern_key: tuple = field(repr=False)
 
     def __post_init__(self):
         p = np.sort(np.asarray(self.perm))
@@ -119,7 +109,9 @@ def analyze(pattern):
     Returns
     -------
     SymbolicFactorization
-        Reusable for any matrix whose pattern is contained in this one.
+        Fixes the ordering, and so the fill, of every matrix factorized
+        against it.  Containment in this pattern is not a correctness
+        condition: SuperLU works out each matrix's own structure.
     """
     global _analyze_calls
     A = sp.csr_matrix(pattern)
@@ -146,7 +138,6 @@ def analyze(pattern):
         n=n,
         perm=perm,
         factor_nnz=int(probe.L.nnz + probe.U.nnz),
-        pattern_key=_pattern_key(sp.csr_matrix(S)),
     )
 
 

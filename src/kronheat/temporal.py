@@ -21,6 +21,11 @@ t = N_t is truncated at T.  The only approximation anywhere is truncation of
 the series at j_max; products decay like theta_j^-3 (A, C) and theta_j^-4 (M),
 so entry tails shrink like j_max^-2 and j_max^-3.
 
+No table of a[l][j] is formed here: by parts, a[l][j] is 2T/theta_j^2 times
+the ``_hat_bracket`` of s_i = sin(theta_j t_i/T), and the kernel sums only
+brackets.  The tables a, b, d live in the math above and in the term-by-term
+series oracle of the test suite.
+
 Each coefficient is a power of theta_j times sines or cosines of theta_j x_i,
 x_i = t_i/T.  When every 2^p x_i is an integer (a dyadic mesh), these repeat
 in j with period P = 2^(p+1), since theta_{j+P} x_i = theta_j x_i + 2 pi 2^p x_i,
@@ -41,8 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
-
-from .errors import DimensionMismatch, TruncationBudgetExceeded
 
 # Default series truncation.  The acceptance bar is that doubling j_max moves
 # no entry by more than 1e-8 relative on meshes up to N_t = 64; the entrywise
@@ -109,24 +112,11 @@ def _theta(j0: int, j1: int) -> np.ndarray:
     return np.pi * (np.arange(j0, j1) + 0.5)
 
 
-def _sine_block(nodes: np.ndarray, j0: int, j1: int) -> np.ndarray:
-    """a[l][j] for j in [j0, j1), shape (N_t, j1 - j0).
-
-    Integration by parts gives, with s_i = sin(theta_j t_i / T),
-
-        a[l][j] = (2T/theta_j^2) [ (s_l - s_{l-1})/h_l - (s_{l+1} - s_l)/h_{l+1} ]
-
-    and for l = N_t only the first slope survives: the boundary term at t = T
-    vanishes because cos(theta_j) = 0.
-    """
-    T = nodes[-1]
-    theta = _theta(j0, j1)
-    s = np.sin(np.outer(nodes, theta / T))
-    return _hat_bracket(s, nodes) * (2.0 * T / theta**2)
-
-
 def _hat_bracket(vals: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Second-difference-of-slopes bracket shared by the sine/cosine tables."""
+    """Per hat, its left slope minus its right one (the last hat: left only).
+
+    Of the sines this is a[l][j] theta_j^2/(2T) (module docstring).
+    """
     n = len(nodes) - 1
     h = np.diff(nodes)
     d = (vals[1:, :] - vals[:-1, :]) / h[:, None]
@@ -134,48 +124,6 @@ def _hat_bracket(vals: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     out[: n - 1, :] = d[: n - 1, :] - d[1:, :]
     out[n - 1, :] = d[n - 1, :]
     return out
-
-
-@dataclass(frozen=True)
-class SineCoefficientTable:
-    """Sine expansion coefficients a[l][j], l = 1..N_t, j = 0..j_max.
-
-    The full table at the default truncation would occupy gigabytes, so
-    storage is implicit: ``block`` computes any contiguous j-range on demand
-    and the ``a`` property materializes the whole table (meant for small
-    j_max, e.g. in tests).
-    """
-
-    mesh: TemporalMesh
-    j_max: int
-
-    def block(self, j0: int, j1: int) -> np.ndarray:
-        """Coefficients for j in [j0, j1), shape (N_t, j1 - j0)."""
-        if not 0 <= j0 <= j1 <= self.j_max + 1:
-            raise IndexError("block outside [0, j_max]")
-        return _sine_block(self.mesh.nodes, j0, j1)
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.block(0, self.j_max + 1)
-
-
-def sine_coefficients(mesh: TemporalMesh, j_max: int = DEFAULT_J_MAX) -> SineCoefficientTable:
-    """Expansion table of the hat basis in the sine basis.
-
-    Parameters
-    ----------
-    mesh : TemporalMesh
-    j_max : int
-        Largest retained frequency index (inclusive).
-
-    Returns
-    -------
-    SineCoefficientTable
-    """
-    if j_max < 0:
-        raise ValueError("j_max must be >= 0")
-    return SineCoefficientTable(mesh, int(j_max))
 
 
 @dataclass(frozen=True)
@@ -208,14 +156,6 @@ def tail_bounds(mesh: TemporalMesh, j_max: int) -> tuple[float, float, float]:
     tail_m = 8.0 * T**2 / hmin * s3 + 32.0 * T**3 / hmin**2 * s4
     tail_c = 16.0 * T**2 / hmin * s3
     return tail_a, tail_m, tail_c
-
-
-def _check_budget(bound: float, entry_tol, which: str):
-    if entry_tol is not None and bound > entry_tol:
-        raise TruncationBudgetExceeded(
-            f"{which}: advertised tail {bound:.3e} exceeds requested "
-            f"entry tolerance {entry_tol:.3e}; raise j_max"
-        )
 
 
 def _blocks(n: int, size: int):
@@ -286,40 +226,3 @@ def assemble_temporal_operators(mesh: TemporalMesh, j_max: int = DEFAULT_J_MAX) 
         C += bw3 @ (s[1:, :] - s[:-1, :]).T
     A = 2.0 * T**2 * (triA + np.tril(triA, -1).T)
     return TemporalOperators(A=A, M=2.0 * T**2 * M, C=2.0 * T**2 * C, j_max=j_max)
-
-
-def assemble_temporal_A(coeffs: SineCoefficientTable, entry_tol=None) -> np.ndarray:
-    """Derivative matrix A[l,k] = 1/2 sum_j theta_j a[k][j] a[l][j].
-
-    Symmetric positive definite by construction; assembled with a symmetric
-    rank update so A equals its transpose exactly.
-    """
-    _check_budget(tail_bounds(coeffs.mesh, coeffs.j_max)[0], entry_tol, "A")
-    return assemble_temporal_operators(coeffs.mesh, coeffs.j_max).A
-
-
-def assemble_temporal_M(coeffs: SineCoefficientTable, mesh: TemporalMesh | None = None,
-                        entry_tol=None) -> np.ndarray:
-    """Mass matrix M[l,k] = <phi_k, H_T phi_l> = sum_j a[l][j] b[k][j].
-
-    Nonsymmetric, but its symmetric part is positive definite.
-    """
-    mesh = _same_mesh(coeffs, mesh)
-    _check_budget(tail_bounds(mesh, coeffs.j_max)[1], entry_tol, "M")
-    return assemble_temporal_operators(mesh, coeffs.j_max).M
-
-
-def assemble_temporal_C(coeffs: SineCoefficientTable, mesh: TemporalMesh | None = None,
-                        entry_tol=None) -> np.ndarray:
-    """Source coupling C[k,l] = <chi_l, H_T phi_k> = sum_j a[k][j] d[l][j]."""
-    mesh = _same_mesh(coeffs, mesh)
-    _check_budget(tail_bounds(mesh, coeffs.j_max)[2], entry_tol, "C")
-    return assemble_temporal_operators(mesh, coeffs.j_max).C
-
-
-def _same_mesh(coeffs: SineCoefficientTable, mesh: TemporalMesh | None) -> TemporalMesh:
-    if mesh is None:
-        return coeffs.mesh
-    if mesh.n_cells != coeffs.mesh.n_cells or not np.array_equal(mesh.nodes, coeffs.mesh.nodes):
-        raise DimensionMismatch("coefficient table belongs to a different mesh")
-    return mesh

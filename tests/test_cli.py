@@ -33,6 +33,12 @@ class TestParsing:
         assert config.max_level == 0  # flag wins
         assert config.j_max == 200000
 
+    def test_bad_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("quad_order = 0\n")
+        assert main(["convergence", "--config", str(cfg)]) == 2
+        assert "error: quad_order" in capsys.readouterr().err
+
     def test_variant_path_suffix(self):
         assert _variant_path("out.csv", "fd", many=True) == "out-fd.csv"
         assert _variant_path("out.csv", "fd", many=False) == "out.csv"

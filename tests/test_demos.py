@@ -1,7 +1,8 @@
-"""Smoke test: the quick demos run to completion against the package."""
+"""Smoke test: the quick demos and the README quick start run against the package."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -14,12 +15,24 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = ("solve_one_level.py", "temporal_matrices.py", "refinement_study.py")
 
 
-@pytest.mark.parametrize("demo", DEMOS)
-def test_demo_runs(demo):
+def run_python(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=300)
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    run_python([str(ROOT / "demos" / demo)])
+
+
+def test_readme_quick_start_runs():
+    # the python block under "## Quick start", so the README's API example
+    # cannot go stale without a failure
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    run_python(["-c", code])

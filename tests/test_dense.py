@@ -16,7 +16,6 @@ from kronheat.dense import (
     real_schur,
     spd_solve,
     svd_of_eigenvectors,
-    tri_solve,
 )
 from kronheat.errors import (
     DefectivePencil,
@@ -227,12 +226,6 @@ class TestCholesky:
         x = rng.standard_normal(5)
         assert np.allclose(spd_solve(L, A @ x), x, atol=1e-12)
 
-    def test_tri_solve_transpose(self):
-        rng = np.random.default_rng(22)
-        L = np.tril(rng.standard_normal((4, 4))) + 4 * np.eye(4)
-        x = rng.standard_normal(4)
-        assert np.allclose(tri_solve(L, L.T @ x, lower=True, trans=True), x)
-
 
 class TestKronApplyRight:
     def test_identity(self):
@@ -252,8 +245,6 @@ class TestKronApplyRight:
         v = rng.standard_normal(12)
         expected = np.kron(B.T, A) @ v
         assert np.allclose(kron_apply_right(B, A, v), expected, atol=1e-13)
-        out2 = kron_apply_right(B, lambda V: A @ V, v)
-        assert np.allclose(out2, expected, atol=1e-13)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

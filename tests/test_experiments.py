@@ -143,6 +143,8 @@ class TestExperimentConfig:
         {"time_nodes": (0.0, 0.2, 0.2, 0.5)},
         {"time_nodes": (0.1, 0.3, 0.5)},
         {"time_nodes": (0.0, 0.3)},
+        {"quad_order": 0},
+        {"error_quad_order": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(UsageError):

@@ -28,9 +28,7 @@ class TestAnalyze:
         n = 50
         A = laplacian_1d(n)
         sym = sd.SymbolicFactorization(
-            n=n, perm=np.arange(n), factor_nnz=4 * n - 2,
-            pattern_key=("natural", n),
-        )
+            n=n, perm=np.arange(n), factor_nnz=4 * n - 2)
         num = sd.factorize(sym, A)
         assert num._lu.L.nnz + num._lu.U.nnz <= 4 * n - 2
 
@@ -97,6 +95,17 @@ class TestFactorizeSolve:
             b = rng.standard_normal(36)
             x = num.solve(b)
             assert np.linalg.norm(K @ x - b) / np.linalg.norm(b) < 1e-12
+
+    def test_matrix_outside_analyzed_pattern(self):
+        # the analysis fixes only the ordering: a dense matrix factorized
+        # against an identity analysis still solves to rounding
+        rng = np.random.default_rng(14)
+        n = 40
+        sym = sd.analyze(sp.identity(n, format="csr"))
+        K = rng.standard_normal((n, n)) + n * np.eye(n)
+        b = rng.standard_normal(n)
+        x = sd.factorize(sym, sp.csr_matrix(K)).solve(b)
+        assert np.linalg.norm(K @ x - b) / np.linalg.norm(b) < 1e-12
 
     def test_complex_symmetric_matches_real_block_oracle(self):
         # (M + (a+ib) A)(x+iy) = f  <=>  symmetric indefinite real 2n system

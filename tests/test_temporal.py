@@ -5,16 +5,9 @@ from scipy.integrate import quad
 
 from kronheat import (
     DEFAULT_J_MAX,
-    DimensionMismatch,
-    SineCoefficientTable,
     TemporalMesh,
-    TruncationBudgetExceeded,
-    assemble_temporal_A,
-    assemble_temporal_C,
-    assemble_temporal_M,
     assemble_temporal_operators,
     refine_bisect,
-    sine_coefficients,
     tail_bounds,
 )
 from kronheat.temporal import _period
@@ -24,6 +17,23 @@ mp.mp.dps = 30
 
 def theta(j):
     return np.pi * (j + 0.5)
+
+
+def sine_table(mesh, j):
+    """a[l][j] = (2/T) int phi_l sin(theta_j t/T) dt, rows l = 1..N_t.
+
+    Closed form: integrated by parts twice, the hat's two slopes leave
+    (2T/theta_j^2) [(s_l - s_{l-1})/h_l - (s_{l+1} - s_l)/h_{l+1}] with
+    s_i = sin(theta_j t_i/T); the hat at t = N_t keeps only its rising
+    slope, as its boundary term at T carries cos(theta_j) = 0.
+    """
+    j = np.asarray(j)
+    w = theta(j) / mesh.T
+    sin = np.sin(np.outer(mesh.nodes, w))
+    slope = np.diff(sin, axis=0) / mesh.h[:, None]
+    a = slope.copy()
+    a[:-1] -= slope[1:]
+    return a * (2.0 / (mesh.T * w**2))
 
 
 class TestTemporalMesh:
@@ -53,21 +63,23 @@ class TestTemporalMesh:
 
 
 class TestSineCoefficients:
+    """The closed form of a[l][j] that ``series_oracle`` is built on."""
+
     def test_single_element_j0(self):
         # phi_1(t) = t on [0,1]: a[1][0] = 2 int t sin(pi t/2) dt = 8/pi^2
-        table = sine_coefficients(TemporalMesh([0.0, 1.0]), j_max=0)
-        assert table.a[0, 0] == pytest.approx(8.0 / np.pi**2, rel=1e-14)
+        a = sine_table(TemporalMesh([0.0, 1.0]), [0])
+        assert a[0, 0] == pytest.approx(8.0 / np.pi**2, rel=1e-14)
 
     def test_single_element_general_j(self):
-        table = sine_coefficients(TemporalMesh([0.0, 1.0]), j_max=50)
         j = np.arange(51)
+        a = sine_table(TemporalMesh([0.0, 1.0]), j)
         expect = 2.0 * (-1.0) ** j / theta(j) ** 2
-        np.testing.assert_allclose(table.a[0], expect, rtol=1e-13)
+        np.testing.assert_allclose(a[0], expect, rtol=1e-13)
 
     def test_adaptive_quadrature_oracle(self):
         # independent route for a handful of entries on a nonuniform mesh
         nodes = np.array([0.0, 0.2, 0.5, 1.3])
-        table = sine_coefficients(TemporalMesh(nodes), j_max=7)
+        a = sine_table(TemporalMesh(nodes), np.arange(8))
         T = nodes[-1]
 
         for ell in (1, 2, 3):
@@ -81,31 +93,25 @@ class TestSineCoefficients:
                     down, _ = quad(lambda t: (hi - t) / (hi - mid) * np.sin(w * t),
                                    mid, hi, limit=200)
                     val += down
-                assert table.a[ell - 1, j] == pytest.approx(2.0 / T * val, abs=1e-12)
+                assert a[ell - 1, j] == pytest.approx(2.0 / T * val, abs=1e-12)
 
     def test_rescaling_invariance(self):
         nodes = np.array([0.0, 0.125, 0.25, 0.5])
-        t1 = sine_coefficients(TemporalMesh(nodes), j_max=200)
-        t2 = sine_coefficients(TemporalMesh(3.7 * nodes), j_max=200)
-        np.testing.assert_allclose(t1.a, t2.a, rtol=1e-12, atol=1e-15)
+        j = np.arange(201)
+        a1 = sine_table(TemporalMesh(nodes), j)
+        a2 = sine_table(TemporalMesh(3.7 * nodes), j)
+        np.testing.assert_allclose(a1, a2, rtol=1e-12, atol=1e-15)
 
     def test_envelope_decay(self, base_mesh):
-        table = sine_coefficients(base_mesh, j_max=5000)
-        a = np.abs(table.a)
         j = np.arange(5001)
+        a = np.abs(sine_table(base_mesh, j))
         # constant calibrated on the head must dominate the whole tail
         c = (a[:, :50] * (j[:50] + 1) ** 2).max()
         assert np.all(a <= 1.0000001 * c / (j + 1) ** 2)
 
-    def test_block_matches_table(self, base_mesh):
-        table = sine_coefficients(base_mesh, j_max=100)
-        np.testing.assert_array_equal(table.block(40, 60), table.a[:, 40:60])
-        with pytest.raises(IndexError):
-            table.block(0, 102)
-
     def test_negative_j_max(self, base_mesh):
         with pytest.raises(ValueError):
-            sine_coefficients(base_mesh, j_max=-1)
+            assemble_temporal_operators(base_mesh, -1)
 
 
 class TestAnalyticValues:
@@ -116,25 +122,21 @@ class TestAnalyticValues:
     M11_PER_T = float(2 * (7 * mp.zeta(3) / mp.pi**3 - 16 * mp.mpf(repr(BETA4)) / mp.pi**4))
 
     def test_A_single_element(self):
-        coeffs = sine_coefficients(TemporalMesh([0.0, 1.0]), j_max=1_000_000)
-        A = assemble_temporal_A(coeffs)
+        A = assemble_temporal_operators(TemporalMesh([0.0, 1.0]), j_max=1_000_000).A
         assert A[0, 0] == pytest.approx(self.A11, abs=1e-12)
 
     def test_A_independent_of_T(self):
         for T in (0.5, 2.0):
-            coeffs = sine_coefficients(TemporalMesh([0.0, T]), j_max=200_000)
-            A = assemble_temporal_A(coeffs)
+            A = assemble_temporal_operators(TemporalMesh([0.0, T]), j_max=200_000).A
             assert A[0, 0] == pytest.approx(self.A11, rel=1e-9)
 
     def test_M_single_element(self):
         for T in (0.5, 0.7):
-            coeffs = sine_coefficients(TemporalMesh([0.0, T]), j_max=1_000_000)
-            M = assemble_temporal_M(coeffs)
+            M = assemble_temporal_operators(TemporalMesh([0.0, T]), j_max=1_000_000).M
             assert M[0, 0] == pytest.approx(self.M11_PER_T * T, rel=1e-10)
 
     def test_C_single_element(self):
-        coeffs = sine_coefficients(TemporalMesh([0.0, 0.5]), j_max=1_000_000)
-        C = assemble_temporal_C(coeffs)
+        C = assemble_temporal_operators(TemporalMesh([0.0, 0.5]), j_max=1_000_000).C
         assert C[0, 0] == pytest.approx(self.A11 * 0.5, rel=1e-10)
 
 
@@ -165,19 +167,6 @@ class TestAssemblyProperties:
         np.testing.assert_allclose(o2.M, 3.0 * o1.M, rtol=1e-12)
         np.testing.assert_allclose(o2.C, 3.0 * o1.C, rtol=1e-12)
 
-    def test_combined_equals_individual(self, base_mesh):
-        ops = assemble_temporal_operators(base_mesh, j_max=20_000)
-        coeffs = sine_coefficients(base_mesh, j_max=20_000)
-        np.testing.assert_array_equal(ops.A, assemble_temporal_A(coeffs))
-        np.testing.assert_array_equal(ops.M, assemble_temporal_M(coeffs))
-        np.testing.assert_array_equal(ops.C, assemble_temporal_C(coeffs))
-
-    def test_mesh_argument_is_checked(self, base_mesh):
-        coeffs = sine_coefficients(base_mesh, j_max=100)
-        other = TemporalMesh([0.0, 0.25, 0.5])
-        with pytest.raises(DimensionMismatch):
-            assemble_temporal_M(coeffs, other)
-
 
 def cosine_tables(mesh, j):
     """b[k][j] = int phi_k cos(theta_j t/T) dt and d[l][j] = int_cell_l cos(theta_j t/T) dt.
@@ -196,14 +185,13 @@ def cosine_tables(mesh, j):
 
 
 def series_oracle(mesh, j_max):
-    """A, M, C summed term by term from the sine table and ``cosine_tables``."""
-    table = sine_coefficients(mesh, j_max)
+    """A, M, C summed term by term from ``sine_table`` and ``cosine_tables``."""
     n = mesh.n_cells
     A, M, C = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
     for j0 in range(0, j_max + 1, 20_000):  # bounded workspace at level 4
         j1 = min(j0 + 20_000, j_max + 1)
         j = np.arange(j0, j1)
-        a = table.block(j0, j1)
+        a = sine_table(mesh, j)
         b, d = cosine_tables(mesh, j)
         A += 0.5 * (a * theta(j)) @ a.T
         M += a @ b.T
@@ -288,13 +276,6 @@ class TestTruncation:
         assert np.abs(o2.M - o1.M).max() < tm
         assert np.abs(o2.C - o1.C).max() < tc
 
-    def test_budget_error(self, base_mesh):
-        coeffs = sine_coefficients(base_mesh, j_max=100)
-        with pytest.raises(TruncationBudgetExceeded):
-            assemble_temporal_A(coeffs, entry_tol=1e-12)
-        # generous tolerance passes
-        assemble_temporal_A(coeffs, entry_tol=1.0)
-
 
 class TestCouplingMatrix:
     def test_row_sum_is_integral_of_transformed_hat(self, base_mesh):
@@ -302,21 +283,20 @@ class TestCouplingMatrix:
         # cosine series independently, per term in closed form and by
         # numerical quadrature for a low budget.
         j_max = 400
-        coeffs = sine_coefficients(base_mesh, j_max=j_max)
-        C = assemble_temporal_C(coeffs)
-        a = coeffs.a
+        C = assemble_temporal_operators(base_mesh, j_max).C
         j = np.arange(j_max + 1)
+        a = sine_table(base_mesh, j)
         T = base_mesh.T
         per_term = a * ((-1.0) ** j * T / theta(j))
         np.testing.assert_allclose(C.sum(axis=1), per_term.sum(axis=1),
                                    rtol=0, atol=1e-13)
         # quadrature route at a budget quad can integrate accurately
         small = 60
-        cs = sine_coefficients(base_mesh, j_max=small)
-        Cs = assemble_temporal_C(cs)
+        Cs = assemble_temporal_operators(base_mesh, small).C
         js = np.arange(small + 1)
+        a_small = sine_table(base_mesh, js)
         k = 2
-        val, _ = quad(lambda t: np.sum(cs.a[k] * np.cos(theta(js) * t / T)),
+        val, _ = quad(lambda t: np.sum(a_small[k] * np.cos(theta(js) * t / T)),
                       0.0, T, limit=500)
         assert Cs[k].sum() == pytest.approx(val, abs=1e-11)
 
@@ -326,8 +306,8 @@ class TestCouplingMatrix:
         j_max = 150_000
         nodes = base_mesh.nodes
         fine = np.sort(np.append(nodes, 0.5 * (nodes[0] + nodes[1])))
-        Cc = assemble_temporal_C(sine_coefficients(base_mesh, j_max))
-        Cf = assemble_temporal_C(sine_coefficients(TemporalMesh(fine), j_max))
+        Cc = assemble_temporal_operators(base_mesh, j_max).C
+        Cf = assemble_temporal_operators(TemporalMesh(fine), j_max).C
         tol = tail_bounds(base_mesh, j_max)[2] + tail_bounds(TemporalMesh(fine), j_max)[2]
         for k in range(2, base_mesh.n_cells + 1):
             # row k (1-based) in the coarse mesh is row k+1 in the fine mesh
