@@ -8,6 +8,7 @@ emit rows matching the published table schemas.
 
 import dataclasses
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -67,6 +68,9 @@ class ExperimentConfig:
             raise UsageError("time_nodes must be strictly increasing")
         if nodes[0] != 0.0 or not math.isclose(nodes[-1], self.T):
             raise UsageError("time_nodes must run from 0 to T")
+        if self.out is not None and not os.path.isdir(
+                os.path.dirname(self.out) or "."):
+            raise UsageError(f"no directory for output file {self.out!r}")
         unknown = set(self.variants) - set(VARIANTS)
         if unknown or not self.variants:
             raise UsageError(
@@ -320,10 +324,13 @@ def format_compare_row(row):
 
 
 def _write_csv(path, header, lines):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def write_convergence_csv(rows, path):
@@ -342,7 +349,11 @@ def write_compare_csv(rows, path):
 def load_config_file(path):
     """Flat key-value config: one ``key = value`` per line, # comments."""
     values = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc.strerror}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -13,7 +13,8 @@ It then transforms in, G = F A_t^{-1} left, and sweeps the N_t spatial
 systems of M_x Z + A_x Z T^T = G.  The Schur variants back-substitute
 over the diagonal blocks of T (:func:`_back_substitution`): a 2x2 block
 of R, a conjugate pair, couples two spatial solves into one symmetric
-indefinite system of dimension 2 M_x, while S has only 1x1 blocks.  fd
+indefinite system of dimension 2 M_x, factorized under the M + A
+ordering lifted to node pairs, while S has only 1x1 blocks.  fd
 solves the N_t diagonal systems independently, optionally on a thread
 pool (:func:`_independent_sweep`).  Last, U = Z right drops an imaginary
 part below the variant's tolerance and the relative residual is checked
@@ -212,7 +213,10 @@ def _back_substitution(G, T, M, A):
     Walks the diagonal blocks of T from the last one.  A 1x1 block is one
     spatial system M + T[k, k] A; a 2x2 block (a real conjugate pair)
     couples two columns into one scaled symmetric indefinite system of
-    dimension 2 M_x.  Symbolic analysis runs once per block size.
+    dimension 2 M_x.  Symbolic analysis runs once per block size, each
+    time on the union pattern of M and A: a pair system is factorized
+    under that ordering lifted to node pairs, which keeps z_s and z_{s+1}
+    of each spatial node adjacent.
     """
     m_x, n_t = G.shape
     Z = np.zeros_like(G)
@@ -231,9 +235,8 @@ def _back_substitution(G, T, M, A):
                          [abs(b1) * b2 * A, -abs(b1) * D]], format="csr")
             scale, sign = [abs(b2), abs(b1)], [1.0, -1.0]
         if size not in symbolic:
-            # 1x1 blocks share the union pattern of M and A
-            symbolic[size] = sparse_direct.analyze(
-                (M + A).tocsr() if size == 1 else K)
+            symbolic[size] = sparse_direct.analyze((M + A).tocsr(),
+                                                   block=size)
         rhs = ((G[:, s:end] - acc[:, s:end]) * scale).ravel(order="F")
         z = sparse_direct.factorize(symbolic[size], K).solve(rhs)
         Z[:, s:end] = z.reshape(m_x, size, order="F") * sign

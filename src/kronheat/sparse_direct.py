@@ -3,9 +3,11 @@
 Wraps SuperLU (via scipy) behind an analyze/factorize/solve split so the
 fill-reducing ordering is computed once per sparsity pattern and reused
 across the many shifted matrices M + lambda*A the space-time solvers
-produce.  Real and complex matrices share the machinery; complex
-symmetric systems are factorized in complex arithmetic without
-conjugation tricks.
+produce.  A block system built from copies of one pattern, such as the
+coupled 2 M_x system of a conjugate pair, reuses that pattern's ordering
+lifted to node blocks (``analyze(pattern, block=2)``).  Real and complex
+matrices share the machinery; complex symmetric systems are factorized
+in complex arithmetic without conjugation tricks.
 """
 
 from dataclasses import dataclass
@@ -52,6 +54,11 @@ class NumericFactorization:
         self.symbolic = symbolic
         self._lu = lu
 
+    @property
+    def factor_nnz(self):
+        """Actual L+U nonzeros, unit diagonal of L included."""
+        return int(self._lu.L.nnz + self._lu.U.nnz)
+
     def solve(self, rhs):
         return solve(self, rhs)
 
@@ -97,7 +104,7 @@ def _etree_postorder(pattern):
     return order
 
 
-def analyze(pattern):
+def analyze(pattern, block=1):
     """Symbolic analysis of a (structurally symmetric) sparsity pattern.
 
     Parameters
@@ -105,6 +112,15 @@ def analyze(pattern):
     pattern : sparse matrix
         Only the pattern is used.  Non-symmetric patterns are
         symmetrized by union first.
+    block : int
+        Lift the analysis to a ``block`` x ``block`` block matrix whose
+        blocks lie inside ``pattern`` (unknowns in block order: copy j of
+        node i at i + j n).  The copies of each node are eliminated
+        together, in the node order of ``pattern``:
+        [p0, p0 + n, ..., p1, p1 + n, ...].  This keeps bs-real's
+        indefinite pair systems at about the predicted fill, which an
+        analysis of the block pattern itself does not: SuperLU's
+        pivoting breaks that ordering.
 
     Returns
     -------
@@ -133,12 +149,16 @@ def analyze(pattern):
     # the elimination sequence, then postorder its elimination tree
     perm = np.argsort(np.asarray(probe.perm_c))
     perm = perm[_etree_postorder(sp.csc_matrix(S[perm, :][:, perm]))]
+    factor_nnz = int(probe.L.nnz + probe.U.nnz)
+    if block > 1:
+        perm = (perm[:, None] + n * np.arange(block)).ravel()
+        # every off-diagonal entry of the node factors becomes a dense
+        # block**2 block, every diagonal entry a dense block whose lower
+        # triangle goes to L and upper triangle to U
+        factor_nnz = block**2 * (factor_nnz - 2 * n) + block * (block + 1) * n
+        n *= block
     _analyze_calls += 1
-    return SymbolicFactorization(
-        n=n,
-        perm=perm,
-        factor_nnz=int(probe.L.nnz + probe.U.nnz),
-    )
+    return SymbolicFactorization(n=n, perm=perm, factor_nnz=factor_nnz)
 
 
 def factorize(symbolic, matrix):

@@ -39,6 +39,28 @@ class TestParsing:
         assert main(["convergence", "--config", str(cfg)]) == 2
         assert "error: quad_order" in capsys.readouterr().err
 
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert main(["eigstudy", "--config", str(missing)]) == 2
+        assert "error: cannot read config" in capsys.readouterr().err
+
+    def test_missing_out_directory_exits_2_before_study(self, tmp_path,
+                                                        capsys, monkeypatch):
+        def study(config):
+            raise AssertionError("study ran before the --out check")
+
+        monkeypatch.setattr("kronheat.cli.run_eigstudy", study)
+        dest = tmp_path / "missing" / "x.csv"
+        assert main(["eigstudy", "--max-level", "0", "--out", str(dest)]) == 2
+        assert "error: no directory for output file" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        # a directory in place of the file passes the directory check
+        # and fails only when the table is written
+        assert main(["eigstudy", "--max-level", "0", *FAST,
+                     "--out", str(tmp_path)]) == 2
+        assert "error: cannot write" in capsys.readouterr().err
+
     def test_variant_path_suffix(self):
         assert _variant_path("out.csv", "fd", many=True) == "out-fd.csv"
         assert _variant_path("out.csv", "fd", many=False) == "out.csv"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kronheat import solvers
+from kronheat import solvers, sparse_direct
 from kronheat.dense import ComplexSchurForm, EigenSvdForm, RealSchurForm
 from kronheat.errors import (
     DefectivePencil,
@@ -14,6 +14,7 @@ from kronheat.errors import (
     SizeGuardExceeded,
     UsageError,
 )
+from kronheat.experiments import assemble_problem
 from kronheat.fem import (
     SpatialOperators,
     assemble_global_rhs,
@@ -258,6 +259,36 @@ class TestMixedBlocks:
                              ("fd", 1e-8)):
             sol, _ = solve_as(odd_system, variant)
             assert rel_diff(sol.coefficients, oracle.coefficients) < tol
+
+
+class TestPairSystems:
+    def test_bs_real_matches_oracle_with_mixed_blocks(self):
+        # M_x = 33, N_t = 8: R has diagonal blocks 2, 1, 2, 2, 1
+        system = make_problem(level=1, refinements=1)
+        R = build_pencil(system.temporal, "bs-real").form.R
+        sub = np.abs(np.diag(R, -1)) > 0.0
+        assert sub.any() and not sub.all()
+        oracle = solve_dense_oracle(system)
+        sol, _ = solve_as(system, "bs-real")
+        assert rel_diff(sol.coefficients, oracle.coefficients) < 1e-10
+
+    def test_pair_fill_within_four_node_factors(self, monkeypatch):
+        # under the M + A ordering lifted to node pairs each entry of the
+        # node factor becomes at most a 2x2 block; an analysis of the pair
+        # pattern itself lets SuperLU's pivoting break its ordering
+        # (93,806 to 143,052 against 4 x 18,108 at level 3)
+        system = assemble_problem(3).system
+        fill = {}
+        factorize = sparse_direct.factorize
+
+        def recording(symbolic, matrix):
+            numeric = factorize(symbolic, matrix)
+            fill.setdefault(symbolic.n, []).append(numeric.factor_nnz)
+            return numeric
+
+        monkeypatch.setattr(sparse_direct, "factorize", recording)
+        solve_as(system, "bs-real")
+        assert max(fill[2 * system.m_x]) <= 4 * min(fill[system.m_x])
 
 
 class TestScalarReductions:
