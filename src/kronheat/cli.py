@@ -7,6 +7,7 @@ file; command-line flags override file values.
 """
 
 import argparse
+import os
 import sys
 
 from .errors import KronheatError, UsageError
@@ -84,10 +85,8 @@ def config_from_args(args):
 def _variant_path(path, variant, many):
     if not many:
         return path
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return f"{path}-{variant}"
-    return f"{stem}-{variant}.{ext}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}-{variant}{ext}"
 
 
 def cmd_convergence(config):

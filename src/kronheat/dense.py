@@ -239,22 +239,3 @@ def spd_solve(L, rhs):
     """Solve A x = rhs given the lower Cholesky factor L of A."""
     return sla.cho_solve((L, True), rhs)
 
-
-def kron_apply_right(B, A, v):
-    """Apply (B^T kron A) to v without forming the Kronecker product.
-
-    Uses vec(A V B) = (B^T kron A) vec(V) with V the column-major
-    unvec of ``v``; ``A`` is a dense or sparse matrix.
-    """
-    B = np.asarray(B)
-    v = np.asarray(v)
-    n_b = B.shape[0]
-    if B.ndim != 2:
-        raise DimensionMismatch("B must be a matrix")
-    if v.size % n_b != 0:
-        raise DimensionMismatch(
-            f"vector of length {v.size} is not a multiple of {n_b}"
-        )
-    n_a = v.size // n_b
-    V = v.reshape(n_a, n_b, order="F")
-    return (A @ V @ B).ravel(order="F")

@@ -48,7 +48,6 @@ class ExperimentConfig:
     quad_order: int = 6
     error_quad_order: Optional[int] = None
     threads: int = 1
-    T: float = 0.5
     time_nodes: tuple = BASE_TIME_NODES
     out: Optional[str] = None
 
@@ -66,8 +65,8 @@ class ExperimentConfig:
         nodes = np.asarray(self.time_nodes, dtype=float)
         if nodes.size < 2 or np.any(np.diff(nodes) <= 0.0):
             raise UsageError("time_nodes must be strictly increasing")
-        if nodes[0] != 0.0 or not math.isclose(nodes[-1], self.T):
-            raise UsageError("time_nodes must run from 0 to T")
+        if nodes[0] != 0.0:
+            raise UsageError("time_nodes must run from 0")
         if self.out is not None and not os.path.isdir(
                 os.path.dirname(self.out) or "."):
             raise UsageError(f"no directory for output file {self.out!r}")
@@ -374,7 +373,6 @@ _CONFIG_KEYS = {
     "quad_order": int,
     "error_quad_order": lambda s: None if s.lower() == "none" else int(s),
     "threads": int,
-    "T": float,
     "time_nodes": lambda s: tuple(float(v) for v in s.split(",")),
     "out": str,
 }

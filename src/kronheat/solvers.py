@@ -36,7 +36,6 @@ from .dense import (
     cholesky_lower,
     complex_schur,
     eig_pencil,
-    kron_apply_right,
     real_schur,
     spd_solve,
     svd_of_eigenvectors,
@@ -329,14 +328,17 @@ def solve_dense_oracle(system):
 
 
 def residual(system, coefficients):
-    """Relative residual of K u = f, applying K matrix-free."""
+    """Relative residual of K u = f, applying K matrix-free.
+
+    K u is M_x U A_t^T + A_x U M_t^T on the (M_x, N_t) coefficient
+    matrix U.
+    """
     coefficients = np.asarray(coefficients)
     if coefficients.shape != system.rhs.shape:
         raise DimensionMismatch("coefficient vector has wrong length")
-    Ku = (kron_apply_right(system.temporal.A.T, system.spatial.M_II,
-                           coefficients)
-          + kron_apply_right(system.temporal.M.T, system.spatial.A_II,
-                             coefficients))
+    U = coefficients.reshape(system.m_x, system.n_t, order="F")
+    Ku = (system.spatial.M_II @ U @ system.temporal.A.T
+          + system.spatial.A_II @ U @ system.temporal.M.T).ravel(order="F")
     denom = np.linalg.norm(system.rhs)
     if denom == 0.0:
         return float(np.linalg.norm(Ku))

@@ -63,47 +63,6 @@ class NumericFactorization:
         return solve(self, rhs)
 
 
-def _etree_postorder(pattern):
-    """Postorder of the elimination tree of a symmetric CSC pattern.
-
-    Liu's parent-finding pass with path compression, then a depth-first
-    sweep.  Eliminating vertices in postorder keeps each frontal block
-    contiguous, which the supernodal numeric phase depends on; without
-    it the natural-order factorization falls apart into scalar updates.
-    """
-    n = pattern.shape[0]
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    indptr, indices = pattern.indptr, pattern.indices
-    for j in range(n):
-        for p in range(indptr[j], indptr[j + 1]):
-            i = indices[p]
-            while i != -1 and i < j:
-                nxt = ancestor[i]
-                ancestor[i] = j
-                if nxt == -1:
-                    parent[i] = j
-                i = nxt
-    kids = [[] for _ in range(n)]
-    roots = []
-    for v in range(n):
-        (roots if parent[v] == -1 else kids[parent[v]]).append(v)
-    order = np.empty(n, dtype=np.int64)
-    pos = 0
-    for root in roots:
-        stack = [(root, False)]
-        while stack:
-            v, done = stack.pop()
-            if done:
-                order[pos] = v
-                pos += 1
-            else:
-                stack.append((v, True))
-                for child in reversed(kids[v]):
-                    stack.append((child, False))
-    return order
-
-
 def analyze(pattern, block=1):
     """Symbolic analysis of a (structurally symmetric) sparsity pattern.
 
@@ -146,9 +105,9 @@ def analyze(pattern, block=1):
         options={"SymmetricMode": True},
     )
     # perm_c maps original index -> elimination position; invert it to
-    # the elimination sequence, then postorder its elimination tree
+    # the elimination sequence.  SuperLU postorders the elimination tree
+    # of each matrix it factorizes, so no postorder is needed here.
     perm = np.argsort(np.asarray(probe.perm_c))
-    perm = perm[_etree_postorder(sp.csc_matrix(S[perm, :][:, perm]))]
     factor_nnz = int(probe.L.nnz + probe.U.nnz)
     if block > 1:
         perm = (perm[:, None] + n * np.arange(block)).ravel()

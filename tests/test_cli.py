@@ -66,6 +66,17 @@ class TestParsing:
         assert _variant_path("out.csv", "fd", many=False) == "out.csv"
         assert _variant_path("table", "fd", many=True) == "table-fd"
 
+    @pytest.mark.parametrize("path, expected", [
+        ("table.csv", "table-fd.csv"),
+        ("out/table.csv", "out/table-fd.csv"),
+        ("./table", "./table-fd"),
+        ("runs.v2/table", "runs.v2/table-fd"),
+    ])
+    def test_variant_path_splits_extension_of_file_name(self, path,
+                                                        expected):
+        # a dot in a directory name is not an extension
+        assert _variant_path(path, "fd", many=True) == expected
+
 
 class TestEigstudy:
     def test_prints_table(self, capsys):

@@ -12,14 +12,12 @@ from kronheat.dense import (
     cholesky_lower,
     complex_schur,
     eig_pencil,
-    kron_apply_right,
     real_schur,
     spd_solve,
     svd_of_eigenvectors,
 )
 from kronheat.errors import (
     DefectivePencil,
-    DimensionMismatch,
     NotPositiveDefinite,
 )
 
@@ -225,30 +223,6 @@ class TestCholesky:
         L = cholesky_lower(A)
         x = rng.standard_normal(5)
         assert np.allclose(spd_solve(L, A @ x), x, atol=1e-12)
-
-
-class TestKronApplyRight:
-    def test_identity(self):
-        v = np.arange(6.0)
-        out = kron_apply_right(np.eye(2), np.eye(3), v)
-        assert np.allclose(out, v)
-
-    def test_diagonal_example(self):
-        A = np.diag([1.0, 2.0])
-        out = kron_apply_right(np.eye(2), A, np.ones(4))
-        assert np.allclose(out, [1.0, 2.0, 1.0, 2.0])
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(31)
-        A = rng.standard_normal((4, 4))
-        B = rng.standard_normal((3, 3))
-        v = rng.standard_normal(12)
-        expected = np.kron(B.T, A) @ v
-        assert np.allclose(kron_apply_right(B, A, v), expected, atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            kron_apply_right(np.eye(3), np.eye(2), np.ones(7))
 
 
 class TestFormTypes:

@@ -142,7 +142,7 @@ class TestExperimentConfig:
         {"variants": ("bs-real", "qr")},
         {"time_nodes": (0.0, 0.2, 0.2, 0.5)},
         {"time_nodes": (0.1, 0.3, 0.5)},
-        {"time_nodes": (0.0, 0.3)},
+        {"time_nodes": (0.0,)},
         {"quad_order": 0},
         {"error_quad_order": 0},
     ])

@@ -10,6 +10,7 @@ from kronheat import solvers, sparse_direct
 from kronheat.dense import ComplexSchurForm, EigenSvdForm, RealSchurForm
 from kronheat.errors import (
     DefectivePencil,
+    DimensionMismatch,
     ResidualTooLarge,
     SizeGuardExceeded,
     UsageError,
@@ -197,6 +198,22 @@ class TestSolveSmall:
         sol, report = solve_as(small_system, "bs-real")
         assert residual(small_system, sol.coefficients) == pytest.approx(
             report.residual, rel=1e-12, abs=1e-16)
+
+    def test_residual_matches_dense_kronecker(self, small_system):
+        rng = np.random.default_rng(17)
+        u = rng.standard_normal(small_system.dof)
+        K = (np.kron(small_system.temporal.A,
+                     small_system.spatial.M_II.toarray())
+             + np.kron(small_system.temporal.M,
+                       small_system.spatial.A_II.toarray()))
+        f = small_system.rhs
+        expected = np.linalg.norm(K @ u - f) / np.linalg.norm(f)
+        assert residual(small_system, u) == pytest.approx(expected,
+                                                          rel=1e-12)
+
+    def test_residual_rejects_wrong_length(self, small_system):
+        with pytest.raises(DimensionMismatch):
+            residual(small_system, np.ones(small_system.dof + 1))
 
     def test_fd_threads_agree(self, small_system):
         a, _ = solve_as(small_system, "fd", threads=1)

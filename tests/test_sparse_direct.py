@@ -7,6 +7,8 @@ import scipy.sparse.linalg as spla
 
 from kronheat import sparse_direct as sd
 from kronheat.errors import DimensionMismatch, SingularMatrix
+from kronheat.fem import assemble_p1
+from kronheat.lshape import build_lshape_mesh
 
 
 def laplacian_1d(n):
@@ -78,6 +80,16 @@ class TestAnalyze:
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionMismatch):
             sd.analyze(sp.csr_matrix(np.ones((2, 3))))
+
+    def test_shifted_lshape_factor_keeps_predicted_fill(self):
+        # a complex shift of the level-3 L-shape operators factorizes
+        # against analyze(M + A) with exactly the probe's fill
+        ops = assemble_p1(build_lshape_mesh(3))
+        M, A = ops.M_II, ops.A_II
+        sym = sd.analyze((M + A).tocsr())
+        num = sd.factorize(sym, (M + (0.3 + 0.2j) * A).tocsr())
+        assert sym.factor_nnz == 18_108
+        assert num.factor_nnz == sym.factor_nnz
 
 
 class TestFactorizeSolve:
