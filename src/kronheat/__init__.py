@@ -47,7 +47,7 @@ from .fem import (
     triangle_rule,
 )
 from .solvers import (
-    PencilFactorization,
+    Pencil,
     SolveReport,
     SpaceTimeSolution,
     SpaceTimeSystem,
@@ -88,7 +88,7 @@ __all__ = [
     "gauss_rule_01",
     "project_rhs",
     "triangle_rule",
-    "PencilFactorization",
+    "Pencil",
     "SolveReport",
     "SpaceTimeSolution",
     "SpaceTimeSystem",

@@ -1,12 +1,9 @@
 """Dense linear-algebra kernels for the temporal pencil.
 
-Wraps LAPACK-backed routines (Schur, eigen, SVD, Cholesky) behind the
-small set of forms the space-time solvers need, with residual checks
-baked into the constructors.  All tolerances are relative Frobenius
-residuals around 1e-12.
+Wraps LAPACK-backed routines (Schur, eigen, SVD, Cholesky) with the
+residual and singularity checks the space-time solvers rely on.  All
+tolerances are relative Frobenius residuals around 1e-12.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -23,91 +20,6 @@ RESIDUAL_TOL = 1e-12
 
 def _frob(a):
     return np.linalg.norm(a, "fro")
-
-
-@dataclass(frozen=True)
-class RealSchurForm:
-    """Real Schur decomposition P = Q R Q^T.
-
-    R is upper quasi-triangular: 1x1 blocks hold real eigenvalues, 2x2
-    blocks hold conjugate pairs alpha +- i*sqrt(b1*b2) with the two
-    off-diagonal entries b1, b2 of opposite signs.
-    """
-
-    Q: np.ndarray
-    R: np.ndarray
-
-    def eigenvalues(self):
-        """Eigenvalues recovered from the diagonal blocks."""
-        R = self.R
-        starts = block_starts(R)
-        vals = []
-        for k, end in zip(starts, starts[1:] + [len(R)]):
-            if end - k == 1:
-                vals.append(R[k, k] + 0j)
-            else:
-                beta = np.sqrt(-R[k, k + 1] * R[k + 1, k])
-                vals += [R[k, k] + 1j * beta, R[k, k] - 1j * beta]
-        return np.array(vals)
-
-    def transforms(self):
-        """(left, T, right) with P^T = left T^T right: (Q, R, Q^T)."""
-        return self.Q, self.R, self.Q.T
-
-
-@dataclass(frozen=True)
-class ComplexSchurForm:
-    """Complex Schur decomposition P = W S W* with S upper triangular."""
-
-    W: np.ndarray
-    S: np.ndarray
-
-    def eigenvalues(self):
-        return np.diag(self.S).copy()
-
-    def transforms(self):
-        """(left, T, right) with P^T = left T^T right: (conj(W), S, W^T)."""
-        return np.conj(self.W), self.S, self.W.T
-
-
-@dataclass(frozen=True)
-class EigenSvdForm:
-    """Eigendecomposition P X = X D plus an SVD of the eigenvector matrix.
-
-    The SVD X = U diag(sigma) V* is kept alongside because the solver
-    applies X^{-1} = V diag(1/sigma) U* for numerical damping, and the
-    spectral study reports sigma_min, sigma_max, kappa_2.
-    """
-
-    X: np.ndarray
-    D: np.ndarray
-    U: np.ndarray
-    sigma: np.ndarray
-    Vh: np.ndarray
-
-    @property
-    def sigma_min(self):
-        return float(self.sigma[-1])
-
-    @property
-    def sigma_max(self):
-        return float(self.sigma[0])
-
-    @property
-    def kappa2(self):
-        return float(self.sigma[0] / self.sigma[-1])
-
-    def eigenvalues(self):
-        return self.D
-
-    def transforms(self):
-        """(left, D, right) with P^T = left diag(D) right: (X^{-T}, D, X^T).
-
-        Both transforms are formed from the SVD of X.
-        """
-        left = (np.conj(self.U) / self.sigma[None, :]) @ np.conj(self.Vh)
-        right = (self.Vh.T * self.sigma[None, :]) @ self.U.T
-        return left, self.D, right
 
 
 def block_starts(T):
@@ -138,8 +50,10 @@ def real_schur(P):
 
     Returns
     -------
-    RealSchurForm
+    (Q, R)
         With ``P = Q R Q^T`` to a relative Frobenius residual of 1e-12.
+        R is quasi-triangular; LAPACK standardizes each 2x2 block, a pair
+        alpha +- i sqrt(-b1 b2), to diagonal entries alpha, alpha.
     """
     P = _check_square(P).astype(float)
     try:
@@ -149,11 +63,11 @@ def real_schur(P):
     scale = max(_frob(P), 1.0)
     if _frob(Q @ R @ Q.T - P) > 100 * RESIDUAL_TOL * scale:
         raise ConvergenceFailure("real Schur residual above tolerance")
-    return RealSchurForm(Q=Q, R=R)
+    return Q, R
 
 
 def complex_schur(P):
-    """Complex Schur form of a square matrix (real input allowed)."""
+    """Complex Schur form (W, S), P = W S W*, of a real or complex P."""
     P = _check_square(P).astype(complex)
     try:
         S, W = sla.schur(P, output="complex")
@@ -162,7 +76,7 @@ def complex_schur(P):
     scale = max(_frob(P), 1.0)
     if _frob(W @ S @ W.conj().T - P) > 100 * RESIDUAL_TOL * scale:
         raise ConvergenceFailure("complex Schur residual above tolerance")
-    return ComplexSchurForm(W=W, S=S)
+    return W, S
 
 
 def eig_pencil(M, A):
@@ -211,17 +125,17 @@ def eig_pencil(M, A):
     return vals, vecs
 
 
-def svd_of_eigenvectors(vecs, vals):
-    """Package eigenpairs with the SVD of the eigenvector matrix.
+def svd_of_eigenvectors(vecs):
+    """SVD X = U diag(sigma) Vh of an eigenvector matrix, sigma decreasing.
 
-    For eigenpairs obtained from :func:`eig_pencil`, whose column scaling
-    is part of the reported condition number.
+    For eigenvectors from :func:`eig_pencil`, whose column scaling is part
+    of the reported condition number sigma[0] / sigma[-1].
     """
     vecs = _check_square(vecs)
     U, sigma, Vh = sla.svd(vecs)
     if sigma[-1] <= 0.0:
         raise DefectivePencil("eigenvector matrix is numerically singular")
-    return EigenSvdForm(X=vecs, D=np.asarray(vals), U=U, sigma=sigma, Vh=Vh)
+    return U, sigma, Vh
 
 
 def cholesky_lower(A):

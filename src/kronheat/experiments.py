@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise UsageError(
                 f"variants must be a nonempty subset of {VARIANTS}"
             )
+        if len(set(self.variants)) < len(self.variants):
+            raise UsageError(f"repeated variant in {self.variants}")
 
 
 @dataclass(frozen=True)
@@ -181,13 +183,22 @@ def eoc(err_prev, err, dof_prev, dof):
     return 3.0 * math.log(err_prev / err) / math.log(dof / dof_prev)
 
 
+def _solve_noting_fallback(problem, variant, config, log):
+    """``solve`` one level; a fallback to another variant is noted on log."""
+    solution, report = solve(problem.system, variant, threads=config.threads)
+    if report.fallback:
+        print(f"# fallback level {problem.level} {variant}: "
+              f"{report.fallback}, solved by {report.variant}", file=log)
+    return solution, report
+
+
 def run_convergence(config=None, log=None):
     """Error table per solver variant over levels 0..max_level.
 
     Every live variant of a level is solved first, then all are measured
     in one ``solution_errors`` call.  A variant whose solve raises is
-    dropped from the remaining levels with a note on ``log`` (default
-    stderr); other variants continue.
+    dropped from the remaining levels, and one that falls back is kept;
+    either gets a note on ``log`` (default stderr).
 
     Returns
     -------
@@ -206,8 +217,8 @@ def run_convergence(config=None, log=None):
             if variant in dead:
                 continue
             try:
-                solved[variant] = solve(problem.system, variant,
-                                        threads=config.threads)
+                solved[variant] = _solve_noting_fallback(problem, variant,
+                                                         config, log)
             except KronheatError as exc:
                 dead[variant] = exc
                 print(f"{variant}: level {level} failed "
@@ -261,7 +272,8 @@ def compare_solvers(config=None):
     """Pairwise coefficient differences between variants per level.
 
     Pairs are flagged above 1e-8 relative (1e-6 where fast
-    diagonalization participates at level >= 4).
+    diagonalization participates at level >= 4), and wherever a variant
+    fell back to another, which is noted on stderr.
 
     Returns
     -------
@@ -276,21 +288,23 @@ def compare_solvers(config=None):
     residuals = {}
     for level in range(config.max_level + 1):
         problem = assemble_problem(level, config)
-        coeffs = {}
+        coeffs, fallback = {}, {}
         for variant in config.variants:
-            solution, report = solve(problem.system, variant,
-                                     threads=config.threads)
+            solution, report = _solve_noting_fallback(problem, variant,
+                                                      config, sys.stderr)
             coeffs[variant] = solution.coefficients
+            fallback[variant] = report.fallback
             residuals[(level, variant)] = report.residual
         for i, a in enumerate(config.variants):
             for b in config.variants[i + 1:]:
                 diff = (np.linalg.norm(coeffs[a] - coeffs[b])
                         / np.linalg.norm(coeffs[b]))
                 threshold = 1e-6 if ("fd" in (a, b) and level >= 4) else 1e-8
+                flagged = diff > threshold or bool(fallback[a] or fallback[b])
                 rows.append(CompareRow(
                     level=level, dof=problem.system.dof,
                     variant_a=a, variant_b=b, diff=diff,
-                    threshold=threshold, flagged=diff > threshold,
+                    threshold=threshold, flagged=flagged,
                 ))
     return rows, residuals
 

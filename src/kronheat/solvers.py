@@ -99,20 +99,21 @@ class SpaceTimeSystem:
 
 
 @dataclass(frozen=True)
-class PencilFactorization:
-    """Decomposition of the temporal pencil plus the Cholesky of A_t."""
+class Pencil:
+    """P^T = left T^T right for P = A_t^{-1} M_t, plus chol(A_t).
 
-    variant: str
+    T is R (bs-real), S (bs-complex) or the eigenvalue vector D (fd,
+    standing for diag(D)).  ``sigma`` holds the singular values of fd's
+    eigenvector matrix, in decreasing order; it is None for the Schur
+    variants.
+    """
+
     chol_A: np.ndarray
-    form: object
-
-    @property
-    def eigenvalues(self):
-        return self.form.eigenvalues()
-
-    @property
-    def min_re_lambda(self):
-        return float(np.min(self.eigenvalues.real))
+    left: np.ndarray
+    T: np.ndarray
+    right: np.ndarray
+    min_re_lambda: float
+    sigma: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,7 @@ def build_pencil(temporal, variant):
 
     Returns
     -------
-    PencilFactorization
+    Pencil
 
     Raises
     ------
@@ -184,10 +185,13 @@ def build_pencil(temporal, variant):
     """
     L = cholesky_lower(temporal.A)
     P = spd_solve(L, temporal.M)
+    sigma = None
     if variant == "bs-real":
-        form = real_schur(P)
+        left, T = real_schur(P)
+        right = left.T
     elif variant == "bs-complex":
-        form = complex_schur(P)
+        W, T = complex_schur(P)
+        left, right = np.conj(W), W.T
     elif variant == "fd":
         # pencil route keeps the reference eigenvector scaling for the
         # spectral statistics; eigenvectors of (M, A) and of A^{-1} M
@@ -197,13 +201,20 @@ def build_pencil(temporal, variant):
         resid = np.linalg.norm(P @ vecs - vecs * vals[None, :], "fro")
         if resid > 1e-8 * scale:
             raise DefectivePencil("eigenvector residual above tolerance")
-        form = svd_of_eigenvectors(vecs, vals)
+        # X^{-T} and X^T, both formed from the SVD X = U diag(sigma) Vh
+        U, sigma, Vh = svd_of_eigenvectors(vecs)
+        left = (np.conj(U) / sigma[None, :]) @ np.conj(Vh)
+        right = (Vh.T * sigma[None, :]) @ U.T
+        T = vals
     else:
         raise ValueError(f"unknown pencil variant: {variant!r}")
-    pencil = PencilFactorization(variant=variant, chol_A=L, form=form)
-    if pencil.min_re_lambda <= 0.0:
+    # LAPACK gives the two diagonal entries of a 2x2 block of R the real
+    # part of its conjugate pair, so diag(T) holds every real part
+    min_re = float(np.min((T if T.ndim == 1 else np.diag(T)).real))
+    if min_re <= 0.0:
         raise DefectivePencil("pencil eigenvalue with nonpositive real part")
-    return pencil
+    return Pencil(chol_A=L, left=left, T=T, right=right,
+                  min_re_lambda=min_re, sigma=sigma)
 
 
 def _back_substitution(G, T, M, A):
@@ -269,32 +280,31 @@ def _solve(system, variant, threads):
                          m_x=system.m_x)
     t0 = time.perf_counter()
     pencil = build_pencil(system.temporal, variant)
-    left, T, right = pencil.form.transforms()
     report.t_decompose = time.perf_counter() - t0
     report.min_re_lambda = pencil.min_re_lambda
-    if variant == "fd":
-        form = pencil.form
+    sigma = pencil.sigma
+    if sigma is not None:
         report.threads = threads
-        report.sigma_min, report.sigma_max = form.sigma_min, form.sigma_max
-        report.kappa2 = form.kappa2
+        report.sigma_min, report.sigma_max = float(sigma[-1]), float(sigma[0])
+        report.kappa2 = float(sigma[0] / sigma[-1])
 
     t0 = time.perf_counter()
     F = system.rhs_matrix()
-    G = spd_solve(pencil.chol_A, F.T).T @ left
+    G = spd_solve(pencil.chol_A, F.T).T @ pencil.left
     report.t_transform_in = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     analyze_before = sparse_direct.analyze_call_count()
     M, A = system.spatial.M_II.tocsr(), system.spatial.A_II.tocsr()
     if variant == "fd":
-        Z = _independent_sweep(G, T, M, A, threads)
+        Z = _independent_sweep(G, pencil.T, M, A, threads)
     else:
-        Z = _back_substitution(G, T, M, A)
+        Z = _back_substitution(G, pencil.T, M, A)
     report.analyze_calls = sparse_direct.analyze_call_count() - analyze_before
     report.t_spatial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    coeffs = _discard_imaginary(Z @ right, imag_tol).ravel(order="F")
+    coeffs = _discard_imaginary(Z @ pencil.right, imag_tol).ravel(order="F")
     report.t_transform_out = time.perf_counter() - t0
     report.residual = residual(system, coeffs)
     if not report.residual <= residual_bound:
@@ -378,11 +388,11 @@ def eig_study(temporal):
     them from the temporal mesh).
     """
     pencil = build_pencil(temporal, "fd")
-    form = pencil.form
+    sigma = pencil.sigma
     return {
         "n_t": temporal.A.shape[0],
         "min_re_lambda": pencil.min_re_lambda,
-        "sigma_min": form.sigma_min,
-        "sigma_max": form.sigma_max,
-        "kappa2": form.kappa2,
+        "sigma_min": float(sigma[-1]),
+        "sigma_max": float(sigma[0]),
+        "kappa2": float(sigma[0] / sigma[-1]),
     }

@@ -1,11 +1,25 @@
 import numpy as np
 import pytest
 
-from kronheat import TemporalMesh, assemble_temporal_operators
+from kronheat import TemporalMesh, assemble_temporal_operators, solvers
+from kronheat.errors import DefectivePencil
 from kronheat.lshape import TriangleMesh, on_lshape_boundary
 
 # Nonuniform base partition of (0, 1/2) used throughout the experiments.
 BASE_NODES = (0.0, 1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 2.0)
+
+
+@pytest.fixture
+def forced_fd_fallback(monkeypatch):
+    """Make every fd pencil defective, so ``solve`` falls back to bs-complex."""
+    build = solvers.build_pencil
+
+    def broken(temporal, variant):
+        if variant == "fd":
+            raise DefectivePencil("forced")
+        return build(temporal, variant)
+
+    monkeypatch.setattr(solvers, "build_pencil", broken)
 
 
 @pytest.fixture(scope="session")

@@ -500,7 +500,7 @@ def test_criterion_8_complexity_envelope(conv_result, solved_levels):
     expected = {}
     for level, variant in results:
         if variant == "bs-real":
-            R = build_pencil(problems[level].temp, "bs-real").form.R
+            R = build_pencil(problems[level].temp, "bs-real").T
             expected[(level, variant)] = len(_block_sizes(R))
         else:
             expected[(level, variant)] = 1

@@ -126,6 +126,14 @@ class TestCompare:
         assert all(line.endswith(",no") for line in lines[1:4])
         assert "# residual level 0 bs-real:" in out
 
+    def test_fallback_exits_1(self, forced_fd_fallback, capsys):
+        assert main(["compare", "--max-level", "0", *FAST,
+                     "--solver", "bs-complex,fd"]) == 1
+        captured = capsys.readouterr()
+        assert "0,20,bs-complex,fd,0.000e+00,1.0e-08,yes" in captured.out
+        assert "# fallback level 0 fd: fd failed: DefectivePencil" in (
+            captured.err)
+
     def test_single_variant_exit_2(self, capsys):
         assert main(["compare", "--solver", "fd"]) == 2
         assert "two solver variants" in capsys.readouterr().err

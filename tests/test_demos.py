@@ -1,5 +1,6 @@
 """Smoke test: the quick demos and the README quick start run against the package."""
 
+import importlib
 import os
 import pathlib
 import re
@@ -36,3 +37,13 @@ def test_readme_quick_start_runs():
     section = readme.split("## Quick start", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     run_python(["-c", code])
+
+
+@pytest.mark.parametrize("module", ["kronheat", "kronheat.fem",
+                                    "kronheat.lshape", "kronheat.manufactured"])
+def test_public_exports_resolve(module):
+    # a name left in __all__ after a rename fails here, not in a user's
+    # ``from kronheat import *``
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing

@@ -5,9 +5,6 @@ import pytest
 
 from kronheat import solvers
 from kronheat.dense import (
-    ComplexSchurForm,
-    EigenSvdForm,
-    RealSchurForm,
     block_starts,
     cholesky_lower,
     complex_schur,
@@ -27,10 +24,10 @@ def random_matrix(n, seed):
     return rng.standard_normal((n, n))
 
 
-def eigen_svd_form(P):
-    """EigenSvdForm of a standard eigenproblem, built as the fd pencil is."""
-    vals, vecs = eig_pencil(P, np.eye(len(P)))
-    return svd_of_eigenvectors(vecs, vals)
+def eigenvector_svd(P):
+    """(X, (U, sigma, Vh)) of a standard eigenproblem, as fd builds them."""
+    _, vecs = eig_pencil(P, np.eye(len(P)))
+    return vecs, svd_of_eigenvectors(vecs)
 
 
 def sort_spectrum(vals):
@@ -45,64 +42,73 @@ class TestRealSchur:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((5, 5))
         P = A + A.T
-        form = real_schur(P)
-        off = form.R - np.diag(np.diag(form.R))
+        _, R = real_schur(P)
+        off = R - np.diag(np.diag(R))
         assert np.max(np.abs(off)) < 1e-10
-        assert np.allclose(np.sort(np.diag(form.R)),
+        assert np.allclose(np.sort(np.diag(R)),
                            np.sort(np.linalg.eigvalsh(P)), atol=1e-10)
 
     def test_rotation_block(self):
         # [[0,1],[-1,0]] has eigenvalues +-i: one 2x2 block, alpha = 0
-        form = real_schur(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert form.R[1, 0] != 0.0
-        assert abs(form.R[0, 0]) < 1e-14
-        assert form.R[0, 1] * form.R[1, 0] == pytest.approx(-1.0, abs=1e-12)
+        _, R = real_schur(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert R[1, 0] != 0.0
+        assert abs(R[0, 0]) < 1e-14
+        assert R[0, 1] * R[1, 0] == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reconstruction_and_structure(self, seed):
         P = random_matrix(7, seed)
-        form = real_schur(P)
-        assert np.linalg.norm(form.Q @ form.Q.T - np.eye(7)) < 1e-12
-        assert np.linalg.norm(form.Q @ form.R @ form.Q.T - P) < 1e-11
+        Q, R = real_schur(P)
+        assert np.linalg.norm(Q @ Q.T - np.eye(7)) < 1e-12
+        assert np.linalg.norm(Q @ R @ Q.T - P) < 1e-11
         # zero below the first subdiagonal
         for i in range(7):
             for j in range(7):
                 if i > j + 1:
-                    assert form.R[i, j] == 0.0
-        # each 2x2 block has off-diagonal entries of opposite signs
-        for k in block_starts(form.R):
-            if k + 1 < 7 and form.R[k + 1, k] != 0.0:
-                assert form.R[k, k + 1] * form.R[k + 1, k] < 0.0
+                    assert R[i, j] == 0.0
+        # each 2x2 block is standardized: off-diagonal entries of opposite
+        # signs and equal diagonal entries, so diag(R) holds every real part
+        pairs = [k for k in block_starts(R)
+                 if k + 1 < 7 and R[k + 1, k] != 0.0]
+        assert pairs, "expected a conjugate pair"
+        for k in pairs:
+            assert R[k, k + 1] * R[k + 1, k] < 0.0
+            assert R[k, k] == R[k + 1, k + 1]
 
     def test_eigenvalues_match_numpy(self):
         P = random_matrix(6, 11)
-        vals = real_schur(P).eigenvalues()
+        # diag(R) holds the real parts of the eigenvalues, each pair twice
+        _, R = real_schur(P)
         expected = np.linalg.eigvals(P)
-        assert np.allclose(np.sort_complex(vals), np.sort_complex(expected),
+        assert np.allclose(np.sort(np.diag(R)), np.sort(expected.real),
                            atol=1e-10)
 
 
 class TestComplexSchur:
     def test_diagonal_passthrough(self):
-        form = complex_schur(np.diag([1.0, 2.0]))
-        assert np.allclose(np.diag(form.S), [1.0, 2.0])
+        _, S = complex_schur(np.diag([1.0, 2.0]))
+        assert np.allclose(np.diag(S), [1.0, 2.0])
 
     def test_rotation_eigenvalues(self):
-        form = complex_schur(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert np.allclose(sort_spectrum(np.diag(form.S)),
+        _, S = complex_schur(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert np.allclose(sort_spectrum(np.diag(S)),
                            [-1j, 1j], atol=1e-14)
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_matches_real_schur_spectrum(self, seed):
         P = random_matrix(6, seed)
-        cvals = sort_spectrum(complex_schur(P).eigenvalues())
-        rvals = sort_spectrum(real_schur(P).eigenvalues())
-        assert np.allclose(cvals, rvals, atol=1e-10)
+        # diag(S) is the spectrum; diag(R) its real parts
+        _, S = complex_schur(P)
+        _, R = real_schur(P)
+        expected = np.linalg.eigvals(P)
+        assert np.allclose(sort_spectrum(np.diag(S)), sort_spectrum(expected),
+                           atol=1e-10)
+        assert np.allclose(np.sort(np.diag(S).real), np.sort(np.diag(R)),
+                           atol=1e-10)
 
     def test_unitary_and_triangular(self):
         P = random_matrix(5, 9)
-        form = complex_schur(P)
-        W, S = form.W, form.S
+        W, S = complex_schur(P)
         assert np.linalg.norm(W @ W.conj().T - np.eye(5)) < 1e-12
         assert np.max(np.abs(np.tril(S, -1))) == 0.0
         assert np.linalg.norm(W @ S @ W.conj().T - P) < 1e-11
@@ -114,13 +120,15 @@ class TestEigSvd:
         # eigenvectors of a symmetric matrix are orthonormal
         rng = np.random.default_rng(2)
         A = rng.standard_normal((6, 6))
-        vals, vecs = eig_pencil(A + A.T, np.eye(6))
-        form = svd_of_eigenvectors(vecs / np.linalg.norm(vecs, axis=0), vals)
-        assert form.kappa2 == pytest.approx(1.0, abs=1e-8)
+        _, vecs = eig_pencil(A + A.T, np.eye(6))
+        _, sigma, _ = svd_of_eigenvectors(
+            vecs / np.linalg.norm(vecs, axis=0))
+        assert sigma[0] / sigma[-1] == pytest.approx(1.0, abs=1e-8)
 
     def test_near_defective_condition_blows_up(self):
-        form = eigen_svd_form(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-8]]))
-        assert form.kappa2 > 1e6
+        _, (_, sigma, _) = eigenvector_svd(
+            np.array([[1.0, 1.0], [0.0, 1.0 + 1e-8]]))
+        assert sigma[0] / sigma[-1] > 1e6
 
     def test_defective_raises(self, base_ops, monkeypatch):
         # build_pencil rejects eigenpairs whose residual exceeds 1e-8
@@ -132,15 +140,15 @@ class TestEigSvd:
 
     def test_svd_reconstructs_eigenvectors(self):
         P = random_matrix(6, 13)
-        form = eigen_svd_form(P)
-        X2 = form.U @ np.diag(form.sigma) @ form.Vh
-        assert np.linalg.norm(X2 - form.X) < 1e-12 * np.linalg.norm(form.X)
-        assert np.all(np.diff(form.sigma) <= 1e-15)
+        X, (U, sigma, Vh) = eigenvector_svd(P)
+        assert np.linalg.norm(U @ np.diag(sigma) @ Vh - X) < (
+            1e-12 * np.linalg.norm(X))
+        assert np.all(np.diff(sigma) <= 1e-15)
 
     def test_spectrum_agrees_with_schur(self):
         P = random_matrix(6, 17)
-        evals = sort_spectrum(eigen_svd_form(P).D)
-        svals = sort_spectrum(complex_schur(P).eigenvalues())
+        evals = sort_spectrum(eig_pencil(P, np.eye(6))[0])
+        svals = sort_spectrum(np.diag(complex_schur(P)[1]))
         assert np.allclose(evals, svals, atol=1e-10)
 
 
@@ -189,15 +197,15 @@ class TestSvdOfEigenvectors:
         B = rng.standard_normal((5, 5))
         A = B @ B.T + 5 * np.eye(5)
         M = rng.standard_normal((5, 5))
-        vals, vecs = eig_pencil(M, A)
-        form = svd_of_eigenvectors(vecs, vals)
-        assert np.allclose(form.U @ np.diag(form.sigma) @ form.Vh, vecs)
-        assert form.kappa2 == pytest.approx(
+        _, vecs = eig_pencil(M, A)
+        U, sigma, Vh = svd_of_eigenvectors(vecs)
+        assert np.allclose(U @ np.diag(sigma) @ Vh, vecs)
+        assert sigma[0] / sigma[-1] == pytest.approx(
             np.linalg.cond(vecs, 2), rel=1e-10)
 
     def test_singular_matrix_raises(self):
         with pytest.raises(DefectivePencil):
-            svd_of_eigenvectors(np.zeros((3, 3)), np.zeros(3))
+            svd_of_eigenvectors(np.zeros((3, 3)))
 
 
 class TestCholesky:
@@ -224,12 +232,3 @@ class TestCholesky:
         x = rng.standard_normal(5)
         assert np.allclose(spd_solve(L, A @ x), x, atol=1e-12)
 
-
-class TestFormTypes:
-    def test_forms_are_frozen(self):
-        form = real_schur(np.eye(2))
-        with pytest.raises(AttributeError):
-            form.Q = np.zeros((2, 2))
-        assert isinstance(form, RealSchurForm)
-        assert isinstance(complex_schur(np.eye(2)), ComplexSchurForm)
-        assert isinstance(eigen_svd_form(np.eye(2)), EigenSvdForm)

@@ -145,6 +145,7 @@ class TestExperimentConfig:
         {"time_nodes": (0.0,)},
         {"quad_order": 0},
         {"error_quad_order": 0},
+        {"variants": ("fd", "fd")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(UsageError):
@@ -264,6 +265,16 @@ class TestRunConvergence:
         assert calls.count("fd") == 1  # dropped after the first failure
         assert "SingularMatrix" in log.getvalue()
 
+    def test_fallback_is_noted(self, forced_fd_fallback):
+        # the fd rows are bs-complex's, so the log must say so
+        log = io.StringIO()
+        config = ExperimentConfig(max_level=0, j_max=FAST_J,
+                                  variants=("fd",))
+        tables = run_convergence(config, log=log)
+        assert len(tables["fd"]) == 1
+        assert log.getvalue() == ("# fallback level 0 fd: fd failed: "
+                                  "DefectivePencil, solved by bs-complex\n")
+
 
 class TestSolutionErrors:
     def test_one_pair_per_solution_in_order(self):
@@ -295,6 +306,15 @@ class TestCompareSolvers:
         assert all(r.threshold == 1e-8 for r in rows)
         assert set(residuals) == {(0, v) for v in config.variants}
         assert all(res < 1e-9 for res in residuals.values())
+
+    def test_fallback_is_flagged(self, forced_fd_fallback, capsys):
+        # fd's fallback solution is bs-complex's, so the pair agrees
+        # exactly; only the flag shows that fd was never compared
+        config = ExperimentConfig(max_level=0, j_max=FAST_J,
+                                  variants=("bs-complex", "fd"))
+        rows, _ = compare_solvers(config)
+        assert [(r.diff, r.flagged) for r in rows] == [(0.0, True)]
+        assert "# fallback level 0 fd:" in capsys.readouterr().err
 
 
 class TestFormatting:

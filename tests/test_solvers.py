@@ -7,9 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from kronheat import solvers, sparse_direct
-from kronheat.dense import ComplexSchurForm, EigenSvdForm, RealSchurForm
 from kronheat.errors import (
-    DefectivePencil,
     DimensionMismatch,
     ResidualTooLarge,
     SizeGuardExceeded,
@@ -125,12 +123,20 @@ def oracle_solution(small_system):
 
 
 class TestBuildPencil:
-    def test_forms_by_variant(self, base_ops):
-        assert isinstance(build_pencil(base_ops, "bs-real").form,
-                          RealSchurForm)
-        assert isinstance(build_pencil(base_ops, "bs-complex").form,
-                          ComplexSchurForm)
-        assert isinstance(build_pencil(base_ops, "fd").form, EigenSvdForm)
+    @pytest.mark.parametrize("variant", ["bs-real", "bs-complex", "fd"])
+    def test_transforms_reproduce_pencil(self, base_ops, variant):
+        # P^T = left T^T right, the identity both sweeps rely on
+        pencil = build_pencil(base_ops, variant)
+        P = np.linalg.solve(base_ops.A, base_ops.M)
+        T = np.diag(pencil.T) if variant == "fd" else pencil.T
+        PT = pencil.left @ T.T @ pencil.right
+        assert np.linalg.norm(PT - P.T) < 1e-10 * np.linalg.norm(P)
+        assert (pencil.sigma is None) == (variant != "fd")
+
+    def test_pencil_is_frozen(self, base_ops):
+        pencil = build_pencil(base_ops, "bs-real")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pencil.T = np.zeros((2, 2))
 
     def test_spectrum_consistent_across_variants(self, base_ops):
         mins = [build_pencil(base_ops, v).min_re_lambda
@@ -142,7 +148,7 @@ class TestBuildPencil:
         pencil = build_pencil(base_ops, "bs-real")
         L = pencil.chol_A
         P = np.linalg.solve(L @ L.T, base_ops.M)
-        Q, R = pencil.form.Q, pencil.form.R
+        Q, R = pencil.left, pencil.T
         assert np.linalg.norm(Q @ R @ Q.T - P) < 1e-12 * np.linalg.norm(P)
 
     def test_unknown_variant(self, base_ops):
@@ -264,7 +270,7 @@ def odd_system():
 class TestMixedBlocks:
     def test_block_structure_is_mixed(self, odd_system):
         pencil = build_pencil(odd_system.temporal, "bs-real")
-        R = pencil.form.R
+        R = pencil.T
         sub = np.abs(np.diag(R, -1)) > 0.0
         assert sub.any(), "expected a conjugate pair"
         assert not sub.all(), "expected a real eigenvalue"
@@ -282,7 +288,7 @@ class TestPairSystems:
     def test_bs_real_matches_oracle_with_mixed_blocks(self):
         # M_x = 33, N_t = 8: R has diagonal blocks 2, 1, 2, 2, 1
         system = make_problem(level=1, refinements=1)
-        R = build_pencil(system.temporal, "bs-real").form.R
+        R = build_pencil(system.temporal, "bs-real").T
         sub = np.abs(np.diag(R, -1)) > 0.0
         assert sub.any() and not sub.all()
         oracle = solve_dense_oracle(system)
@@ -366,15 +372,8 @@ class TestDispatch:
         with pytest.raises(ValueError):
             solve(small_system, "multigrid")
 
-    def test_fd_falls_back_to_complex_schur(self, small_system, monkeypatch):
-        build = solvers.build_pencil
-
-        def broken(temporal, variant):
-            if variant == "fd":
-                raise DefectivePencil("forced")
-            return build(temporal, variant)
-
-        monkeypatch.setattr(solvers, "build_pencil", broken)
+    def test_fd_falls_back_to_complex_schur(self, small_system,
+                                            forced_fd_fallback):
         sol, report = solve(small_system, "fd")
         assert report.variant == "bs-complex"
         assert "DefectivePencil" in report.fallback
