@@ -20,7 +20,6 @@ from .errors import (
     NotPositiveDefinite,
     ResidualTooLarge,
     SingularMatrix,
-    SizeGuardExceeded,
     UsageError,
 )
 from .temporal import (
@@ -55,7 +54,6 @@ from .solvers import (
     eig_study,
     residual,
     solve,
-    solve_dense_oracle,
 )
 from . import manufactured
 
@@ -69,7 +67,6 @@ __all__ = [
     "NotPositiveDefinite",
     "ResidualTooLarge",
     "SingularMatrix",
-    "SizeGuardExceeded",
     "UsageError",
     "DEFAULT_J_MAX",
     "TemporalMesh",
@@ -96,6 +93,5 @@ __all__ = [
     "eig_study",
     "residual",
     "solve",
-    "solve_dense_oracle",
     "manufactured",
 ]

@@ -16,8 +16,8 @@ from .experiments import (
     CONVERGENCE_HEADER,
     EIGSTUDY_HEADER,
     compare_solvers,
+    convergence_lines,
     format_compare_row,
-    format_convergence_row,
     format_eig_row,
     load_config_file,
     make_config,
@@ -95,8 +95,8 @@ def cmd_convergence(config):
     for variant, rows in tables.items():
         print(f"# {variant}")
         print(CONVERGENCE_HEADER)
-        for row in rows:
-            print(format_convergence_row(row))
+        for line in convergence_lines(rows):
+            print(line)
         if config.out:
             write_convergence_csv(
                 rows, _variant_path(config.out, variant, many))

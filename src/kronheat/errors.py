@@ -37,9 +37,5 @@ class SingularMatrix(KronheatError):
     """A pivot fell below the singularity threshold during factorization."""
 
 
-class SizeGuardExceeded(KronheatError):
-    """A brute-force oracle was asked to handle a system beyond its guard."""
-
-
 class UsageError(KronheatError):
     """An operation was invoked with an unusable configuration."""

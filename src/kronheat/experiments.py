@@ -103,6 +103,7 @@ class ConvergenceRow:
     h1_error: float
     h1_eoc: float
     seconds: float
+    fallback: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -243,6 +244,7 @@ def run_convergence(config=None, log=None):
                 l2_error=l2, l2_eoc=eoc_l2,
                 h1_error=h1, h1_eoc=eoc_h1,
                 seconds=report.t_total,
+                fallback=report.fallback,
             ))
     return tables
 
@@ -324,6 +326,16 @@ def format_convergence_row(row):
             f"{row.h1_error:.3e},{row.h1_eoc:.2f},{row.seconds:.1f}")
 
 
+def convergence_lines(rows):
+    """Formatted rows, each after a ``#`` line if its solve fell back."""
+    lines = []
+    for row in rows:
+        if row.fallback:
+            lines.append(f"# fallback at dof {row.dof}: {row.fallback}")
+        lines.append(format_convergence_row(row))
+    return lines
+
+
 def format_eig_row(row):
     return (f"{row.n_t},{row.h_max:.5f},{row.h_min:.5f},"
             f"{row.min_re_lambda:.3e},{row.sigma_min:.3e},"
@@ -347,8 +359,7 @@ def _write_csv(path, header, lines):
 
 
 def write_convergence_csv(rows, path):
-    _write_csv(path, CONVERGENCE_HEADER,
-               [format_convergence_row(r) for r in rows])
+    _write_csv(path, CONVERGENCE_HEADER, convergence_lines(rows))
 
 
 def write_eigstudy_csv(rows, path):

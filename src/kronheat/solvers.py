@@ -9,17 +9,18 @@ P^T = left T^T right, right = left^{-1} (:func:`build_pencil`):
 * ``bs-complex``: complex Schur (conj(W), S, W^T), S triangular;
 * ``fd``: eigenvectors (X^{-T}, D, X^T), both formed from the SVD of X.
 
-It then transforms in, G = F A_t^{-1} left, and sweeps the N_t spatial
-systems of M_x Z + A_x Z T^T = G.  The Schur variants back-substitute
-over the diagonal blocks of T (:func:`_back_substitution`): a 2x2 block
-of R, a conjugate pair, couples two spatial solves into one symmetric
-indefinite system of dimension 2 M_x, factorized under the M + A
-ordering lifted to node pairs, while S has only 1x1 blocks.  fd
-solves the N_t diagonal systems independently, optionally on a thread
-pool (:func:`_independent_sweep`).  Last, U = Z right drops an imaginary
-part below the variant's tolerance and the relative residual is checked
-against the variant's bound.  A failed fd solve is rerun with bs-complex
-and the report says so; a failed Schur solve raises.
+It then transforms in, G = F A_t^{-1} left, and sweeps the spatial
+systems of M_x Z + A_x Z T^T = G, each one M_x + lambda A_x factorized
+under the one symbolic analysis of M_x + A_x that every solve makes.
+The Schur variants back-substitute over the diagonal blocks of T
+(:func:`_back_substitution`): a 2x2 block of R, a conjugate pair, is one
+complex solve at one eigenvalue of the pair, while S has only 1x1
+blocks.  fd solves the N_t diagonal systems independently, optionally
+on a thread pool (:func:`_independent_sweep`).  Last, U = Z right drops
+an imaginary part below the variant's tolerance and the relative
+residual is checked against the variant's bound.  A failed fd solve is
+rerun with bs-complex and the report says so; a failed Schur solve
+raises.
 """
 
 import time
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import sparse_direct
 from .dense import (
@@ -45,7 +45,6 @@ from .errors import (
     DimensionMismatch,
     ImaginaryResidueTooLarge,
     ResidualTooLarge,
-    SizeGuardExceeded,
     UsageError,
 )
 from .fem import SpatialOperators
@@ -58,7 +57,6 @@ TOLERANCES = {
     "bs-complex": (1e-9, 1e-9),
     "fd": (1e-6, 1e-6),
 }
-DENSE_ORACLE_GUARD = 5000
 
 
 @dataclass(frozen=True)
@@ -217,50 +215,42 @@ def build_pencil(temporal, variant):
                   min_re_lambda=min_re, sigma=sigma)
 
 
-def _back_substitution(G, T, M, A):
+def _back_substitution(G, T, M, A, symbolic):
     """Solve M Z + A Z T^T = G for Z, with T upper quasi-triangular.
 
-    Walks the diagonal blocks of T from the last one.  A 1x1 block is one
-    spatial system M + T[k, k] A; a 2x2 block (a real conjugate pair)
-    couples two columns into one scaled symmetric indefinite system of
-    dimension 2 M_x.  Symbolic analysis runs once per block size, each
-    time on the union pattern of M and A: a pair system is factorized
-    under that ordering lifted to node pairs, which keeps z_s and z_{s+1}
-    of each spatial node adjacent.
+    Walks the diagonal blocks of T from the last one; each block is one
+    spatial system M + lambda A, factorized against ``symbolic``.  A 1x1
+    block has lambda = T[k, k].  A 2x2 block [[a, b1], [b2, a]] of R, a
+    conjugate pair a +- i omega with omega = sqrt(-b1 b2), is one complex
+    solve (M + (a + i omega) A) w = b2 h_s + i omega h_{s+1} for
+    w = b2 z_s + i omega z_{s+1}, where h is G less the coupling to the
+    columns already solved.
     """
-    m_x, n_t = G.shape
+    n_t = G.shape[1]
     Z = np.zeros_like(G)
     acc = np.zeros_like(G)
-    symbolic = {}
     starts = block_starts(T)
     for s, end in reversed(list(zip(starts, starts[1:] + [n_t]))):
-        size = end - s
-        D = (M + T[s, s] * A).tocsr()
-        if size == 1:
-            K, scale, sign = D, [1.0], [1.0]
+        h = G[:, s:end] - acc[:, s:end]
+        if end - s == 1:
+            K = (M + T[s, s] * A).tocsr()
+            Z[:, s] = sparse_direct.factorize(symbolic, K).solve(h[:, 0])
         else:
-            # unknown (z_s, -z_{s+1}); the pair is alpha +- i sqrt(-b1 b2)
             b1, b2 = T[s, s + 1], T[s + 1, s]
-            K = sp.bmat([[abs(b2) * D, -b1 * abs(b2) * A],
-                         [abs(b1) * b2 * A, -abs(b1) * D]], format="csr")
-            scale, sign = [abs(b2), abs(b1)], [1.0, -1.0]
-        if size not in symbolic:
-            symbolic[size] = sparse_direct.analyze((M + A).tocsr(),
-                                                   block=size)
-        rhs = ((G[:, s:end] - acc[:, s:end]) * scale).ravel(order="F")
-        z = sparse_direct.factorize(symbolic[size], K).solve(rhs)
-        Z[:, s:end] = z.reshape(m_x, size, order="F") * sign
+            omega = np.sqrt(-b1 * b2)
+            K = (M + complex(T[s, s], omega) * A).tocsr()
+            w = sparse_direct.factorize(symbolic, K).solve(
+                b2 * h[:, 0] + 1j * omega * h[:, 1])
+            Z[:, s], Z[:, s + 1] = w.real / b2, w.imag / omega
         acc[:, :s] += (A @ Z[:, s:end]) @ T[:s, s:end].T
     return Z
 
 
-def _independent_sweep(G, D, M, A, threads):
+def _independent_sweep(G, D, M, A, symbolic, threads):
     """Solve (M + D[k] A) z_k = g_k for every column k independently.
 
-    ``threads`` sizes the worker pool; the symbolic factorization is
-    shared read-only.
+    ``threads`` sizes the worker pool; ``symbolic`` is shared read-only.
     """
-    symbolic = sparse_direct.analyze((M + A).tocsr())
 
     def spatial_solve(k):
         K = (M + D[k] * A).tocsr()
@@ -296,10 +286,11 @@ def _solve(system, variant, threads):
     t0 = time.perf_counter()
     analyze_before = sparse_direct.analyze_call_count()
     M, A = system.spatial.M_II.tocsr(), system.spatial.A_II.tocsr()
+    symbolic = sparse_direct.analyze((M + A).tocsr())
     if variant == "fd":
-        Z = _independent_sweep(G, pencil.T, M, A, threads)
+        Z = _independent_sweep(G, pencil.T, M, A, symbolic, threads)
     else:
-        Z = _back_substitution(G, pencil.T, M, A)
+        Z = _back_substitution(G, pencil.T, M, A, symbolic)
     report.analyze_calls = sparse_direct.analyze_call_count() - analyze_before
     report.t_spatial = time.perf_counter() - t0
 
@@ -323,18 +314,6 @@ def _discard_imaginary(U, tol):
             f"imaginary residue {imag / norm:.3e} above {tol:.1e}"
         )
     return np.ascontiguousarray(U.real)
-
-
-def solve_dense_oracle(system):
-    """Reference solve forming the Kronecker-sum matrix explicitly."""
-    if system.dof > DENSE_ORACLE_GUARD:
-        raise SizeGuardExceeded(
-            f"dof {system.dof} exceeds oracle guard {DENSE_ORACLE_GUARD}"
-        )
-    K = (np.kron(system.temporal.A, system.spatial.M_II.toarray())
-         + np.kron(system.temporal.M, system.spatial.A_II.toarray()))
-    coeffs = np.linalg.solve(K, system.rhs)
-    return SpaceTimeSolution(coefficients=coeffs)
 
 
 def residual(system, coefficients):

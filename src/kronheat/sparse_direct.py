@@ -3,11 +3,8 @@
 Wraps SuperLU (via scipy) behind an analyze/factorize/solve split so the
 fill-reducing ordering is computed once per sparsity pattern and reused
 across the many shifted matrices M + lambda*A the space-time solvers
-produce.  A block system built from copies of one pattern, such as the
-coupled 2 M_x system of a conjugate pair, reuses that pattern's ordering
-lifted to node blocks (``analyze(pattern, block=2)``).  Real and complex
-matrices share the machinery; complex symmetric systems are factorized
-in complex arithmetic without conjugation tricks.
+produce, real and complex alike.  Complex symmetric systems are
+factorized in complex arithmetic without conjugation tricks.
 """
 
 from dataclasses import dataclass
@@ -63,7 +60,7 @@ class NumericFactorization:
         return solve(self, rhs)
 
 
-def analyze(pattern, block=1):
+def analyze(pattern):
     """Symbolic analysis of a (structurally symmetric) sparsity pattern.
 
     Parameters
@@ -71,15 +68,6 @@ def analyze(pattern, block=1):
     pattern : sparse matrix
         Only the pattern is used.  Non-symmetric patterns are
         symmetrized by union first.
-    block : int
-        Lift the analysis to a ``block`` x ``block`` block matrix whose
-        blocks lie inside ``pattern`` (unknowns in block order: copy j of
-        node i at i + j n).  The copies of each node are eliminated
-        together, in the node order of ``pattern``:
-        [p0, p0 + n, ..., p1, p1 + n, ...].  This keeps bs-real's
-        indefinite pair systems at about the predicted fill, which an
-        analysis of the block pattern itself does not: SuperLU's
-        pivoting breaks that ordering.
 
     Returns
     -------
@@ -108,16 +96,9 @@ def analyze(pattern, block=1):
     # the elimination sequence.  SuperLU postorders the elimination tree
     # of each matrix it factorizes, so no postorder is needed here.
     perm = np.argsort(np.asarray(probe.perm_c))
-    factor_nnz = int(probe.L.nnz + probe.U.nnz)
-    if block > 1:
-        perm = (perm[:, None] + n * np.arange(block)).ravel()
-        # every off-diagonal entry of the node factors becomes a dense
-        # block**2 block, every diagonal entry a dense block whose lower
-        # triangle goes to L and upper triangle to U
-        factor_nnz = block**2 * (factor_nnz - 2 * n) + block * (block + 1) * n
-        n *= block
     _analyze_calls += 1
-    return SymbolicFactorization(n=n, perm=perm, factor_nnz=factor_nnz)
+    return SymbolicFactorization(n=n, perm=perm,
+                                 factor_nnz=int(probe.L.nnz + probe.U.nnz))
 
 
 def factorize(symbolic, matrix):

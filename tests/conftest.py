@@ -2,11 +2,28 @@ import numpy as np
 import pytest
 
 from kronheat import TemporalMesh, assemble_temporal_operators, solvers
-from kronheat.errors import DefectivePencil
+from kronheat.errors import DefectivePencil, KronheatError
 from kronheat.lshape import TriangleMesh, on_lshape_boundary
 
 # Nonuniform base partition of (0, 1/2) used throughout the experiments.
 BASE_NODES = (0.0, 1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 2.0)
+DENSE_ORACLE_GUARD = 5000
+
+
+class SizeGuardExceeded(KronheatError):
+    """A brute-force oracle was asked to handle a system beyond its guard."""
+
+
+def solve_dense_oracle(system):
+    """Reference solve forming the Kronecker-sum matrix explicitly."""
+    if system.dof > DENSE_ORACLE_GUARD:
+        raise SizeGuardExceeded(
+            f"dof {system.dof} exceeds oracle guard {DENSE_ORACLE_GUARD}"
+        )
+    K = (np.kron(system.temporal.A, system.spatial.M_II.toarray())
+         + np.kron(system.temporal.M, system.spatial.A_II.toarray()))
+    coeffs = np.linalg.solve(K, system.rhs)
+    return solvers.SpaceTimeSolution(coefficients=coeffs)
 
 
 @pytest.fixture

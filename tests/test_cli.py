@@ -116,6 +116,21 @@ class TestConvergence:
             assert lines[0].startswith("dof,")
             assert lines[1].startswith("20,")
 
+    def test_fallback_is_written(self, forced_fd_fallback, tmp_path, capsys):
+        # fd's rows are bs-complex's: the table itself must say so, and
+        # the header and data rows stay those of a normal run
+        dest = tmp_path / "conv.csv"
+        assert main(["convergence", "--max-level", "0", *FAST,
+                     "--solver", "fd", "--out", str(dest)]) == 0
+        note = "# fallback at dof 20: fd failed: DefectivePencil"
+        lines = dest.read_text().splitlines()
+        assert lines[0].startswith("dof,")
+        assert lines[1] == note
+        assert lines[2].startswith("20,0.35355,0.37500,0.03125,3.701e-01,")
+        assert len(lines) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["# fd", lines[0]]
+        assert out[2:] == lines[1:]
 
 class TestCompare:
     def test_agreeing_variants_exit_0(self, capsys):

@@ -7,12 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from kronheat import solvers, sparse_direct
-from kronheat.errors import (
-    DimensionMismatch,
-    ResidualTooLarge,
-    SizeGuardExceeded,
-    UsageError,
-)
+from kronheat.errors import DimensionMismatch, ResidualTooLarge, UsageError
 from kronheat.experiments import assemble_problem
 from kronheat.fem import (
     SpatialOperators,
@@ -29,7 +24,6 @@ from kronheat.solvers import (
     eig_study,
     residual,
     solve,
-    solve_dense_oracle,
 )
 from kronheat.temporal import (
     TemporalMesh,
@@ -37,7 +31,8 @@ from kronheat.temporal import (
     refine_bisect,
 )
 
-from conftest import BASE_NODES
+import conftest
+from conftest import BASE_NODES, SizeGuardExceeded, solve_dense_oracle
 
 
 def make_problem(level=0, refinements=0, j_max=100_000):
@@ -227,12 +222,15 @@ class TestSolveSmall:
         assert rel_diff(a.coefficients, b.coefficients) < 1e-13
         assert r.threads == 3
 
-    def test_one_symbolic_analysis_per_solve(self, small_system):
-        # all temporal eigenvalues pair up here, so each variant touches
-        # exactly one sparsity pattern
-        for variant in ("bs-real", "bs-complex", "fd"):
-            _, report = solve_as(small_system, variant)
-            assert report.analyze_calls == 1
+    def test_one_symbolic_analysis_per_solve(self, small_system,
+                                             odd_system):
+        # every spatial system is M + lambda A, so one analysis serves
+        # every variant, with mixed 1x1 and 2x2 blocks of R (odd_system)
+        # as with pairs alone (small_system)
+        for system in (small_system, odd_system):
+            for variant in ("bs-real", "bs-complex", "fd"):
+                _, report = solve_as(system, variant)
+                assert report.analyze_calls == 1
 
     def test_fd_reports_spectral_stats(self, small_system):
         _, report = solve_as(small_system, "fd")
@@ -295,23 +293,55 @@ class TestPairSystems:
         sol, _ = solve_as(system, "bs-real")
         assert rel_diff(sol.coefficients, oracle.coefficients) < 1e-10
 
-    def test_pair_fill_within_four_node_factors(self, monkeypatch):
-        # under the M + A ordering lifted to node pairs each entry of the
-        # node factor becomes at most a 2x2 block; an analysis of the pair
-        # pattern itself lets SuperLU's pivoting break its ordering
-        # (93,806 to 143,052 against 4 x 18,108 at level 3)
+    def test_every_factor_is_spatial_with_predicted_fill(self,
+                                                          monkeypatch):
+        # a conjugate pair is one complex shift of M + A, so every
+        # factorization of the sweep has dimension M_x and exactly the
+        # fill of the one analysis (18,108 at level 3)
         system = assemble_problem(3).system
-        fill = {}
+        M, A = system.spatial.M_II, system.spatial.A_II
+        predicted = sparse_direct.analyze((M + A).tocsr()).factor_nnz
+        shapes, fill = [], []
         factorize = sparse_direct.factorize
 
         def recording(symbolic, matrix):
             numeric = factorize(symbolic, matrix)
-            fill.setdefault(symbolic.n, []).append(numeric.factor_nnz)
+            shapes.append(matrix.shape)
+            fill.append(numeric.factor_nnz)
             return numeric
 
         monkeypatch.setattr(sparse_direct, "factorize", recording)
         solve_as(system, "bs-real")
-        assert max(fill[2 * system.m_x]) <= 4 * min(fill[system.m_x])
+        assert predicted == 18_108
+        assert len(fill) < system.n_t  # pairs were solved as pairs
+        assert set(shapes) == {(system.m_x, system.m_x)}
+        assert set(fill) == {predicted}
+
+    def test_back_substitution_matches_dense_kronecker(self):
+        # standardized quasi-triangular T: 2x2 blocks [[a, b1], [b2, a]]
+        # with |b1/b2| of 69 and 1/69 and b2 of both signs, 1x1 blocks
+        # between them, and nonzero couplings above the blocks
+        m_x = 9
+        M, A = fem_pair_1d(m_x, 21)
+        blocks = [np.array([[0.3, 6.9], [-0.1, 0.3]]),
+                  np.array([[0.7]]),
+                  np.array([[0.5, -0.05], [3.45, 0.5]]),
+                  np.array([[1.2, -0.8], [0.6, 1.2]]),
+                  np.array([[0.2]])]
+        n_t = sum(len(b) for b in blocks)
+        rng = np.random.default_rng(22)
+        T = np.triu(rng.standard_normal((n_t, n_t)), 1)
+        k = 0
+        for b in blocks:
+            T[k:k + len(b), k:k + len(b)] = b
+            k += len(b)
+        G = rng.standard_normal((m_x, n_t))
+        symbolic = sparse_direct.analyze((M + A).tocsr())
+        Z = solvers._back_substitution(G, T, M, A, symbolic)
+        K = (np.kron(np.eye(n_t), M.toarray())
+             + np.kron(T, A.toarray()))
+        expect = np.linalg.solve(K, G.ravel(order="F"))
+        assert rel_diff(Z.ravel(order="F"), expect) < 1e-12
 
 
 class TestScalarReductions:
@@ -435,6 +465,6 @@ class TestSystemValidation:
 
 class TestOracleGuard:
     def test_size_guard(self, small_system, monkeypatch):
-        monkeypatch.setattr(solvers, "DENSE_ORACLE_GUARD", 10)
+        monkeypatch.setattr(conftest, "DENSE_ORACLE_GUARD", 10)
         with pytest.raises(SizeGuardExceeded):
             solve_dense_oracle(small_system)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from kronheat import sparse_direct as sd
 from kronheat.errors import DimensionMismatch, SingularMatrix
@@ -51,31 +50,6 @@ class TestAnalyze:
         before = sd.analyze_call_count()
         sd.analyze(sp.identity(3, format="csr"))
         assert sd.analyze_call_count() == before + 1
-
-    def test_block_lift_keeps_node_copies_adjacent(self):
-        P = grid_5pt(6)
-        m = P.shape[0]
-        node = sd.analyze(P)
-        before = sd.analyze_call_count()
-        sym = sd.analyze(P, block=2)
-        assert sd.analyze_call_count() == before + 1
-        assert sym.n == 2 * m
-        assert np.array_equal(sym.perm[0::2], node.perm)
-        assert np.array_equal(sym.perm[1::2], sym.perm[0::2] + m)
-
-    @pytest.mark.parametrize("block", [2, 3])
-    def test_block_fill_matches_lifted_probe(self, block):
-        # the derived count equals the stand-in probe run on the lifted
-        # pattern under the lifted order
-        P = grid_5pt(8)
-        m = P.shape[0]
-        sym = sd.analyze(P, block=block)
-        S = sp.kron(np.ones((block, block)), (P != 0).astype(float))
-        stand_in = (S + block * m * sp.identity(block * m)).tocsr()
-        probe = spla.splu(sp.csc_matrix(stand_in[sym.perm][:, sym.perm]),
-                          permc_spec="NATURAL",
-                          options={"SymmetricMode": True})
-        assert sym.factor_nnz == probe.L.nnz + probe.U.nnz
 
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionMismatch):
