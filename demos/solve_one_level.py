@@ -23,11 +23,12 @@ VARIANTS = ("bs-real", "bs-complex", "fd")
 def main():
     level = 2
     problem = assemble_problem(level)
-    m_x = problem.ops.n_interior
-    print(f"level {level}: N_t = {problem.temp.n} time cells, "
-          f"M_x = {m_x} interior vertices, dof = {problem.temp.n * m_x}")
+    system = problem.system
+    print(f"level {level}: N_t = {system.temporal.n} time cells, "
+          f"M_x = {system.spatial.n_interior} interior vertices, "
+          f"dof = {system.dof}")
 
-    solved = {variant: solve(problem.system, variant) for variant in VARIANTS}
+    solved = {variant: solve(system, variant) for variant in VARIANTS}
     # one error measurement for all three: the exact fields are evaluated
     # once per quadrature point and shared
     errors = solution_errors(problem, [u for u, _ in solved.values()])

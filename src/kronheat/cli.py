@@ -23,9 +23,7 @@ from .experiments import (
     make_config,
     run_convergence,
     run_eigstudy,
-    write_compare_csv,
-    write_convergence_csv,
-    write_eigstudy_csv,
+    write_csv,
 )
 
 
@@ -89,39 +87,36 @@ def _variant_path(path, variant, many):
     return f"{stem}-{variant}{ext}"
 
 
+def _emit(header, lines, path):
+    """Print a table, and write it as CSV to ``path`` unless that is None."""
+    print(header)
+    for line in lines:
+        print(line)
+    if path:
+        write_csv(path, header, lines)
+
+
 def cmd_convergence(config):
     tables = run_convergence(config)
     many = len(tables) > 1
     for variant, rows in tables.items():
         print(f"# {variant}")
-        print(CONVERGENCE_HEADER)
-        for line in convergence_lines(rows):
-            print(line)
-        if config.out:
-            write_convergence_csv(
-                rows, _variant_path(config.out, variant, many))
+        _emit(CONVERGENCE_HEADER, convergence_lines(rows),
+              config.out and _variant_path(config.out, variant, many))
     return 0
 
 
 def cmd_eigstudy(config):
     rows = run_eigstudy(config)
-    print(EIGSTUDY_HEADER)
-    for row in rows:
-        print(format_eig_row(row))
-    if config.out:
-        write_eigstudy_csv(rows, config.out)
+    _emit(EIGSTUDY_HEADER, [format_eig_row(r) for r in rows], config.out)
     return 0
 
 
 def cmd_compare(config):
     rows, residuals = compare_solvers(config)
-    print(COMPARE_HEADER)
-    for row in rows:
-        print(format_compare_row(row))
+    _emit(COMPARE_HEADER, [format_compare_row(r) for r in rows], config.out)
     for (level, variant), res in sorted(residuals.items()):
         print(f"# residual level {level} {variant}: {res:.3e}")
-    if config.out:
-        write_compare_csv(rows, config.out)
     return 1 if any(r.flagged for r in rows) else 0
 
 

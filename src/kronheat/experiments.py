@@ -1,12 +1,12 @@
 """Refinement studies over the L-shape heat problem.
 
 Drives the full protocol: build the level-ell meshes (spatial level ell,
-temporal base partition bisected ell times), assemble, solve with the
+``BASE_TIME_NODES`` bisected ell times), assemble, solve with the
 selected variants, measure errors against the manufactured solution, and
-emit rows matching the published table schemas.
+emit rows matching the published table schemas.  Domain, time partition
+and quadrature are fixed to the published setup.
 """
 
-import dataclasses
 import math
 import os
 import sys
@@ -40,15 +40,13 @@ BASE_TIME_NODES = (0.0, 1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 2.0)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs of a study run; defaults reproduce the published setup."""
+    """Knobs of a study run.  The defaults reproduce the published setup,
+    whose domain, time partition and quadrature are not knobs."""
 
     max_level: int = 4
     variants: tuple = VARIANTS
     j_max: int = DEFAULT_J_MAX
-    quad_order: int = 6
-    error_quad_order: Optional[int] = None
     threads: int = 1
-    time_nodes: tuple = BASE_TIME_NODES
     out: Optional[str] = None
 
     def __post_init__(self):
@@ -58,15 +56,6 @@ class ExperimentConfig:
             raise UsageError("threads must be >= 1")
         if self.j_max < 0:
             raise UsageError("j_max must be >= 0")
-        if self.quad_order < 1:
-            raise UsageError("quad_order must be >= 1")
-        if self.error_quad_order is not None and self.error_quad_order < 1:
-            raise UsageError("error_quad_order must be None or >= 1")
-        nodes = np.asarray(self.time_nodes, dtype=float)
-        if nodes.size < 2 or np.any(np.diff(nodes) <= 0.0):
-            raise UsageError("time_nodes must be strictly increasing")
-        if nodes[0] != 0.0:
-            raise UsageError("time_nodes must run from 0")
         if self.out is not None and not os.path.isdir(
                 os.path.dirname(self.out) or "."):
             raise UsageError(f"no directory for output file {self.out!r}")
@@ -86,8 +75,6 @@ class ProblemData:
     level: int
     mesh_x: object
     mesh_t: TemporalMesh
-    ops: object
-    temp: object
     lift: np.ndarray
     system: SpaceTimeSystem
 
@@ -128,8 +115,9 @@ class CompareRow:
     flagged: bool
 
 
-def time_mesh_at_level(config, level):
-    mesh = TemporalMesh(np.asarray(config.time_nodes, dtype=float))
+def time_mesh_at_level(level):
+    """``BASE_TIME_NODES`` bisected ``level`` times."""
+    mesh = TemporalMesh(np.asarray(BASE_TIME_NODES, dtype=float))
     for _ in range(level):
         mesh = refine_bisect(mesh)
     return mesh
@@ -140,23 +128,24 @@ def assemble_problem(level, config=None):
     if config is None:
         config = ExperimentConfig()
     mesh_x = build_lshape_mesh(level)
-    mesh_t = time_mesh_at_level(config, level)
+    mesh_t = time_mesh_at_level(level)
     ops = assemble_p1(mesh_x)
     temp = assemble_temporal_operators(mesh_t, j_max=config.j_max)
-    F = project_rhs(mesh_x, mesh_t, source_f, quad_order=config.quad_order)
+    F = project_rhs(mesh_x, mesh_t, source_f)
     lift = dirichlet_lift(mesh_x, mesh_t, exact_u)
     rhs = assemble_global_rhs(F, ops, temp, lift=lift)
     system = SpaceTimeSystem(temporal=temp, spatial=ops, rhs=rhs)
-    return ProblemData(level=level, mesh_x=mesh_x, mesh_t=mesh_t, ops=ops,
-                       temp=temp, lift=lift, system=system)
+    return ProblemData(level=level, mesh_x=mesh_x, mesh_t=mesh_t,
+                       lift=lift, system=system)
 
 
-def solution_errors(problem, solutions, quad_order=None):
+def solution_errors(problem, solutions):
     """L2 and space-time H1-seminorm errors of computed solutions.
 
-    All solutions of one level are measured in one ``error_norms`` call,
-    so the exact fields are evaluated once per quadrature point whatever
-    their number.
+    Each solution's interior rows are completed with the problem's
+    Dirichlet lift on the boundary rows.  All solutions are measured in
+    one ``error_norms`` call, so the exact fields are evaluated once per
+    quadrature point whatever their number.
 
     Returns
     -------
@@ -164,15 +153,16 @@ def solution_errors(problem, solutions, quad_order=None):
     """
     if not solutions:
         return []
-    stack = np.stack([
-        dataclasses.replace(
-            solution, boundary_values=problem.lift
-        ).full_coefficients(problem.ops)
-        for solution in solutions])
+    ops = problem.system.spatial
+    stack = np.empty((len(solutions), problem.mesh_x.n_vertices,
+                      problem.lift.shape[1]))
+    stack[:, ops.boundary] = problem.lift
+    for full, solution in zip(stack, solutions):
+        full[ops.interior] = solution.coefficients.reshape(
+            ops.n_interior, -1, order="F")
     fields = ExactFields()
     return error_norms(stack, problem.mesh_x, problem.mesh_t,
-                       fields.u, fields.grad, fields.dt,
-                       quad_order=quad_order)
+                       fields.u, fields.grad, fields.dt)
 
 
 def eoc(err_prev, err, dof_prev, dof):
@@ -226,8 +216,7 @@ def run_convergence(config=None, log=None):
                       f"({type(exc).__name__}: {exc}); dropping variant",
                       file=log)
         errors = solution_errors(
-            problem, [solution for solution, _ in solved.values()],
-            quad_order=config.error_quad_order)
+            problem, [solution for solution, _ in solved.values()])
         for (variant, (_, report)), (l2, h1) in zip(solved.items(), errors):
             rows = tables[variant]
             if rows:
@@ -255,7 +244,7 @@ def run_eigstudy(config=None):
         config = ExperimentConfig()
     rows = []
     for level in range(config.max_level + 1):
-        mesh = time_mesh_at_level(config, level)
+        mesh = time_mesh_at_level(level)
         temp = assemble_temporal_operators(mesh, j_max=config.j_max)
         stats = eig_study(temp)
         rows.append(EigRow(
@@ -348,7 +337,8 @@ def format_compare_row(row):
             f"{'yes' if row.flagged else 'no'}")
 
 
-def _write_csv(path, header, lines):
+def write_csv(path, header, lines):
+    """Write ``header`` and then ``lines`` to ``path``, one per line."""
     try:
         with open(path, "w") as fh:
             fh.write(header + "\n")
@@ -356,18 +346,6 @@ def _write_csv(path, header, lines):
                 fh.write(line + "\n")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
-
-
-def write_convergence_csv(rows, path):
-    _write_csv(path, CONVERGENCE_HEADER, convergence_lines(rows))
-
-
-def write_eigstudy_csv(rows, path):
-    _write_csv(path, EIGSTUDY_HEADER, [format_eig_row(r) for r in rows])
-
-
-def write_compare_csv(rows, path):
-    _write_csv(path, COMPARE_HEADER, [format_compare_row(r) for r in rows])
 
 
 def load_config_file(path):
@@ -395,10 +373,7 @@ _CONFIG_KEYS = {
     "max_level": int,
     "variants": lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
     "j_max": int,
-    "quad_order": int,
-    "error_quad_order": lambda s: None if s.lower() == "none" else int(s),
     "threads": int,
-    "time_nodes": lambda s: tuple(float(v) for v in s.split(",")),
     "out": str,
 }
 

@@ -116,23 +116,10 @@ class Pencil:
 
 @dataclass(frozen=True)
 class SpaceTimeSolution:
-    """Interior coefficients (spatial index fastest) plus boundary data."""
+    """Interior coefficients, spatial index fastest; the boundary rows are
+    the Dirichlet lift (``experiments.solution_errors`` merges them)."""
 
     coefficients: np.ndarray
-    boundary_values: Optional[np.ndarray] = None
-
-    def interior_matrix(self, m_x):
-        return self.coefficients.reshape(m_x, -1, order="F")
-
-    def full_coefficients(self, spatial):
-        """(n_vertices, N_t) array including Dirichlet boundary rows."""
-        Z = self.interior_matrix(spatial.n_interior)
-        full = np.zeros((spatial.interior.size + spatial.boundary.size,
-                         Z.shape[1]))
-        full[spatial.interior] = Z
-        if self.boundary_values is not None:
-            full[spatial.boundary] = self.boundary_values
-        return full
 
 
 @dataclass
@@ -342,10 +329,13 @@ def solve(system, variant, threads=1):
     A Schur variant whose residual exceeds its bound raises
     ResidualTooLarge.  If fd fails (defective pencil, imaginary residue
     or residual above its bound), the solve is rerun with bs-complex and
-    the report carries ``fallback``.
+    the report carries ``fallback``.  A thread count below 1 raises
+    UsageError.
     """
     if variant not in TOLERANCES:
         raise ValueError(f"unknown solver variant: {variant!r}")
+    if threads < 1:
+        raise UsageError(f"threads must be >= 1, got {threads}")
     if variant != "fd":
         return _solve(system, variant, threads)
     try:

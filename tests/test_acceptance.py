@@ -408,12 +408,11 @@ def test_criterion_6_temporal_properties():
     """
     worst_tail = 0.0
     min_re = np.inf
-    config = ExperimentConfig()
     resolved = {}
     unresolved = []
     negative = {}
     for level in range(5):
-        mesh = time_mesh_at_level(config, level)
+        mesh = time_mesh_at_level(level)
         temp = assemble_temporal_operators(mesh, j_max=DEFAULT_J_MAX)
         cholesky_lower(temp.A)  # raises if not SPD
         vals, _ = eig_pencil(temp.M, temp.A)

@@ -35,9 +35,9 @@ class TestParsing:
 
     def test_bad_config_value_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("quad_order = 0\n")
+        cfg.write_text("threads = 0\n")
         assert main(["convergence", "--config", str(cfg)]) == 2
-        assert "error: quad_order" in capsys.readouterr().err
+        assert "error: threads" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
@@ -148,6 +148,17 @@ class TestCompare:
         assert "0,20,bs-complex,fd,0.000e+00,1.0e-08,yes" in captured.out
         assert "# fallback level 0 fd: fd failed: DefectivePencil" in (
             captured.err)
+
+    def test_writes_csv(self, tmp_path, capsys):
+        # the file is the printed table without the residual notes
+        dest = tmp_path / "cmp.csv"
+        assert main(["compare", "--max-level", "0", *FAST,
+                     "--out", str(dest)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        table = [line for line in out if not line.startswith("# residual")]
+        assert len(out) - len(table) == 3
+        assert table[0].startswith("level,") and len(table) == 4
+        assert dest.read_text().splitlines() == table
 
     def test_single_variant_exit_2(self, capsys):
         assert main(["compare", "--solver", "fd"]) == 2

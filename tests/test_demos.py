@@ -1,5 +1,7 @@
-"""Smoke test: the quick demos and the README quick start run against the package."""
+"""Smoke tests: the demos and the README quick start run against the
+package, and the README names exactly the CLI flags and config keys."""
 
+import argparse
 import importlib
 import os
 import pathlib
@@ -8,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+
+from kronheat import cli, experiments
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -37,6 +41,24 @@ def test_readme_quick_start_runs():
     section = readme.split("## Quick start", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     run_python(["-c", code])
+
+
+def test_readme_lists_config_keys_and_flags():
+    # the "Every subcommand accepts" paragraph names every config key and
+    # every long option of every subcommand, and no others
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme.split("Every subcommand accepts", 1)[1].split("\n\n")[0]
+    flags_text, keys_text = paragraph.split("Recognized keys:", 1)
+    keys = re.findall(r"`(\w+)`", keys_text.split(".", 1)[0])
+    assert keys == list(experiments._CONFIG_KEYS)
+    flags = set(re.findall(r"`(--[\w-]+)", flags_text))
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command in subparsers.choices.values():
+        options = {option for action in command._actions
+                   for option in action.option_strings
+                   if option.startswith("--")}
+        assert flags == options - {"--help"}
 
 
 @pytest.mark.parametrize("module", ["kronheat", "kronheat.fem",

@@ -238,18 +238,6 @@ class TestSolveSmall:
         assert report.sigma_min > 0.0
         assert report.min_re_lambda > 0.0
 
-    def test_full_coefficients_merges_boundary(self, small_system):
-        sol, _ = solve_as(small_system, "bs-real")
-        ops = small_system.spatial
-        lift = np.ones((ops.boundary.size, small_system.n_t))
-        sol = dataclasses.replace(sol, boundary_values=lift)
-        full = sol.full_coefficients(ops)
-        assert full.shape == (ops.interior.size + ops.boundary.size,
-                              small_system.n_t)
-        assert np.all(full[ops.boundary] == 1.0)
-        assert np.allclose(full[ops.interior],
-                           sol.interior_matrix(small_system.m_x))
-
 
 @pytest.fixture(scope="module")
 def odd_system():
@@ -401,6 +389,12 @@ class TestDispatch:
     def test_unknown_variant(self, small_system):
         with pytest.raises(ValueError):
             solve(small_system, "multigrid")
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_thread_count_below_one(self, small_system, threads):
+        for name in ("bs-real", "bs-complex", "fd"):
+            with pytest.raises(UsageError, match="threads"):
+                solve(small_system, name, threads=threads)
 
     def test_fd_falls_back_to_complex_schur(self, small_system,
                                             forced_fd_fallback):
