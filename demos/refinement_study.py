@@ -6,8 +6,8 @@ L2 error should then drop towards fourth order per level (eoc -> 2) and
 the space-time H1 error towards second order (eoc -> 1), where eoc is
 measured against dof growth with three dofs per power of h.
 
-Levels 0..3 take about 4 s on 2 cores; raise MAX_LEVEL to 4 for the
-dof = 188480 run (about 25 s).  The `kronheat convergence` command
+Levels 0..3 take about 2.5 s on 2 cores; raise MAX_LEVEL to 4 for the
+dof = 188480 run (about 12 s).  The `kronheat convergence` command
 produces the same table as CSV.
 
 Run from the repository root:

@@ -24,7 +24,7 @@ from .fem import (
     project_rhs,
 )
 from .lshape import build_lshape_mesh
-from .manufactured import ExactFields, exact_u, source_f
+from .manufactured import ExactFields, exact_u
 from .solvers import SpaceTimeSystem, eig_study, solve
 from .temporal import (
     DEFAULT_J_MAX,
@@ -131,7 +131,7 @@ def assemble_problem(level, config=None):
     mesh_t = time_mesh_at_level(level)
     ops = assemble_p1(mesh_x)
     temp = assemble_temporal_operators(mesh_t, j_max=config.j_max)
-    F = project_rhs(mesh_x, mesh_t, source_f)
+    F = project_rhs(mesh_x, mesh_t, ExactFields().source)
     lift = dirichlet_lift(mesh_x, mesh_t, exact_u)
     rhs = assemble_global_rhs(F, ops, temp, lift=lift)
     system = SpaceTimeSystem(temporal=temp, spatial=ops, rhs=rhs)

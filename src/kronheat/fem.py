@@ -4,7 +4,11 @@ Assembles the spatial mass and stiffness matrices, the mixed mass matrix
 coupling nodal hats with piecewise constants, the projected right-hand
 side, the boundary lift, and the combined load vector of the Kronecker
 system.  Error norms are evaluated with tensor Gauss quadrature per
-space-time element.
+space-time element, split per triangle and time point into the exact
+field less its local L2 projection, shared by every discrete function
+measured, and the projection less the discrete function, a P1 (or
+constant) function measured from its vertex values.  The split is exact
+because the spatial rule integrates products of P1 functions exactly.
 """
 
 import math
@@ -14,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import roots_jacobi
 
-from .errors import DegenerateElement, DimensionMismatch
+from .errors import DegenerateElement, DimensionMismatch, UsageError
 
 __all__ = [
     "SpatialOperators",
@@ -272,7 +276,11 @@ def project_rhs(mesh_x, mesh_t, f, quad_order=6):
     mesh_x : TriangleMesh
     mesh_t : TemporalMesh
     f : callable
-        Vectorized field f(x1, x2, t).
+        Field f(x1, x2, t), called once per temporal quadrature point
+        with a scalar ``t`` and always the same ``x1`` and ``x2`` arrays
+        (the physical spatial quadrature points, one row per triangle),
+        so a memoizing callable such as ``manufactured.ExactFields().source``
+        can keep its t-independent factors.
     quad_order : int
         Polynomial degree of the tensor Gauss rule.
 
@@ -352,7 +360,35 @@ def _error_quadrature(quad_order):
     # 0.5-sized triangles
     if quad_order is None:
         return triangle_rule(12), gauss_rule_01(8)
+    if quad_order < 2:
+        raise UsageError(
+            f"error quad_order {quad_order} < 2: the error split needs a "
+            f"spatial rule that integrates products of P1 functions exactly")
     return triangle_rule(quad_order), gauss_rule_01((quad_order + 2) // 2)
+
+
+def _p1_split(f, proj, lam, wts, r):
+    """Local P1 projection of a field at the quadrature points.
+
+    ``f`` (nq, m) holds the field at every triangle's quadrature points
+    and ``proj`` (3, nq) maps those values to the vertex values of the
+    projection.  Returns the vertex values (3, m) and, per triangle,
+    sum_q wts_q (f - Pi f)^2, the squared residual over twice the
+    triangle's area; ``r`` (nq, m) is scratch.
+    """
+    coef = proj @ f
+    np.matmul(lam, coef, out=r)
+    r -= f
+    r *= r
+    return coef, wts @ r
+
+
+def _p0_split(f, wts, r):
+    """Like ``_p1_split`` for the projection onto constants, the mean."""
+    mean = (2.0 * wts) @ f
+    np.subtract(f, mean, out=r)
+    r *= r
+    return mean, wts @ r
 
 
 def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt, quad_order=None):
@@ -363,29 +399,43 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt, quad_order=None):
     The seminorm contains the full space-time gradient,
     sqrt(|dt e|^2 + |grad_x e|^2) integrated over the cylinder.
 
+    At every temporal quadrature point each triangle's error splits as
+    e = (u - Pi u) + (Pi u - u_h), where Pi is the local L2 projection:
+    onto P1 for the value and for the time derivative (u_h's time
+    derivative is P1 in space within a cell), onto constants for the
+    spatial gradient.  The spatial rule integrates products of P1
+    functions exactly (degree >= 2, so ``quad_order`` 1 is refused), so
+    the two parts are orthogonal under it and their squares add.  The
+    first part does not depend on u_h and is measured once per time
+    point at the quadrature points; the second is a P1 or constant
+    function per triangle, measured from its vertex values with the
+    exact local mass matrix area (1 + I)/12.  Both are summed directly,
+    without cancellation.
+
     Several discrete functions on the same meshes (for instance one per
     solver variant) are measured in one call by passing a stack of
-    coefficient arrays; they share every evaluation of the exact fields.
-    ``u``, ``grad`` and ``dt`` are each called once per temporal
-    quadrature point, always with the same ``x1`` and ``x2`` arrays (the
-    physical spatial quadrature points), whatever the stack size, so a
-    memoizing callable such as ``manufactured.ExactFields`` can keep its
-    t-independent factors.  The discrete values and gradients are formed
-    once per temporal node and interpolated linearly within each cell.
+    coefficient arrays; they share the first part and every evaluation
+    of the exact fields.  ``u``, ``grad`` and ``dt`` are each called
+    once per temporal quadrature point, in that order and at the same
+    time, always with the same ``x1`` and ``x2`` arrays (the physical
+    spatial quadrature points), whatever the stack size, so a memoizing
+    callable such as ``manufactured.ExactFields`` can keep its
+    t-independent factors.  Scalar results are broadcast to the points.
 
     Parameters
     ----------
     coeffs : ndarray (n_vertices, N_t) or (k, n_vertices, N_t)
         Total nodal coefficients including boundary values, or a stack
-        of k such arrays.
+        of k such arrays; all finite.
     mesh_x : TriangleMesh
     mesh_t : TemporalMesh
     u, grad, dt : callables
         Exact value, spatial gradient pair, and time derivative, each
         called as f(x1, x2, t) with a scalar t.
     quad_order : int or None
-        None selects the default rule pair (degree 12 in space, 8 Gauss
-        points in time, 12 graded panels on the first cell).
+        Spatial degree, >= 2, with (quad_order + 2) // 2 Gauss points in
+        time.  None selects the default rule pair (degree 12 in space, 8
+        Gauss points in time, 12 graded panels on the first cell).
 
     Returns
     -------
@@ -399,53 +449,58 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt, quad_order=None):
             f"coeffs shape {coeffs.shape} does not match {shape} "
             f"or (k, *{shape})"
         )
+    if not np.isfinite(coeffs).all():
+        raise UsageError("coeffs hold a non-finite value")
     stack = coeffs.reshape((-1,) + shape)
     (pts, wts), (tq, tw) = _error_quadrature(quad_order)
     area, grads = _geometry(mesh_x)
     tris = mesh_x.triangles
+    # points in (nq, m) order, so per-triangle means broadcast along rows
     x1, x2, lam = _space_points(mesh_x, pts)
-    w_sp = 2.0 * area[:, None] * wts[None, :]  # physical spatial weights
+    x1, x2 = np.ascontiguousarray(x1.T), np.ascontiguousarray(x2.T)
+    # onto P1 through the inverse local mass 3 (4 I - J) / area (J all
+    # ones); the reference weights sum to 1/2
+    p1 = 6.0 * (4.0 * np.eye(3) - 1.0) @ (lam.T * wts)
+    r = np.empty_like(x1)
 
     def at_node(j):
-        # values (k, m, nq) and gradients (k, m, 2) at temporal node j
+        # vertex values (k, 3, m) and gradients (k, 2, m) at temporal node j
         if j == 0:
-            c = np.zeros((len(stack),) + tris.shape)
+            c = np.zeros((len(stack), 3, len(tris)))
         else:
-            c = stack[:, :, j - 1][:, tris]
-        return c @ lam.T, np.einsum("kti,tid->ktd", c, grads)
+            c = stack[:, tris.T, j - 1]
+        return c, np.einsum("kit,tid->kdt", c, grads)
 
-    def weighted_square(err):
-        return np.einsum("tq,tq,tq->", err, err, w_sp)
+    def at_points(value):
+        return np.broadcast_to(np.asarray(value, dtype=float), x1.shape)
+
+    def p1_square(d):
+        # d^T (area (1 + I)/12) d summed over triangles, per stack entry
+        s = d.sum(axis=1)
+        return (np.einsum("kit,kit->kt", d, d) + s * s) @ area / 12.0
 
     nodes = mesh_t.nodes
     acc_l2 = np.zeros(len(stack))
     acc_h1 = np.zeros(len(stack))
-    e = np.empty_like(x1)  # one error field at a time, reused
-    v_lo, g_lo = at_node(0)
+    c_lo, g_lo = at_node(0)
     for ell in range(mesh_t.n_cells):
         h = nodes[ell + 1] - nodes[ell]
-        v_hi, g_hi = at_node(ell + 1)
-        v_dt = (v_hi - v_lo) / h
+        c_hi, g_hi = at_node(ell + 1)
+        c_dt = (c_hi - c_lo) / h
         for q, wq in zip(*_time_panels(ell, tq, tw)):
             t = nodes[ell] + h * q
-            ue = u(x1, x2, t)
+            pu, su = _p1_split(at_points(u(x1, x2, t)), p1, lam, wts, r)
             g1, g2 = grad(x1, x2, t)
-            dte = dt(x1, x2, t)
-            wt = wq * h
-            for k in range(len(stack)):
-                # u_h = v_lo + (t - t_ell) v_dt within the cell
-                np.multiply(v_dt[k], q * h, out=e)
-                e += v_lo[k]
-                np.subtract(ue, e, out=e)
-                acc_l2[k] += wt * weighted_square(e)
-                np.subtract(dte, v_dt[k], out=e)
-                h1 = weighted_square(e)
-                gh = (1.0 - q) * g_lo[k] + q * g_hi[k]
-                np.subtract(g1, gh[:, 0, None], out=e)
-                h1 += weighted_square(e)
-                np.subtract(g2, gh[:, 1, None], out=e)
-                h1 += weighted_square(e)
-                acc_h1[k] += wt * h1
-        v_lo, g_lo = v_hi, g_hi
+            pg1, s1 = _p0_split(at_points(g1), wts, r)
+            pg2, s2 = _p0_split(at_points(g2), wts, r)
+            pdt, sdt = _p1_split(at_points(dt(x1, x2, t)), p1, lam, wts, r)
+            # u_h = c_lo + (t - t_ell) c_dt within the cell
+            l2 = 2.0 * area @ su + p1_square(pu - (c_lo + q * h * c_dt))
+            dg = np.stack([pg1, pg2]) - ((1.0 - q) * g_lo + q * g_hi)
+            h1 = (2.0 * area @ (sdt + s1 + s2) + p1_square(pdt - c_dt)
+                  + np.einsum("kdt,kdt->kt", dg, dg) @ area)
+            acc_l2 += wq * h * l2
+            acc_h1 += wq * h * h1
+        c_lo, g_lo = c_hi, g_hi
     pairs = [(math.sqrt(a), math.sqrt(b)) for a, b in zip(acc_l2, acc_h1)]
     return pairs if coeffs.ndim == 3 else pairs[0]

@@ -11,17 +11,16 @@ The center lies inside the removed quadrant of the L-shaped domain, so u
 is smooth up to the boundary and decays to zero as t -> 0.
 
 ``exact_u``, ``exact_grad`` and ``exact_dt`` broadcast over all inputs.
-``ExactFields`` evaluates the same fields at many scalar times on one
-fixed point set, as the error norms do, without recomputing what does
-not depend on t.
+``ExactFields`` evaluates the same fields and the source at many scalar
+times on one fixed point set, as the error norms and the load projection
+do, without recomputing what does not depend on t.
 """
 
 import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["CENTER", "ExactFields", "exact_u", "exact_dt", "exact_grad",
-           "source_f"]
+__all__ = ["CENTER", "ExactFields", "exact_u", "exact_dt", "exact_grad"]
 
 CENTER = (0.25, -0.25)
 
@@ -67,97 +66,122 @@ def exact_grad(x1, x2, t):
 
 
 class ExactFields:
-    """The manufactured solution, its gradient and time derivative, memoized.
+    """The manufactured solution, its derivatives and source, memoized.
 
     The bound methods ``u``, ``grad`` and ``dt`` take ``(x1, x2, t)`` and
     return what ``exact_u``, ``exact_grad`` and ``exact_dt`` return, for a
-    scalar ``t``.  Two things are kept between calls:
+    scalar ``t``; ``source`` returns the heat source dt u - laplace u,
+
+        f = G * (pi ((x1 - 1/4) x2 + (x2 + 1/4) x1) cos(pi x1 x2) / t
+                 + pi^2 (x1^2 + x2^2) sin(pi x1 x2)),
+
+    since the heat operator annihilates the Gaussian factor G.  Kept
+    between calls:
 
     - the t-independent factors (``x - CENTER``, ``r2``, ``sin(pi x1 x2)``
       and ``pi cos(pi x1 x2)``) of the last point set, keyed by the
       identity of the ``x1`` and ``x2`` objects, which are held until a
       new pair arrives.  Arrays passed in must therefore not be modified
-      in place between calls;
-    - all four fields at the last ``t``, so ``u``, ``grad`` and ``dt`` at
-      one time point cost a single ``exp`` per point together.
+      in place between calls.  The two factors only the source uses are
+      formed on its first call for a point set;
+    - one buffer per returned field, allocated once per point set, and
+      the Gaussian at the last ``t``: ``u``, ``grad`` and ``dt`` at one
+      time point cost a single ``exp`` per point together, and so does
+      ``source`` at a time the others were evaluated at.
 
-    The returned arrays are shared between calls and read-only.
+    The returned arrays are read-only views of those buffers, valid
+    until the next call at another time or on another point set.
     """
 
     def __init__(self):
         self._points = None
-        self._factors = None
-        self._t = None
-        self._fields = None
 
     def u(self, x1, x2, t):
-        return self._at(x1, x2, t)[0]
+        return self._fields(x1, x2, t)[0]
 
     def grad(self, x1, x2, t):
-        return self._at(x1, x2, t)[1:3]
+        return self._fields(x1, x2, t)[1:3]
 
     def dt(self, x1, x2, t):
-        return self._at(x1, x2, t)[3]
+        return self._fields(x1, x2, t)[3]
 
-    def _at(self, x1, x2, t):
+    def source(self, x1, x2, t):
+        self._use(x1, x2, t)
+        if t != self._source_t:
+            f = self._buffers[5]
+            if t <= 0.0:
+                f.fill(0.0)
+            else:
+                if self._source_factors is None:
+                    a1, a2 = self._coordinates()
+                    _, s, _, _, x2c, x1c = self._factors
+                    self._source_factors = (
+                        (a1 - CENTER[0]) * x2c + (a2 - CENTER[1]) * x1c,
+                        np.pi**2 * (a1**2 + a2**2) * s)
+                cross_c, lap_s = self._source_factors
+                np.divide(cross_c, t, out=f)
+                f += lap_s
+                f *= self._gaussian(t)
+            self._source_t = t
+        return self._views[5]
+
+    def _coordinates(self):
+        x1, x2 = self._points
+        return np.broadcast_arrays(np.asarray(x1, dtype=float),
+                                   np.asarray(x2, dtype=float))
+
+    def _use(self, x1, x2, t):
+        # switch to the point set (x1, x2), dropping every cached time
         if np.ndim(t) != 0:
             raise UsageError("ExactFields evaluates one scalar time per call")
         points = self._points
         if points is None or points[0] is not x1 or points[1] is not x2:
-            a1, a2 = np.broadcast_arrays(np.asarray(x1, dtype=float),
-                                         np.asarray(x2, dtype=float))
+            self._points = (x1, x2)
+            a1, a2 = self._coordinates()
             d1 = a1 - CENTER[0]
             d2 = a2 - CENTER[1]
             s = np.sin(np.pi * a1 * a2)
             c = np.pi * np.cos(np.pi * a1 * a2)
             self._factors = (d1**2 + d2**2, s, d1 * s, d2 * s, a2 * c, a1 * c)
-            self._points = (x1, x2)
-            self._t = None
-        if t != self._t:
-            self._fields = self._evaluate(float(t))
-            self._t = t
-        return self._fields
+            self._source_factors = None
+            # G, u, du/dx1, du/dx2, du/dt, f; 0-d for scalar points
+            self._buffers = [np.empty(a1.shape) for _ in range(6)]
+            self._views = tuple(buffer.view() for buffer in self._buffers)
+            for view in self._views:
+                view.flags.writeable = False
+            self._gaussian_t = self._fields_t = self._source_t = None
 
-    def _evaluate(self, t):
-        # (u, du/dx1, du/dx2, du/dt) at one time from the cached factors;
-        # the gradient is G (x2 pi cos - d1 sin / (2t)) and its mirror.
-        # In-place updates keep the temporaries of point-set size few.
-        r2, s, d1s, d2s, x2c, x1c = self._factors
-        if t <= 0.0:
-            fields = (np.zeros_like(r2),) * 4
-        else:
-            g = np.exp(r2 / (-4.0 * t))
+    def _gaussian(self, t):
+        # G = 5/(2 pi t) exp(-r2 / (4 t)) at one t > 0
+        g = self._buffers[0]
+        if t != self._gaussian_t:
+            np.divide(self._factors[0], -4.0 * t, out=g)
+            np.exp(g, out=g)
             g *= 5.0 / (2.0 * np.pi * t)
-            u = g * s
-            g1 = d1s * (-0.5 / t)
-            g1 += x2c
-            g1 *= g
-            g2 = d2s * (-0.5 / t)
-            g2 += x1c
-            g2 *= g
-            u_t = r2 / (4.0 * t**2)
-            u_t -= 1.0 / t
-            u_t *= u
-            fields = (u, g1, g2, u_t)
-        fields = tuple(map(np.asarray, fields))  # 0-d for scalar points
-        for field in fields:
-            field.flags.writeable = False
-        return fields
+            self._gaussian_t = t
+        return g
 
-
-def source_f(x1, x2, t):
-    """Heat equation source dt u - laplace u.
-
-    The Gaussian factor is annihilated by the heat operator, leaving
-
-        f = G * (pi ((x1 - 1/4) x2 + (x2 + 1/4) x1) cos(pi x1 x2) / t
-                 + pi^2 (x1^2 + x2^2) sin(pi x1 x2)).
-    """
-    x1, x2, t = np.broadcast_arrays(*map(np.asarray, (x1, x2, t)))
-    g, _ = _gaussian(x1, x2, t)
-    s = np.sin(np.pi * x1 * x2)
-    c = np.cos(np.pi * x1 * x2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_t = np.where(t > 0.0, 1.0 / t, 0.0)
-    cross = (x1 - CENTER[0]) * x2 + (x2 - CENTER[1]) * x1
-    return g * (np.pi * cross * c * inv_t + np.pi**2 * (x1**2 + x2**2) * s)
+    def _fields(self, x1, x2, t):
+        # (u, du/dx1, du/dx2, du/dt) at one time from the cached factors;
+        # the gradient is G (x2 pi cos - d1 sin / (2t)) and its mirror
+        self._use(x1, x2, t)
+        if t != self._fields_t:
+            r2, s, d1s, d2s, x2c, x1c = self._factors
+            u, g1, g2, u_t = self._buffers[1:5]
+            if t <= 0.0:
+                for field in (u, g1, g2, u_t):
+                    field.fill(0.0)
+            else:
+                g = self._gaussian(t)
+                np.multiply(g, s, out=u)
+                np.multiply(d1s, -0.5 / t, out=g1)
+                g1 += x2c
+                g1 *= g
+                np.multiply(d2s, -0.5 / t, out=g2)
+                g2 += x1c
+                g2 *= g
+                np.divide(r2, 4.0 * t**2, out=u_t)
+                u_t -= 1.0 / t
+                u_t *= u
+            self._fields_t = t
+        return self._views[1:5]

@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from kronheat import TemporalMesh, assemble_temporal_operators, solvers
 from kronheat.errors import DefectivePencil, KronheatError
+from kronheat.fem import (
+    _error_quadrature,
+    _geometry,
+    _space_points,
+    _time_panels,
+)
 from kronheat.lshape import TriangleMesh, on_lshape_boundary
+from kronheat.manufactured import CENTER
 
 # Nonuniform base partition of (0, 1/2) used throughout the experiments.
 BASE_NODES = (0.0, 1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 2.0)
@@ -24,6 +33,87 @@ def solve_dense_oracle(system):
          + np.kron(system.temporal.M, system.spatial.A_II.toarray()))
     coeffs = np.linalg.solve(K, system.rhs)
     return solvers.SpaceTimeSolution(coefficients=coeffs)
+
+
+def source_f(x1, x2, t):
+    """Heat source dt u - laplace u of the manufactured solution.
+
+    The Gaussian factor is annihilated by the heat operator, leaving
+
+        f = G * (pi ((x1 - 1/4) x2 + (x2 + 1/4) x1) cos(pi x1 x2) / t
+                 + pi^2 (x1^2 + x2^2) sin(pi x1 x2)).
+
+    Broadcasts over all inputs; the oracle of ``ExactFields.source``.
+    """
+    x1, x2, t = np.broadcast_arrays(*map(np.asarray, (x1, x2, t)))
+    r2 = (x1 - CENTER[0]) ** 2 + (x2 - CENTER[1]) ** 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = 5.0 / (2.0 * np.pi * t) * np.exp(-r2 / (4.0 * t))
+        g = np.where(t > 0.0, g, 0.0)
+        inv_t = np.where(t > 0.0, 1.0 / t, 0.0)
+    s = np.sin(np.pi * x1 * x2)
+    c = np.cos(np.pi * x1 * x2)
+    cross = (x1 - CENTER[0]) * x2 + (x2 - CENTER[1]) * x1
+    return g * (np.pi * cross * c * inv_t + np.pi**2 * (x1**2 + x2**2) * s)
+
+
+def error_norms_reference(coeffs, mesh_x, mesh_t, u, grad, dt,
+                          quad_order=None):
+    """Error norms of ``fem.error_norms`` without the local projection.
+
+    Measures every coefficient set's error u - u_h at every space-time
+    quadrature point, on the same rules; the oracle of the split that
+    ``error_norms`` computes.
+    """
+    coeffs = np.asarray(coeffs)
+    stack = coeffs.reshape((-1, mesh_x.n_vertices, mesh_t.n_cells))
+    (pts, wts), (tq, tw) = _error_quadrature(quad_order)
+    area, grads = _geometry(mesh_x)
+    tris = mesh_x.triangles
+    x1, x2, lam = _space_points(mesh_x, pts)
+    w_sp = 2.0 * area[:, None] * wts[None, :]
+
+    def at_node(j):
+        if j == 0:
+            c = np.zeros((len(stack),) + tris.shape)
+        else:
+            c = stack[:, :, j - 1][:, tris]
+        return c @ lam.T, np.einsum("kti,tid->ktd", c, grads)
+
+    def weighted_square(err):
+        return np.einsum("tq,tq,tq->", err, err, w_sp)
+
+    nodes = mesh_t.nodes
+    acc_l2 = np.zeros(len(stack))
+    acc_h1 = np.zeros(len(stack))
+    e = np.empty_like(x1)
+    v_lo, g_lo = at_node(0)
+    for ell in range(mesh_t.n_cells):
+        h = nodes[ell + 1] - nodes[ell]
+        v_hi, g_hi = at_node(ell + 1)
+        v_dt = (v_hi - v_lo) / h
+        for q, wq in zip(*_time_panels(ell, tq, tw)):
+            t = nodes[ell] + h * q
+            ue = u(x1, x2, t)
+            g1, g2 = grad(x1, x2, t)
+            dte = dt(x1, x2, t)
+            wt = wq * h
+            for k in range(len(stack)):
+                np.multiply(v_dt[k], q * h, out=e)
+                e += v_lo[k]
+                np.subtract(ue, e, out=e)
+                acc_l2[k] += wt * weighted_square(e)
+                np.subtract(dte, v_dt[k], out=e)
+                h1 = weighted_square(e)
+                gh = (1.0 - q) * g_lo[k] + q * g_hi[k]
+                np.subtract(g1, gh[:, 0, None], out=e)
+                h1 += weighted_square(e)
+                np.subtract(g2, gh[:, 1, None], out=e)
+                h1 += weighted_square(e)
+                acc_h1[k] += wt * h1
+        v_lo, g_lo = v_hi, g_hi
+    pairs = [(math.sqrt(a), math.sqrt(b)) for a, b in zip(acc_l2, acc_h1)]
+    return pairs if coeffs.ndim == 3 else pairs[0]
 
 
 @pytest.fixture

@@ -270,6 +270,29 @@ def test_criterion_2_convergence_table(conv_result):
     report(2, not failures, detail)
 
 
+EXPECTED_ROWS = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "perfbench", "expected",
+                             "convergence-max-level-3.txt")
+
+
+def test_criterion_2_printed_errors(conv_result):
+    """Levels 0-3 print the recorded rows of every variant, timing aside."""
+    tables, _ = conv_result
+    expected = {}
+    with open(EXPECTED_ROWS) as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("# "):
+                rows = expected.setdefault(line[2:], [])
+            elif line and not line.startswith("dof,"):
+                rows.append(line.rsplit(",", 1)[0])
+    assert sorted(expected) == sorted(VARIANTS)
+    for variant in VARIANTS:
+        printed = [format_convergence_row(row).rsplit(",", 1)[0]
+                   for row in tables[variant][:4]]
+        assert len(expected[variant]) == 4
+        assert printed == expected[variant], variant
+
+
 def _published_tables():
     """The published table as computed rows, one list per variant."""
     rows = [ConvergenceRow(dof=dof, h_x=0.0, h_t_max=0.0, h_t_min=0.0,

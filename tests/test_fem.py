@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from kronheat.errors import DimensionMismatch
+from kronheat import fem
+from kronheat.errors import DimensionMismatch, UsageError
+from kronheat.experiments import assemble_problem
 from kronheat.fem import (
     _graded_unit_edges,
+    _space_points,
     assemble_global_rhs,
     assemble_p1,
     dirichlet_lift,
@@ -19,9 +22,10 @@ from kronheat.fem import (
 )
 from kronheat.lshape import TriangleMesh, build_lshape_mesh
 from kronheat.manufactured import ExactFields, exact_dt, exact_grad, exact_u
+from kronheat.solvers import solve
 from kronheat.temporal import TemporalMesh, assemble_temporal_operators
 
-from conftest import BASE_NODES, refine_uniform
+from conftest import BASE_NODES, error_norms_reference, refine_uniform
 
 
 def reference_triangle():
@@ -183,14 +187,13 @@ class TestProjectRhs:
     def test_self_convergence_on_source(self, meshes):
         # the source projection is limited by the spatial rule; degrees 6
         # and 12 agree to a few 1e-7 relative on the actual problem data
-        from kronheat.manufactured import source_f
-
+        source = ExactFields().source
         mesh_x = refine_uniform(refine_uniform(build_lshape_mesh(0)))
         base = np.asarray(BASE_NODES)
         mesh_t = TemporalMesh(np.sort(np.concatenate(
             [base, 0.5 * (base[:-1] + base[1:])])))
-        coarse = project_rhs(mesh_x, mesh_t, source_f, quad_order=6)
-        fine = project_rhs(mesh_x, mesh_t, source_f, quad_order=12)
+        coarse = project_rhs(mesh_x, mesh_t, source, quad_order=6)
+        fine = project_rhs(mesh_x, mesh_t, source, quad_order=12)
         scale = np.abs(fine).max()
         assert np.abs(coarse - fine).max() < 1e-6 * scale
 
@@ -343,3 +346,114 @@ class TestErrorNorms:
         # u and dt at 12 graded panels x 8 points on cell 0 and 8 points
         # on each of the other three cells
         assert counts[0] == counts[1] == 2 * (12 * 8 + 3 * 8)
+
+
+def assert_pairs_close(got, want, rel):
+    assert len(got) == len(want)
+    for pair, expected in zip(got, want):
+        assert pair[0] == pytest.approx(expected[0], rel=rel, abs=0.0)
+        assert pair[1] == pytest.approx(expected[1], rel=rel, abs=0.0)
+
+
+def quartic_fields():
+    u = lambda x1, x2, t: (x1**4 - x2**3) * t**2
+    grad = lambda x1, x2, t: (4 * x1**3 * t**2, -3 * x2**2 * t**2)
+    dt = lambda x1, x2, t: (x1**4 - x2**3) * 2 * t
+    return u, grad, dt
+
+
+class TestErrorSplit:
+    """``error_norms`` against the unsplit per-point measurement."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_matches_reference_on_problem(self, level):
+        # all three variants' solutions, boundary rows from the lift
+        problem = assemble_problem(level)
+        ops = problem.system.spatial
+        variants = ("bs-real", "bs-complex", "fd")
+        stack = np.empty((len(variants), problem.mesh_x.n_vertices,
+                          problem.mesh_t.n_cells))
+        stack[:, ops.boundary] = problem.lift
+        for full, variant in zip(stack, variants):
+            solution, _ = solve(problem.system, variant)
+            full[ops.interior] = solution.coefficients.reshape(
+                ops.n_interior, -1, order="F")
+        fields = ExactFields()
+        got = error_norms(stack, problem.mesh_x, problem.mesh_t,
+                          fields.u, fields.grad, fields.dt)
+        want = error_norms_reference(stack, problem.mesh_x, problem.mesh_t,
+                                     exact_u, exact_grad, exact_dt)
+        assert_pairs_close(got, want, 1e-12)
+
+    @pytest.mark.parametrize("quad_order", [None, 2, 5])
+    def test_matches_reference_on_random_stack(self, meshes, quad_order):
+        # the split holds under any rule exact for P1 products, even one
+        # that does not integrate the quartic field exactly
+        mesh_x, mesh_t = meshes
+        rng = np.random.default_rng(11)
+        stack = rng.standard_normal((3, mesh_x.n_vertices, mesh_t.n_cells))
+        u, grad, dt = quartic_fields()
+        got = error_norms(stack, mesh_x, mesh_t, u, grad, dt,
+                          quad_order=quad_order)
+        want = error_norms_reference(stack, mesh_x, mesh_t, u, grad, dt,
+                                     quad_order=quad_order)
+        assert_pairs_close(got, want, 1e-12)
+
+    def test_p1_field_has_zero_first_part(self, meshes, monkeypatch):
+        # u = phi(x) t^2 with phi linear and its interpolant as
+        # coefficients: u - Pi u vanishes at every time point, and the
+        # error is the temporal interpolation error of t^2 alone
+        mesh_x, mesh_t = meshes
+        a, b, c = 0.7, -1.3, 0.4
+        phi = lambda x1, x2: a + b * x1 + c * x2
+        u = lambda x1, x2, t: phi(x1, x2) * t**2
+        grad = lambda x1, x2, t: (b * t**2, c * t**2)  # scalars broadcast
+        dt = lambda x1, x2, t: 2.0 * t * phi(x1, x2)
+        ratios = []
+
+        def spy(split):
+            def first_part(f, *args):
+                coef, square = split(f, *args)
+                ratios.append(square.sum() / np.square(f).sum())
+                return coef, square
+            return first_part
+
+        monkeypatch.setattr(fem, "_p1_split", spy(fem._p1_split))
+        monkeypatch.setattr(fem, "_p0_split", spy(fem._p0_split))
+        nodal = phi(mesh_x.vertices[:, 0], mesh_x.vertices[:, 1])
+        coeffs = nodal[:, None] * mesh_t.nodes[None, 1:] ** 2
+        l2, h1 = error_norms(coeffs, mesh_x, mesh_t, u, grad, dt)
+        assert len(ratios) == 4 * (12 * 8 + 3 * 8)
+        assert max(ratios) < 1e-28
+        # on a cell of width h, t^2 less its interpolant is s (s - h)
+        ops = assemble_p1(mesh_x)
+        mass = nodal @ ops.M_full @ nodal
+        stiffness = nodal @ ops.A_full @ nodal
+        h = np.diff(mesh_t.nodes)
+        assert l2 == pytest.approx(math.sqrt(mass * np.sum(h**5) / 30.0),
+                                   rel=1e-13)
+        assert h1 == pytest.approx(
+            math.sqrt(mass * np.sum(h**3) / 3.0
+                      + stiffness * np.sum(h**5) / 30.0), rel=1e-13)
+
+    def test_one_point_rule_is_refused(self, meshes):
+        # the 1-point rule's local P1 mass matrix has rank 1, so the P1
+        # projection it defines does not exist; degree 2 is full rank
+        mesh_x, mesh_t = meshes
+        for order, rank in ((1, 1), (2, 3)):
+            pts, wts = triangle_rule(order)
+            _, _, lam = _space_points(reference_triangle(), pts)
+            assert np.linalg.matrix_rank((lam.T * wts) @ lam) == rank
+        zero = np.zeros((mesh_x.n_vertices, mesh_t.n_cells))
+        u, grad, dt = quartic_fields()
+        with pytest.raises(UsageError):
+            error_norms(zero, mesh_x, mesh_t, u, grad, dt, quad_order=1)
+
+    def test_non_finite_coefficient_is_refused(self, meshes):
+        mesh_x, mesh_t = meshes
+        u, grad, dt = quartic_fields()
+        for bad in (np.nan, np.inf):
+            coeffs = np.zeros((2, mesh_x.n_vertices, mesh_t.n_cells))
+            coeffs[1, 5, 2] = bad
+            with pytest.raises(UsageError):
+                error_norms(coeffs, mesh_x, mesh_t, u, grad, dt)

@@ -12,8 +12,9 @@ from kronheat.manufactured import (
     exact_dt,
     exact_grad,
     exact_u,
-    source_f,
 )
+
+from conftest import source_f
 
 # probe points inside the L-shape, away from the removed quadrant
 POINTS = np.array([
@@ -121,6 +122,15 @@ def assert_matches_oracle(fields, x1, x2, t):
         assert np.max(np.abs(a - b)) <= 1e-13 * scale, (name, t)
 
 
+def assert_source_matches_oracle(fields, x1, x2, t):
+    # within 1e-13 of the largest entry, exact where the oracle is zero
+    got = fields.source(x1, x2, t)
+    want = source_f(x1, x2, t)
+    assert got.shape == want.shape
+    assert not got.flags.writeable
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), t
+
+
 class TestExactFields:
     TIMES = (0.0, 1e-6, 1.0 / 64.0, 0.5)
 
@@ -130,6 +140,23 @@ class TestExactFields:
         fields = ExactFields()
         for t in order:
             assert_matches_oracle(fields, x1, x2, t)
+
+    def test_source_matches_oracle(self):
+        # every order of the times; the source shares the Gaussian with
+        # the other fields at one time and point set, in either order,
+        # and a switch of point sets drops both
+        xa1, xa2 = lshape_points(200, seed=5)
+        xb1, xb2 = lshape_points(200, seed=6)
+        for order in itertools.permutations(self.TIMES):
+            fields = ExactFields()
+            for t in order:
+                assert_source_matches_oracle(fields, xa1, xa2, t)
+                assert_matches_oracle(fields, xa1, xa2, t)
+                assert_source_matches_oracle(fields, xb1, xb2, t)
+                assert_matches_oracle(fields, xa1, xa2, t)
+                assert_source_matches_oracle(fields, xa1, xa2, t)
+        for t in (1.0 / 64.0, 0.5):
+            assert np.max(np.abs(source_f(xa1, xa2, t))) > 1e-3
 
     def test_nonzero_at_sampled_times(self):
         # guards the oracle comparison against vacuous all-zero fields

@@ -17,7 +17,7 @@ from kronheat.fem import (
     project_rhs,
 )
 from kronheat.lshape import build_lshape_mesh
-from kronheat.manufactured import exact_u, source_f
+from kronheat.manufactured import ExactFields, exact_u
 from kronheat.solvers import (
     SpaceTimeSystem,
     build_pencil,
@@ -42,7 +42,7 @@ def make_problem(level=0, refinements=0, j_max=100_000):
         mesh_t = refine_bisect(mesh_t)
     ops = assemble_p1(mesh_x)
     temp = assemble_temporal_operators(mesh_t, j_max=j_max)
-    F = project_rhs(mesh_x, mesh_t, source_f, quad_order=4)
+    F = project_rhs(mesh_x, mesh_t, ExactFields().source, quad_order=4)
     lift = dirichlet_lift(mesh_x, mesh_t, exact_u)
     rhs = assemble_global_rhs(F, ops, temp, lift=lift)
     return SpaceTimeSystem(temporal=temp, spatial=ops, rhs=rhs)
@@ -247,7 +247,7 @@ def odd_system():
     mesh_t = TemporalMesh(np.linspace(0.0, 0.5, 4))
     ops = assemble_p1(mesh_x)
     temp = assemble_temporal_operators(mesh_t, j_max=100_000)
-    F = project_rhs(mesh_x, mesh_t, source_f, quad_order=4)
+    F = project_rhs(mesh_x, mesh_t, ExactFields().source, quad_order=4)
     lift = dirichlet_lift(mesh_x, mesh_t, exact_u)
     rhs = assemble_global_rhs(F, ops, temp, lift=lift)
     return SpaceTimeSystem(temporal=temp, spatial=ops, rhs=rhs)
