@@ -59,6 +59,8 @@ class ExperimentConfig:
         if self.out is not None and not os.path.isdir(
                 os.path.dirname(self.out) or "."):
             raise UsageError(f"no directory for output file {self.out!r}")
+        if self.out is not None and os.path.isdir(self.out):
+            raise UsageError(f"cannot write {self.out!r}: is a directory")
         unknown = set(self.variants) - set(VARIANTS)
         if unknown or not self.variants:
             raise UsageError(

@@ -10,8 +10,8 @@ P^T = left T^T right, right = left^{-1} (:func:`build_pencil`):
 * ``fd``: eigenvectors (X^{-T}, D, X^T), both formed from the SVD of X.
 
 It then transforms in, G = F A_t^{-1} left, and sweeps the spatial
-systems of M_x Z + A_x Z T^T = G, each one M_x + lambda A_x factorized
-under the one symbolic analysis of M_x + A_x that every solve makes.
+systems of M_x Z + A_x Z T^T = G, each one shift lambda of the pencil
+M_x + lambda A_x under the one ``sparse_direct.analyze`` of every solve.
 The Schur variants back-substitute over the diagonal blocks of T
 (:func:`_back_substitution`): a 2x2 block of R, a conjugate pair, is one
 complex solve at one eigenvalue of the pair, while S has only 1x1
@@ -202,11 +202,12 @@ def build_pencil(temporal, variant):
                   min_re_lambda=min_re, sigma=sigma)
 
 
-def _back_substitution(G, T, M, A, symbolic):
+def _back_substitution(G, T, A, symbolic):
     """Solve M Z + A Z T^T = G for Z, with T upper quasi-triangular.
 
     Walks the diagonal blocks of T from the last one; each block is one
-    spatial system M + lambda A, factorized against ``symbolic``.  A 1x1
+    shift lambda of the pencil analyzed in ``symbolic``, and ``A`` serves
+    only the coupling update.  A 1x1
     block has lambda = T[k, k].  A 2x2 block [[a, b1], [b2, a]] of R, a
     conjugate pair a +- i omega with omega = sqrt(-b1 b2), is one complex
     solve (M + (a + i omega) A) w = b2 h_s + i omega h_{s+1} for
@@ -220,28 +221,26 @@ def _back_substitution(G, T, M, A, symbolic):
     for s, end in reversed(list(zip(starts, starts[1:] + [n_t]))):
         h = G[:, s:end] - acc[:, s:end]
         if end - s == 1:
-            K = (M + T[s, s] * A).tocsr()
-            Z[:, s] = sparse_direct.factorize(symbolic, K).solve(h[:, 0])
+            Z[:, s] = sparse_direct.factorize(symbolic, T[s, s]).solve(h[:, 0])
         else:
             b1, b2 = T[s, s + 1], T[s + 1, s]
             omega = np.sqrt(-b1 * b2)
-            K = (M + complex(T[s, s], omega) * A).tocsr()
-            w = sparse_direct.factorize(symbolic, K).solve(
-                b2 * h[:, 0] + 1j * omega * h[:, 1])
+            lam = complex(T[s, s], omega)
+            numeric = sparse_direct.factorize(symbolic, lam)
+            w = numeric.solve(b2 * h[:, 0] + 1j * omega * h[:, 1])
             Z[:, s], Z[:, s + 1] = w.real / b2, w.imag / omega
         acc[:, :s] += (A @ Z[:, s:end]) @ T[:s, s:end].T
     return Z
 
 
-def _independent_sweep(G, D, M, A, symbolic, threads):
+def _independent_sweep(G, D, symbolic, threads):
     """Solve (M + D[k] A) z_k = g_k for every column k independently.
 
     ``threads`` sizes the worker pool; ``symbolic`` is shared read-only.
     """
 
     def spatial_solve(k):
-        K = (M + D[k] * A).tocsr()
-        return sparse_direct.factorize(symbolic, K).solve(G[:, k])
+        return sparse_direct.factorize(symbolic, D[k]).solve(G[:, k])
 
     columns = range(G.shape[1])
     if threads > 1:
@@ -272,12 +271,12 @@ def _solve(system, variant, threads):
 
     t0 = time.perf_counter()
     analyze_before = sparse_direct.analyze_call_count()
-    M, A = system.spatial.M_II.tocsr(), system.spatial.A_II.tocsr()
-    symbolic = sparse_direct.analyze((M + A).tocsr())
+    A = system.spatial.A_II
+    symbolic = sparse_direct.analyze(system.spatial.M_II, A)
     if variant == "fd":
-        Z = _independent_sweep(G, pencil.T, M, A, symbolic, threads)
+        Z = _independent_sweep(G, pencil.T, symbolic, threads)
     else:
-        Z = _back_substitution(G, pencil.T, M, A, symbolic)
+        Z = _back_substitution(G, pencil.T, A, symbolic)
     report.analyze_calls = sparse_direct.analyze_call_count() - analyze_before
     report.t_spatial = time.perf_counter() - t0
 

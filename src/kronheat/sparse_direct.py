@@ -1,10 +1,11 @@
-"""Sparse direct factorization with separated symbolic and numeric phases.
+"""Sparse direct factorization of the spatial pencil M + shift * A.
 
-Wraps SuperLU (via scipy) behind an analyze/factorize/solve split so the
-fill-reducing ordering is computed once per sparsity pattern and reused
-across the many shifted matrices M + lambda*A the space-time solvers
-produce, real and complex alike.  Complex symmetric systems are
-factorized in complex arithmetic without conjugation tricks.
+Every spatial system of the space-time solvers is M + lambda A on one
+pair of matrices, lambda real or complex.  :func:`analyze` orders the
+union pattern of M and A once and keeps both permuted by that ordering;
+:func:`factorize` takes only the shift and runs SuperLU in the natural
+order.  Complex symmetric systems are factorized in complex arithmetic
+without conjugation tricks.
 """
 
 from dataclasses import dataclass
@@ -27,16 +28,19 @@ def analyze_call_count():
 
 @dataclass(frozen=True)
 class SymbolicFactorization:
-    """Fill-reducing permutation and predicted factor structure.
+    """The pencil M + shift * A under its fill-reducing ordering.
 
-    Immutable; shareable across threads.  ``perm`` is the symmetric
-    fill-reducing permutation applied as P A P^T before the numeric
-    phase, computed by minimum-degree analysis of the pattern.
+    Immutable; shareable across threads.  ``perm`` is the minimum-degree
+    ordering of the union pattern, ``M`` and ``A`` are P M P^T and
+    P A P^T in CSC, and ``factor_nnz`` is the predicted L+U fill of
+    every shift.
     """
 
     n: int
     perm: np.ndarray
     factor_nnz: int
+    M: sp.csc_matrix
+    A: sp.csc_matrix
 
     def __post_init__(self):
         p = np.sort(np.asarray(self.perm))
@@ -60,33 +64,29 @@ class NumericFactorization:
         return solve(self, rhs)
 
 
-def analyze(pattern):
-    """Symbolic analysis of a (structurally symmetric) sparsity pattern.
+def analyze(M, A):
+    """Symbolic analysis of the pencil M + shift * A.
 
-    Parameters
-    ----------
-    pattern : sparse matrix
-        Only the pattern is used.  Non-symmetric patterns are
-        symmetrized by union first.
+    The symmetrized union pattern of M and A is ordered once; the
+    returned analysis fixes the fill of every shift and holds M and A
+    permuted by that ordering.
 
-    Returns
-    -------
-    SymbolicFactorization
-        Fixes the ordering, and so the fill, of every matrix factorized
-        against it.  Containment in this pattern is not a correctness
-        condition: SuperLU works out each matrix's own structure.
+    Raises
+    ------
+    DimensionMismatch
+        If M is not square or A's shape differs from M's.
     """
     global _analyze_calls
-    A = sp.csr_matrix(pattern)
-    if A.shape[0] != A.shape[1]:
-        raise DimensionMismatch("pattern must be square")
-    n = A.shape[0]
+    M, A = sp.csr_matrix(M), sp.csr_matrix(A)
+    if M.shape[0] != M.shape[1] or A.shape != M.shape:
+        raise DimensionMismatch(
+            f"M {M.shape} and A {A.shape} do not form a square pencil")
+    n = M.shape[0]
     # union-symmetrize, then build a diagonally dominant stand-in whose
     # elimination drives the minimum-degree ordering
-    S = (A != 0).astype(float)
+    S = abs(M) + abs(A)
     S = ((S + S.T) != 0).astype(float)
-    S = S + sp.identity(n, format="csr")
-    stand_in = sp.csc_matrix(S + n * sp.identity(n))
+    stand_in = sp.csc_matrix(S + (n + 1) * sp.identity(n))
     probe = spla.splu(
         stand_in,
         permc_spec="MMD_AT_PLUS_A",
@@ -97,37 +97,32 @@ def analyze(pattern):
     # of each matrix it factorizes, so no postorder is needed here.
     perm = np.argsort(np.asarray(probe.perm_c))
     _analyze_calls += 1
-    return SymbolicFactorization(n=n, perm=perm,
-                                 factor_nnz=int(probe.L.nnz + probe.U.nnz))
+    return SymbolicFactorization(
+        n=n, perm=perm, factor_nnz=int(probe.L.nnz + probe.U.nnz),
+        M=sp.csc_matrix(M[perm, :][:, perm]),
+        A=sp.csc_matrix(A[perm, :][:, perm]))
 
 
-def factorize(symbolic, matrix):
-    """Numeric factorization reusing a symbolic analysis.
+def factorize(symbolic, shift):
+    """Numeric factorization of M + shift * A under its analysis.
 
-    The symmetric permutation from ``symbolic`` is applied up front and
-    SuperLU runs with the natural column order, so distinct shifted
-    matrices with one shared pattern factorize without re-analysis.
-    Partial pivoting on rows is retained for stability.
+    The pencil is already permuted, so SuperLU runs with the natural
+    column order and no re-analysis.  Partial pivoting on rows is
+    retained for stability.
 
     Raises
     ------
     SingularMatrix
         If a pivot magnitude falls below 1e-13 times the largest entry.
     """
-    A = sp.csr_matrix(matrix)
-    if A.shape != (symbolic.n, symbolic.n):
-        raise DimensionMismatch(
-            f"matrix shape {A.shape} does not match analysis ({symbolic.n})"
-        )
-    perm = symbolic.perm
-    Ap = sp.csc_matrix(A[perm, :][:, perm])
+    K = (symbolic.M + shift * symbolic.A).tocsc()
     try:
-        lu = spla.splu(Ap, permc_spec="NATURAL", options={"SymmetricMode": True})
+        lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
     except RuntimeError as exc:
         if "singular" in str(exc).lower():
             raise SingularMatrix(str(exc)) from exc
         raise
-    dmax = np.abs(A.data).max() if A.nnz else 0.0
+    dmax = np.abs(K.data).max() if K.nnz else 0.0
     pivots = np.abs(lu.U.diagonal())
     if dmax == 0.0 or pivots.min() < PIVOT_THRESHOLD * dmax:
         raise SingularMatrix(

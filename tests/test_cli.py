@@ -54,12 +54,28 @@ class TestParsing:
         assert main(["eigstudy", "--max-level", "0", "--out", str(dest)]) == 2
         assert "error: no directory for output file" in capsys.readouterr().err
 
-    def test_unwritable_out_exits_2(self, tmp_path, capsys):
-        # a directory in place of the file passes the directory check
-        # and fails only when the table is written
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a directory in place of the file is refused before the study
+        def study(config):
+            raise AssertionError("study ran before the --out check")
+
+        monkeypatch.setattr("kronheat.cli.run_eigstudy", study)
         assert main(["eigstudy", "--max-level", "0", *FAST,
                      "--out", str(tmp_path)]) == 2
         assert "error: cannot write" in capsys.readouterr().err
+
+    def test_directory_out_for_several_variants_exits_2(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # the per-variant tables would go to <out>-<variant>, but --out
+        # names a file, so a directory is refused here too
+        def study(config):
+            raise AssertionError("study ran before the --out check")
+
+        monkeypatch.setattr("kronheat.cli.run_convergence", study)
+        assert main(["convergence", "--max-level", "0", "--solver",
+                     "bs-real,fd", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {str(tmp_path)!r}: is a directory" in err
 
     def test_variant_path_suffix(self):
         assert _variant_path("out.csv", "fd", many=True) == "out-fd.csv"

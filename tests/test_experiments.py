@@ -150,6 +150,7 @@ class TestExperimentConfig:
         pytest.param({"out": "no-such-directory/table.csv"}, id="kwargs5"),
         pytest.param({"variants": ("qr",)}, id="kwargs6"),
         pytest.param({"variants": ("fd", "fd")}, id="kwargs10"),
+        pytest.param({"out": "."}, id="out-is-directory"),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(UsageError):
