@@ -3,11 +3,12 @@
 Three subcommands: ``convergence`` (error table per solver variant),
 ``eigstudy`` (temporal pencil spectra), ``compare`` (cross-variant
 coefficient differences).  Each reads an optional flat key-value config
-file; command-line flags override file values.
+file; command-line flags override file values.  Flags are kept as the
+strings given, so a setting is parsed in one place,
+``experiments.make_config``, whether it came from a flag or a file.
 """
 
 import argparse
-import os
 import sys
 
 from .errors import KronheatError, UsageError
@@ -15,6 +16,8 @@ from .experiments import (
     COMPARE_HEADER,
     CONVERGENCE_HEADER,
     EIGSTUDY_HEADER,
+    VARIANTS,
+    _CONFIG_KEYS,
     compare_solvers,
     convergence_lines,
     format_compare_row,
@@ -23,6 +26,7 @@ from .experiments import (
     make_config,
     run_convergence,
     run_eigstudy,
+    table_paths,
     write_csv,
 )
 
@@ -30,16 +34,13 @@ from .experiments import (
 def _add_common(parser):
     parser.add_argument("--config", metavar="PATH",
                         help="flat key-value config file")
-    parser.add_argument("--max-level", type=int, dest="max_level",
+    parser.add_argument("--max-level", dest="max_level",
                         metavar="L", help="finest refinement level")
-    parser.add_argument("--solver", action="append", dest="solvers",
+    parser.add_argument("--solver", action="append", dest="variants",
                         metavar="NAME",
                         help="solver variant (repeatable, or "
-                             "comma-separated): bs-real, bs-complex, fd")
-    parser.add_argument("--jmax", type=int, dest="j_max", metavar="J",
-                        help="series truncation index for the temporal "
-                             "matrices")
-    parser.add_argument("--threads", type=int, metavar="N",
+                             "comma-separated): " + ", ".join(VARIANTS))
+    parser.add_argument("--threads", metavar="N",
                         help="worker pool size for the fd variant")
     parser.add_argument("--out", metavar="CSV",
                         help="write results as CSV to this path")
@@ -61,30 +62,14 @@ def build_parser():
 
 
 def config_from_args(args):
-    file_values = load_config_file(args.config) if args.config else None
-    variants = None
-    if args.solvers:
-        variants = tuple(
-            name.strip()
-            for chunk in args.solvers
-            for name in chunk.split(",")
-            if name.strip()
-        )
-    return make_config(
-        file_values,
-        max_level=args.max_level,
-        variants=variants,
-        j_max=args.j_max,
-        threads=args.threads,
-        out=args.out,
-    )
-
-
-def _variant_path(path, variant, many):
-    if not many:
-        return path
-    stem, ext = os.path.splitext(path)
-    return f"{stem}-{variant}{ext}"
+    """Config-file values with the flags that were given laid over them."""
+    values = load_config_file(args.config) if args.config else {}
+    for key in _CONFIG_KEYS:
+        flag = getattr(args, key)
+        if flag is not None:
+            # --solver repeats; its chunks join into one comma list
+            values[key] = flag if isinstance(flag, str) else ",".join(flag)
+    return make_config(values)
 
 
 def _emit(header, lines, path):
@@ -92,17 +77,16 @@ def _emit(header, lines, path):
     print(header)
     for line in lines:
         print(line)
-    if path:
+    if path is not None:
         write_csv(path, header, lines)
 
 
 def cmd_convergence(config):
+    paths = table_paths(config.out, config.variants)
     tables = run_convergence(config)
-    many = len(tables) > 1
     for variant, rows in tables.items():
         print(f"# {variant}")
-        _emit(CONVERGENCE_HEADER, convergence_lines(rows),
-              config.out and _variant_path(config.out, variant, many))
+        _emit(CONVERGENCE_HEADER, convergence_lines(rows), paths[variant])
     return 0
 
 

@@ -25,15 +25,10 @@ from .fem import (
 )
 from .lshape import build_lshape_mesh
 from .manufactured import ExactFields, exact_u
-from .solvers import SpaceTimeSystem, eig_study, solve
-from .temporal import (
-    DEFAULT_J_MAX,
-    TemporalMesh,
-    assemble_temporal_operators,
-    refine_bisect,
-)
+from .solvers import TOLERANCES, SpaceTimeSystem, eig_study, solve
+from .temporal import TemporalMesh, assemble_temporal_operators, refine_bisect
 
-VARIANTS = ("bs-real", "bs-complex", "fd")
+VARIANTS = tuple(TOLERANCES)
 
 BASE_TIME_NODES = (0.0, 1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 2.0)
 
@@ -41,11 +36,11 @@ BASE_TIME_NODES = (0.0, 1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 2.0)
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs of a study run.  The defaults reproduce the published setup,
-    whose domain, time partition and quadrature are not knobs."""
+    whose domain, time partition, quadrature and series truncation
+    (``DEFAULT_J_MAX``) are not knobs."""
 
     max_level: int = 4
     variants: tuple = VARIANTS
-    j_max: int = DEFAULT_J_MAX
     threads: int = 1
     out: Optional[str] = None
 
@@ -54,13 +49,8 @@ class ExperimentConfig:
             raise UsageError("max_level must be >= 0")
         if self.threads < 1:
             raise UsageError("threads must be >= 1")
-        if self.j_max < 0:
-            raise UsageError("j_max must be >= 0")
-        if self.out is not None and not os.path.isdir(
-                os.path.dirname(self.out) or "."):
-            raise UsageError(f"no directory for output file {self.out!r}")
-        if self.out is not None and os.path.isdir(self.out):
-            raise UsageError(f"cannot write {self.out!r}: is a directory")
+        if self.out is not None:
+            _check_out(self.out)
         unknown = set(self.variants) - set(VARIANTS)
         if unknown or not self.variants:
             raise UsageError(
@@ -68,6 +58,35 @@ class ExperimentConfig:
             )
         if len(set(self.variants)) < len(self.variants):
             raise UsageError(f"repeated variant in {self.variants}")
+
+
+def _check_out(path):
+    """Refuse an output file path before any study runs."""
+    if not path:
+        raise UsageError("empty output file path")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"no directory for output file {path!r}")
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path!r}: is a directory")
+
+
+def table_paths(out, variants):
+    """Output file of each variant's convergence table, each one checked.
+
+    One variant writes to ``out`` itself; several write to
+    ``<stem>-<variant><ext>`` (``table-fd.csv`` for ``table.csv``), the
+    extension taken from the file name only.  Every path passes the
+    ``out`` checks here, so all are refused or accepted before a study
+    runs.  Without ``out`` every variant maps to None.
+    """
+    if out is None:
+        return dict.fromkeys(variants)
+    stem, ext = os.path.splitext(out)
+    paths = {variant: out if len(variants) == 1 else f"{stem}-{variant}{ext}"
+             for variant in variants}
+    for path in paths.values():
+        _check_out(path)
+    return paths
 
 
 @dataclass(frozen=True)
@@ -125,14 +144,12 @@ def time_mesh_at_level(level):
     return mesh
 
 
-def assemble_problem(level, config=None):
+def assemble_problem(level):
     """Meshes, operators, and right-hand side of one refinement level."""
-    if config is None:
-        config = ExperimentConfig()
     mesh_x = build_lshape_mesh(level)
     mesh_t = time_mesh_at_level(level)
     ops = assemble_p1(mesh_x)
-    temp = assemble_temporal_operators(mesh_t, j_max=config.j_max)
+    temp = assemble_temporal_operators(mesh_t)
     F = project_rhs(mesh_x, mesh_t, ExactFields().source)
     lift = dirichlet_lift(mesh_x, mesh_t, exact_u)
     rhs = assemble_global_rhs(F, ops, temp, lift=lift)
@@ -176,47 +193,44 @@ def eoc(err_prev, err, dof_prev, dof):
     return 3.0 * math.log(err_prev / err) / math.log(dof / dof_prev)
 
 
-def _solve_noting_fallback(problem, variant, config, log):
-    """``solve`` one level; a fallback to another variant is noted on log."""
+def _solve_noting_fallback(problem, variant, config):
+    """``solve`` one level, noting on stderr a fallback to another variant."""
     solution, report = solve(problem.system, variant, threads=config.threads)
     if report.fallback:
         print(f"# fallback level {problem.level} {variant}: "
-              f"{report.fallback}, solved by {report.variant}", file=log)
+              f"{report.fallback}, solved by {report.variant}",
+              file=sys.stderr)
     return solution, report
 
 
-def run_convergence(config=None, log=None):
+def run_convergence(config):
     """Error table per solver variant over levels 0..max_level.
 
     Every live variant of a level is solved first, then all are measured
     in one ``solution_errors`` call.  A variant whose solve raises is
     dropped from the remaining levels, and one that falls back is kept;
-    either gets a note on ``log`` (default stderr).
+    either gets a note on stderr.
 
     Returns
     -------
     dict mapping variant name to a list of ConvergenceRow.
     """
-    if config is None:
-        config = ExperimentConfig()
-    if log is None:
-        log = sys.stderr
     tables = {v: [] for v in config.variants}
     dead = {}
     for level in range(config.max_level + 1):
-        problem = assemble_problem(level, config)
+        problem = assemble_problem(level)
         solved = {}
         for variant in config.variants:
             if variant in dead:
                 continue
             try:
                 solved[variant] = _solve_noting_fallback(problem, variant,
-                                                         config, log)
+                                                         config)
             except KronheatError as exc:
                 dead[variant] = exc
                 print(f"{variant}: level {level} failed "
                       f"({type(exc).__name__}: {exc}); dropping variant",
-                      file=log)
+                      file=sys.stderr)
         errors = solution_errors(
             problem, [solution for solution, _ in solved.values()])
         for (variant, (_, report)), (l2, h1) in zip(solved.items(), errors):
@@ -240,14 +254,12 @@ def run_convergence(config=None, log=None):
     return tables
 
 
-def run_eigstudy(config=None):
+def run_eigstudy(config):
     """Spectral statistics of the temporal pencil per refinement level."""
-    if config is None:
-        config = ExperimentConfig()
     rows = []
     for level in range(config.max_level + 1):
         mesh = time_mesh_at_level(level)
-        temp = assemble_temporal_operators(mesh, j_max=config.j_max)
+        temp = assemble_temporal_operators(mesh)
         stats = eig_study(temp)
         rows.append(EigRow(
             n_t=stats["n_t"],
@@ -261,7 +273,7 @@ def run_eigstudy(config=None):
     return rows
 
 
-def compare_solvers(config=None):
+def compare_solvers(config):
     """Pairwise coefficient differences between variants per level.
 
     Pairs are flagged above 1e-8 relative (1e-6 where fast
@@ -273,18 +285,16 @@ def compare_solvers(config=None):
     (rows, residuals) : list of CompareRow and dict mapping
         (level, variant) to the reported relative residual.
     """
-    if config is None:
-        config = ExperimentConfig()
     if len(config.variants) < 2:
         raise UsageError("compare needs at least two solver variants")
     rows = []
     residuals = {}
     for level in range(config.max_level + 1):
-        problem = assemble_problem(level, config)
+        problem = assemble_problem(level)
         coeffs, fallback = {}, {}
         for variant in config.variants:
             solution, report = _solve_noting_fallback(problem, variant,
-                                                      config, sys.stderr)
+                                                      config)
             coeffs[variant] = solution.coefficients
             fallback[variant] = report.fallback
             residuals[(level, variant)] = report.residual
@@ -374,27 +384,24 @@ def load_config_file(path):
 _CONFIG_KEYS = {
     "max_level": int,
     "variants": lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
-    "j_max": int,
     "threads": int,
     "out": str,
 }
 
 
-def make_config(file_values=None, **overrides):
-    """Build an ExperimentConfig from file values plus keyword overrides.
+def make_config(values):
+    """Build an ExperimentConfig from ``key -> raw string`` settings.
 
-    Overrides passed as None are ignored, so CLI flags that were not
-    given fall through to the file value or the default.
+    Config-file lines and command-line flags alike arrive here as
+    strings and are parsed by ``_CONFIG_KEYS``; a setting not given
+    keeps its default.
     """
-    merged = {}
-    for key, raw in (file_values or {}).items():
+    parsed = {}
+    for key, raw in values.items():
         if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key: {key!r}")
         try:
-            merged[key] = _CONFIG_KEYS[key](raw)
+            parsed[key] = _CONFIG_KEYS[key](raw)
         except ValueError as exc:
             raise UsageError(f"bad value for {key!r}: {raw!r}") from exc
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    return ExperimentConfig(**merged)
+    return ExperimentConfig(**parsed)

@@ -243,8 +243,7 @@ def test_criterion_2_convergence_table(conv_result):
     tables, seconds = conv_result
     stretch = None
     if os.environ.get("KRONHEAT_ACCEPTANCE_STRETCH"):
-        config = ExperimentConfig(max_level=5, variants=("bs-complex",))
-        problem = assemble_problem(5, config)
+        problem = assemble_problem(5)
         solution, solve_report = solve(problem.system, "bs-complex")
         [(l2, h1)] = solution_errors(problem, [solution])
         prev = tables["bs-complex"][-1]

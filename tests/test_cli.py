@@ -1,10 +1,15 @@
 """End-to-end runs of the command-line driver."""
 
+import argparse
+
 import pytest
 
-from kronheat.cli import _variant_path, build_parser, config_from_args, main
+from kronheat.cli import build_parser, config_from_args, main
+from kronheat.experiments import _CONFIG_KEYS, table_paths
 
-FAST = ["--jmax", "200000"]
+
+def _refuse_study(config):
+    raise AssertionError("study ran before the --out check")
 
 
 class TestParsing:
@@ -26,12 +31,12 @@ class TestParsing:
 
     def test_config_file_with_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("max_level = 3\nj_max = 200000\n")
+        cfg.write_text("max_level = 3\nthreads = 2\n")
         args = build_parser().parse_args(
             ["eigstudy", "--config", str(cfg), "--max-level", "0"])
         config = config_from_args(args)
         assert config.max_level == 0  # flag wins
-        assert config.j_max == 200000
+        assert config.threads == 2
 
     def test_bad_config_value_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -46,21 +51,15 @@ class TestParsing:
 
     def test_missing_out_directory_exits_2_before_study(self, tmp_path,
                                                         capsys, monkeypatch):
-        def study(config):
-            raise AssertionError("study ran before the --out check")
-
-        monkeypatch.setattr("kronheat.cli.run_eigstudy", study)
+        monkeypatch.setattr("kronheat.cli.run_eigstudy", _refuse_study)
         dest = tmp_path / "missing" / "x.csv"
         assert main(["eigstudy", "--max-level", "0", "--out", str(dest)]) == 2
         assert "error: no directory for output file" in capsys.readouterr().err
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch):
         # a directory in place of the file is refused before the study
-        def study(config):
-            raise AssertionError("study ran before the --out check")
-
-        monkeypatch.setattr("kronheat.cli.run_eigstudy", study)
-        assert main(["eigstudy", "--max-level", "0", *FAST,
+        monkeypatch.setattr("kronheat.cli.run_eigstudy", _refuse_study)
+        assert main(["eigstudy", "--max-level", "0",
                      "--out", str(tmp_path)]) == 2
         assert "error: cannot write" in capsys.readouterr().err
 
@@ -68,19 +67,73 @@ class TestParsing:
                                                         capsys, monkeypatch):
         # the per-variant tables would go to <out>-<variant>, but --out
         # names a file, so a directory is refused here too
-        def study(config):
-            raise AssertionError("study ran before the --out check")
-
-        monkeypatch.setattr("kronheat.cli.run_convergence", study)
+        monkeypatch.setattr("kronheat.cli.run_convergence", _refuse_study)
         assert main(["convergence", "--max-level", "0", "--solver",
                      "bs-real,fd", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"error: cannot write {str(tmp_path)!r}: is a directory" in err
 
-    def test_variant_path_suffix(self):
-        assert _variant_path("out.csv", "fd", many=True) == "out-fd.csv"
-        assert _variant_path("out.csv", "fd", many=False) == "out.csv"
-        assert _variant_path("table", "fd", many=True) == "table-fd"
+    def test_derived_out_path_checked_before_study(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a directory in place of one per-variant table stops the run
+        # before any study, so no other table is written either
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("kronheat.cli.run_convergence", _refuse_study)
+        (tmp_path / "table-fd.csv").mkdir()
+        assert main(["convergence", "--max-level", "0", "--solver",
+                     "bs-real,fd", "--out", "table.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot write 'table-fd.csv': is a directory" in err
+        assert not (tmp_path / "table-bs-real.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_empty_out_exits_2(self, source, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("kronheat.cli.run_eigstudy", _refuse_study)
+        argv = ["eigstudy", "--max-level", "0"]
+        if source == "flag":
+            argv += ["--out", ""]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("out =\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert "error: empty output file path" in capsys.readouterr().err
+
+    def test_jmax_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eigstudy", "--jmax", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jmax" in capsys.readouterr().err
+
+    def test_bad_flag_value_reads_as_bad_file_value(self, tmp_path, capsys):
+        # flags and config files share one parser, so one message
+        assert main(["eigstudy", "--max-level", "x"]) == 2
+        from_flag = capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_level = x\n")
+        assert main(["eigstudy", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == from_flag
+        assert from_flag == "error: bad value for 'max_level': 'x'\n"
+
+    def test_every_setting_is_one_long_option(self):
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        for command in subparsers.choices.values():
+            dests = [action.dest for action in command._actions
+                     if any(option.startswith("--")
+                            for option in action.option_strings)]
+            settings = [dest for dest in dests
+                        if dest not in ("help", "config")]
+            assert sorted(settings) == sorted(_CONFIG_KEYS)
+
+    def test_variant_path_suffix(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert table_paths("out.csv", ("bs-real", "fd")) == {
+            "bs-real": "out-bs-real.csv", "fd": "out-fd.csv"}
+        assert table_paths("out.csv", ("fd",)) == {"fd": "out.csv"}
+        assert table_paths("table", ("bs-real", "fd"))["fd"] == "table-fd"
+        assert table_paths(None, ("bs-real", "fd")) == {
+            "bs-real": None, "fd": None}
 
     @pytest.mark.parametrize("path, expected", [
         ("table.csv", "table-fd.csv"),
@@ -89,14 +142,18 @@ class TestParsing:
         ("runs.v2/table", "runs.v2/table-fd"),
     ])
     def test_variant_path_splits_extension_of_file_name(self, path,
-                                                        expected):
+                                                        expected, tmp_path,
+                                                        monkeypatch):
         # a dot in a directory name is not an extension
-        assert _variant_path(path, "fd", many=True) == expected
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "runs.v2").mkdir()
+        assert table_paths(path, ("bs-real", "fd"))["fd"] == expected
 
 
 class TestEigstudy:
     def test_prints_table(self, capsys):
-        assert main(["eigstudy", "--max-level", "1", *FAST]) == 0
+        assert main(["eigstudy", "--max-level", "1"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("N_t,")
         assert out[1].startswith("4,0.37500,0.03125,1.514e-02")
@@ -104,7 +161,7 @@ class TestEigstudy:
 
     def test_writes_csv(self, tmp_path, capsys):
         dest = tmp_path / "eig.csv"
-        assert main(["eigstudy", "--max-level", "0", *FAST,
+        assert main(["eigstudy", "--max-level", "0",
                      "--out", str(dest)]) == 0
         capsys.readouterr()
         lines = dest.read_text().splitlines()
@@ -115,7 +172,7 @@ class TestEigstudy:
 class TestConvergence:
     def test_single_variant(self, capsys):
         assert main(["convergence", "--max-level", "0",
-                     "--solver", "bs-complex", *FAST]) == 0
+                     "--solver", "bs-complex"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "# bs-complex"
         assert out[1].startswith("dof,")
@@ -123,7 +180,7 @@ class TestConvergence:
 
     def test_per_variant_csv(self, tmp_path, capsys):
         dest = tmp_path / "conv.csv"
-        assert main(["convergence", "--max-level", "0", *FAST,
+        assert main(["convergence", "--max-level", "0",
                      "--solver", "bs-real", "--solver", "fd",
                      "--out", str(dest)]) == 0
         capsys.readouterr()
@@ -136,7 +193,7 @@ class TestConvergence:
         # fd's rows are bs-complex's: the table itself must say so, and
         # the header and data rows stay those of a normal run
         dest = tmp_path / "conv.csv"
-        assert main(["convergence", "--max-level", "0", *FAST,
+        assert main(["convergence", "--max-level", "0",
                      "--solver", "fd", "--out", str(dest)]) == 0
         note = "# fallback at dof 20: fd failed: DefectivePencil"
         lines = dest.read_text().splitlines()
@@ -150,7 +207,7 @@ class TestConvergence:
 
 class TestCompare:
     def test_agreeing_variants_exit_0(self, capsys):
-        assert main(["compare", "--max-level", "0", *FAST]) == 0
+        assert main(["compare", "--max-level", "0"]) == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert lines[0].startswith("level,")
@@ -158,7 +215,7 @@ class TestCompare:
         assert "# residual level 0 bs-real:" in out
 
     def test_fallback_exits_1(self, forced_fd_fallback, capsys):
-        assert main(["compare", "--max-level", "0", *FAST,
+        assert main(["compare", "--max-level", "0",
                      "--solver", "bs-complex,fd"]) == 1
         captured = capsys.readouterr()
         assert "0,20,bs-complex,fd,0.000e+00,1.0e-08,yes" in captured.out
@@ -168,7 +225,7 @@ class TestCompare:
     def test_writes_csv(self, tmp_path, capsys):
         # the file is the printed table without the residual notes
         dest = tmp_path / "cmp.csv"
-        assert main(["compare", "--max-level", "0", *FAST,
+        assert main(["compare", "--max-level", "0",
                      "--out", str(dest)]) == 0
         out = capsys.readouterr().out.splitlines()
         table = [line for line in out if not line.startswith("# residual")]

@@ -2,12 +2,12 @@
 end-to-end patch test of the assemble-solve-measure pipeline."""
 
 import dataclasses
-import io
 
 import numpy as np
 import pytest
 
 import kronheat.experiments as experiments
+from kronheat.cli import build_parser, config_from_args
 from kronheat.errors import SingularMatrix, UsageError
 from kronheat.experiments import (
     BASE_TIME_NODES,
@@ -43,10 +43,6 @@ from kronheat.lshape import build_lshape_mesh
 from kronheat.manufactured import ExactFields
 from kronheat.solvers import SpaceTimeSystem, solve
 from kronheat.temporal import assemble_temporal_operators
-
-# small truncation budget for speed; error entries move in the sixth
-# digit relative to the production default, far below test tolerances
-FAST_J = 200_000
 
 
 class TestEoc:
@@ -140,17 +136,18 @@ class TestExperimentConfig:
                 == list(experiments._CONFIG_KEYS))
 
     # explicit ids keep each case's name fixed when cases are added or
-    # dropped; kwargs7-9 belonged to settings that are no longer knobs
+    # dropped; kwargs2 (j_max) and kwargs7-9 belonged to settings that
+    # are no longer knobs
     @pytest.mark.parametrize("kwargs", [
         pytest.param({"max_level": -1}, id="kwargs0"),
         pytest.param({"threads": 0}, id="kwargs1"),
-        pytest.param({"j_max": -1}, id="kwargs2"),
         pytest.param({"variants": ()}, id="kwargs3"),
         pytest.param({"variants": ("bs-real", "qr")}, id="kwargs4"),
         pytest.param({"out": "no-such-directory/table.csv"}, id="kwargs5"),
         pytest.param({"variants": ("qr",)}, id="kwargs6"),
         pytest.param({"variants": ("fd", "fd")}, id="kwargs10"),
         pytest.param({"out": "."}, id="out-is-directory"),
+        pytest.param({"out": ""}, id="out-empty"),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(UsageError):
@@ -175,7 +172,7 @@ class TestConfigFile:
             "# study setup\n"
             "max_level = 1\n"
             "variants = bs-real, fd\n"
-            "j_max = 50000   # truncation\n"
+            f"out = {tmp_path / 'table.csv'}   # per-variant tables\n"
             "\n"
             "threads = 2\n"
         )
@@ -183,7 +180,7 @@ class TestConfigFile:
         config = make_config(values)
         assert config.max_level == 1
         assert config.variants == ("bs-real", "fd")
-        assert config.j_max == 50000
+        assert config.out == str(tmp_path / "table.csv")
         assert config.threads == 2
 
     def test_malformed_line(self, tmp_path):
@@ -193,10 +190,12 @@ class TestConfigFile:
             load_config_file(path)
 
     def test_unknown_key(self):
-        # the study setup's time partition and quadrature are not settings
+        # the study setup's time partition, quadrature and series
+        # truncation are not settings
         for key, value in (("levels", "3"), ("quad_order", "6"),
                            ("error_quad_order", "none"),
-                           ("time_nodes", "0, 0.5, 1")):
+                           ("time_nodes", "0, 0.5, 1"),
+                           ("j_max", "2000000")):
             with pytest.raises(UsageError, match="unknown config key"):
                 make_config({key: value})
 
@@ -204,17 +203,23 @@ class TestConfigFile:
         with pytest.raises(UsageError, match="bad value"):
             make_config({"max_level": "three"})
 
-    def test_override_precedence(self):
-        config = make_config({"max_level": "2", "threads": "4"},
-                             max_level=0, threads=None)
+    def test_override_precedence(self, tmp_path):
+        # a flag replaces the file's value, and repeated --solver chunks
+        # replace the file's variants rather than add to them
+        path = tmp_path / "study.cfg"
+        path.write_text("max_level = 2\nthreads = 4\nvariants = fd\n")
+        args = build_parser().parse_args(
+            ["convergence", "--config", str(path), "--max-level", "0",
+             "--solver", "bs-real", "--solver", "bs-complex"])
+        config = config_from_args(args)
         assert config.max_level == 0
         assert config.threads == 4
+        assert config.variants == ("bs-real", "bs-complex")
 
 
 class TestRunEigstudy:
     def test_reference_rows(self):
-        config = ExperimentConfig(max_level=1, j_max=FAST_J)
-        rows = run_eigstudy(config)
+        rows = run_eigstudy(ExperimentConfig(max_level=1))
         assert [r.n_t for r in rows] == [4, 8]
         first = rows[0]
         assert first.h_max == pytest.approx(0.375)
@@ -226,9 +231,8 @@ class TestRunEigstudy:
 
 @pytest.fixture(scope="module")
 def tables():
-    config = ExperimentConfig(max_level=1, variants=("bs-complex",),
-                              j_max=FAST_J)
-    return run_convergence(config)
+    return run_convergence(ExperimentConfig(max_level=1,
+                                            variants=("bs-complex",)))
 
 
 class TestRunConvergence:
@@ -251,7 +255,7 @@ class TestRunConvergence:
         assert first.l2_error == pytest.approx(3.70134e-1, rel=1e-4)
         assert first.h1_error == pytest.approx(4.67519e0, rel=1e-4)
 
-    def test_failing_variant_is_dropped(self, monkeypatch):
+    def test_failing_variant_is_dropped(self, monkeypatch, capsys):
         real_solve = experiments.solve
         calls = []
 
@@ -262,29 +266,26 @@ class TestRunConvergence:
             return real_solve(system, variant, threads=threads)
 
         monkeypatch.setattr(experiments, "solve", flaky)
-        log = io.StringIO()
-        config = ExperimentConfig(max_level=1, j_max=FAST_J,
-                                  variants=("bs-complex", "fd"))
-        tables = run_convergence(config, log=log)
+        config = ExperimentConfig(max_level=1, variants=("bs-complex", "fd"))
+        tables = run_convergence(config)
         assert len(tables["bs-complex"]) == 2
         assert tables["fd"] == []
         assert calls.count("fd") == 1  # dropped after the first failure
-        assert "SingularMatrix" in log.getvalue()
+        assert "SingularMatrix" in capsys.readouterr().err
 
-    def test_fallback_is_noted(self, forced_fd_fallback):
-        # the fd rows are bs-complex's, so the log must say so
-        log = io.StringIO()
-        config = ExperimentConfig(max_level=0, j_max=FAST_J,
-                                  variants=("fd",))
-        tables = run_convergence(config, log=log)
+    def test_fallback_is_noted(self, forced_fd_fallback, capsys):
+        # the fd rows are bs-complex's, so stderr must say so
+        tables = run_convergence(ExperimentConfig(max_level=0,
+                                                  variants=("fd",)))
         assert len(tables["fd"]) == 1
-        assert log.getvalue() == ("# fallback level 0 fd: fd failed: "
-                                  "DefectivePencil, solved by bs-complex\n")
+        assert capsys.readouterr().err == (
+            "# fallback level 0 fd: fd failed: "
+            "DefectivePencil, solved by bs-complex\n")
 
 
 class TestSolutionErrors:
     def test_one_pair_per_solution_in_order(self):
-        problem = assemble_problem(1, ExperimentConfig(j_max=FAST_J))
+        problem = assemble_problem(1)
         rng = np.random.default_rng(7)
         solution, _ = solve(problem.system, "bs-complex")
         perturbed = dataclasses.replace(
@@ -302,7 +303,7 @@ class TestSolutionErrors:
         # the solve returns interior rows only; the measured function
         # takes its boundary rows from the Dirichlet lift, which is
         # nonzero for the manufactured solution
-        problem = assemble_problem(1, ExperimentConfig(j_max=FAST_J))
+        problem = assemble_problem(1)
         solution, _ = solve(problem.system, "bs-complex")
         ops = problem.system.spatial
         assert np.abs(problem.lift).max() > 0.1
@@ -323,7 +324,7 @@ class TestCompareSolvers:
             compare_solvers(ExperimentConfig(variants=("fd",)))
 
     def test_level0_agreement(self):
-        config = ExperimentConfig(max_level=0, j_max=FAST_J)
+        config = ExperimentConfig(max_level=0)
         rows, residuals = compare_solvers(config)
         assert len(rows) == 3  # three unordered pairs
         assert not any(r.flagged for r in rows)
@@ -334,8 +335,7 @@ class TestCompareSolvers:
     def test_fallback_is_flagged(self, forced_fd_fallback, capsys):
         # fd's fallback solution is bs-complex's, so the pair agrees
         # exactly; only the flag shows that fd was never compared
-        config = ExperimentConfig(max_level=0, j_max=FAST_J,
-                                  variants=("bs-complex", "fd"))
+        config = ExperimentConfig(max_level=0, variants=("bs-complex", "fd"))
         rows, _ = compare_solvers(config)
         assert [(r.diff, r.flagged) for r in rows] == [(0.0, True)]
         assert "# fallback level 0 fd:" in capsys.readouterr().err
