@@ -259,17 +259,8 @@ def run_eigstudy(config):
     rows = []
     for level in range(config.max_level + 1):
         mesh = time_mesh_at_level(level)
-        temp = assemble_temporal_operators(mesh)
-        stats = eig_study(temp)
-        rows.append(EigRow(
-            n_t=stats["n_t"],
-            h_max=mesh.h_max,
-            h_min=mesh.h_min,
-            min_re_lambda=stats["min_re_lambda"],
-            sigma_min=stats["sigma_min"],
-            sigma_max=stats["sigma_max"],
-            kappa2=stats["kappa2"],
-        ))
+        stats = eig_study(assemble_temporal_operators(mesh))
+        rows.append(EigRow(h_max=mesh.h_max, h_min=mesh.h_min, **stats))
     return rows
 
 

@@ -25,7 +25,7 @@ raises.
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -102,8 +102,8 @@ class Pencil:
 
     T is R (bs-real), S (bs-complex) or the eigenvalue vector D (fd,
     standing for diag(D)).  ``sigma`` holds the singular values of fd's
-    eigenvector matrix, in decreasing order; it is None for the Schur
-    variants.
+    eigenvector matrix in decreasing order (None for the Schur variants),
+    and ``sigma_stats`` their extremes and kappa2 = sigma_max/sigma_min.
     """
 
     chol_A: np.ndarray
@@ -112,6 +112,12 @@ class Pencil:
     right: np.ndarray
     min_re_lambda: float
     sigma: Optional[np.ndarray] = None
+
+    @property
+    def sigma_stats(self):
+        s = self.sigma
+        return {"sigma_min": float(s[-1]), "sigma_max": float(s[0]),
+                "kappa2": float(s[0] / s[-1])}
 
 
 @dataclass(frozen=True)
@@ -258,11 +264,8 @@ def _solve(system, variant, threads):
     pencil = build_pencil(system.temporal, variant)
     report.t_decompose = time.perf_counter() - t0
     report.min_re_lambda = pencil.min_re_lambda
-    sigma = pencil.sigma
-    if sigma is not None:
-        report.threads = threads
-        report.sigma_min, report.sigma_max = float(sigma[-1]), float(sigma[0])
-        report.kappa2 = float(sigma[0] / sigma[-1])
+    if pencil.sigma is not None:
+        report = replace(report, threads=threads, **pencil.sigma_stats)
 
     t0 = time.perf_counter()
     F = system.rhs_matrix()
@@ -356,11 +359,5 @@ def eig_study(temporal):
     them from the temporal mesh).
     """
     pencil = build_pencil(temporal, "fd")
-    sigma = pencil.sigma
-    return {
-        "n_t": temporal.A.shape[0],
-        "min_re_lambda": pencil.min_re_lambda,
-        "sigma_min": float(sigma[-1]),
-        "sigma_max": float(sigma[0]),
-        "kappa2": float(sigma[0] / sigma[-1]),
-    }
+    return {"n_t": temporal.A.shape[0], "min_re_lambda": pencil.min_re_lambda,
+            **pencil.sigma_stats}

@@ -10,7 +10,8 @@ from kronheat import (
     refine_bisect,
     tail_bounds,
 )
-from kronheat.temporal import _period
+from kronheat import temporal
+from kronheat.temporal import _period, _residue_weights
 
 mp.mp.dps = 30
 
@@ -263,6 +264,81 @@ class TestResidueSummation:
             mesh = refine_bisect(mesh)
         assert _period(mesh, DEFAULT_J_MAX) == 512
         assert_matches_oracle(mesh, 100_000)
+
+
+def summed_weights(r, P, j_max):
+    """W_3, W_4 of residues r summed term by term, small terms first, in
+    blocks of at most 2^15 terms: the oracle of the zeta closed form."""
+    w3 = np.zeros(r.size)
+    w4 = np.zeros(r.size)
+    n_q = (j_max - int(r[0])) // P + 1
+    size = max(1, (1 << 15) // r.size)
+    for q0 in range(((n_q - 1) // size) * size, -1, -size):
+        j = r + P * np.arange(min(q0 + size, n_q) - 1, q0 - 1, -1)[:, None]
+        inv = np.where(j <= j_max, 1.0 / (np.pi * (j + 0.5)), 0.0)
+        inv3 = inv**3
+        w3 += inv3.sum(axis=0)
+        w4 += (inv3 * inv).sum(axis=0)
+    return w3, w4
+
+
+def level_mesh(base_mesh, level):
+    mesh = base_mesh
+    for _ in range(level):
+        mesh = refine_bisect(mesh)
+    return mesh
+
+
+class TestResidueWeights:
+    """The Hurwitz zeta closed form against the summed series."""
+
+    @pytest.mark.parametrize("P, j_max", [
+        (2, 20_000),             # Q = 10_001 and 10_000
+        (32, 40),                # Q = 2 for r <= 8, Q = 1 above
+        (512, 100_000),          # j_max + 1 not a multiple of P
+        (512, DEFAULT_J_MAX),    # the level-4 mesh at the default budget
+    ], ids=["P2", "P32-mixed", "P512-uneven", "P512-default"])
+    def test_matches_summed_series(self, P, j_max):
+        r = np.arange(P)
+        for got, want in zip(_residue_weights(r, P, j_max), summed_weights(r, P, j_max)):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("r0, r1", [(0, 20_001), (12_000, 20_001)])
+    def test_single_terms_bit_identical(self, r0, r1):
+        # P = j_max + 1, as on every non-dyadic mesh: each residue holds
+        # one term, and the closed form is never used
+        r = np.arange(r0, r1)
+        for got, want in zip(_residue_weights(r, 20_001, 20_000),
+                             summed_weights(r, 20_001, 20_000)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("level", range(5))
+    def test_dyadic_assembly_matches_summed_weights(self, base_mesh, level, monkeypatch):
+        mesh = level_mesh(base_mesh, level)
+        ops = assemble_temporal_operators(mesh)
+        monkeypatch.setattr(temporal, "_residue_weights", summed_weights)
+        summed = assemble_temporal_operators(mesh)
+        for got, want in zip((ops.A, ops.M, ops.C), (summed.A, summed.M, summed.C)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["non-dyadic", "one-ulp"])
+    def test_non_dyadic_assembly_bit_identical(self, base_mesh, name, monkeypatch):
+        mesh = ORACLE_MESHES[name](base_mesh)
+        ops = assemble_temporal_operators(mesh, 100_000)
+        monkeypatch.setattr(temporal, "_residue_weights", summed_weights)
+        summed = assemble_temporal_operators(mesh, 100_000)
+        for got, want in zip((ops.A, ops.M, ops.C), (summed.A, summed.M, summed.C)):
+            assert np.array_equal(got, want)
+
+    def test_huge_budget_within_tail_bounds(self, base_mesh):
+        # 10^12 terms per entry: only a closed form can afford them, and
+        # the distance to the default budget is that budget's tail
+        mesh = level_mesh(base_mesh, 4)
+        far = assemble_temporal_operators(mesh, 10**12)
+        ops = assemble_temporal_operators(mesh)
+        for got, want, bound in zip((ops.A, ops.M, ops.C), (far.A, far.M, far.C),
+                                    tail_bounds(mesh, DEFAULT_J_MAX)):
+            assert np.abs(got - want).max() < bound
 
 
 class TestTruncation:
