@@ -383,9 +383,12 @@ def _p1_split(f, proj, lam, wts, r):
     return coef, wts @ r
 
 
-def _p0_split(f, wts, r):
-    """Like ``_p1_split`` for the projection onto constants, the mean."""
-    mean = (2.0 * wts) @ f
+def _p0_split(f, proj, wts, r):
+    """Like ``_p1_split`` for the projection onto constants, the mean.
+
+    ``proj`` (nq,) is twice ``wts``, and the mean is ``proj @ f``.
+    """
+    mean = proj @ f
     np.subtract(f, mean, out=r)
     r *= r
     return mean, wts @ r
@@ -421,6 +424,10 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt, quad_order=None):
     spatial quadrature points), whatever the stack size, so a memoizing
     callable such as ``manufactured.ExactFields`` can keep its
     t-independent factors.  Scalar results are broadcast to the points.
+    The first part is split off at each time point; the projections of
+    one panel of time points (one temporal Gauss rule) are kept, and the
+    second part of every stack entry is measured for the whole panel at
+    once.
 
     Parameters
     ----------
@@ -455,30 +462,42 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt, quad_order=None):
     (pts, wts), (tq, tw) = _error_quadrature(quad_order)
     area, grads = _geometry(mesh_x)
     tris = mesh_x.triangles
+    m = len(tris)
     # points in (nq, m) order, so per-triangle means broadcast along rows
     x1, x2, lam = _space_points(mesh_x, pts)
     x1, x2 = np.ascontiguousarray(x1.T), np.ascontiguousarray(x2.T)
     # onto P1 through the inverse local mass 3 (4 I - J) / area (J all
     # ones); the reference weights sum to 1/2
     p1 = 6.0 * (4.0 * np.eye(3) - 1.0) @ (lam.T * wts)
+    p0 = 2.0 * wts
     r = np.empty_like(x1)
+    two_area, area_12 = 2.0 * area, area / 12.0
 
     def at_node(j):
         # vertex values (k, 3, m) and gradients (k, 2, m) at temporal node j
         if j == 0:
-            c = np.zeros((len(stack), 3, len(tris)))
+            c = np.zeros((len(stack), 3, m))
         else:
             c = stack[:, tris.T, j - 1]
         return c, np.einsum("kit,tid->kdt", c, grads)
 
     def at_points(value):
-        return np.broadcast_to(np.asarray(value, dtype=float), x1.shape)
+        value = np.asarray(value, dtype=float)
+        if value.shape == x1.shape:
+            return value
+        return np.broadcast_to(value, x1.shape)
 
     def p1_square(d):
-        # d^T (area (1 + I)/12) d summed over triangles, per stack entry
-        s = d.sum(axis=1)
-        return (np.einsum("kit,kit->kt", d, d) + s * s) @ area / 12.0
+        # d^T (area (1 + I)/12) d summed over triangles, for d (..., 3, m)
+        s = d.sum(axis=-2)
+        return (np.einsum("...it,...it->...t", d, d) + s * s) @ area_12
 
+    # one panel: vertex values of Pi u and Pi dt u, means of grad u, and
+    # the first part per triangle (value; time derivative and gradient)
+    n_q = len(tq)
+    pu, pdt = np.empty((n_q, 3, m)), np.empty((n_q, 3, m))
+    pg = np.empty((n_q, 2, m))
+    first_l2, first_h1 = np.empty((n_q, m)), np.empty((n_q, m))
     nodes = mesh_t.nodes
     acc_l2 = np.zeros(len(stack))
     acc_h1 = np.zeros(len(stack))
@@ -487,20 +506,32 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt, quad_order=None):
         h = nodes[ell + 1] - nodes[ell]
         c_hi, g_hi = at_node(ell + 1)
         c_dt = (c_hi - c_lo) / h
-        for q, wq in zip(*_time_panels(ell, tq, tw)):
-            t = nodes[ell] + h * q
-            pu, su = _p1_split(at_points(u(x1, x2, t)), p1, lam, wts, r)
-            g1, g2 = grad(x1, x2, t)
-            pg1, s1 = _p0_split(at_points(g1), wts, r)
-            pg2, s2 = _p0_split(at_points(g2), wts, r)
-            pdt, sdt = _p1_split(at_points(dt(x1, x2, t)), p1, lam, wts, r)
+        q_cell, w_cell = _time_panels(ell, tq, tw)
+        for qs, ws in zip(q_cell.reshape(-1, n_q), w_cell.reshape(-1, n_q)):
+            for i, q in enumerate(qs):
+                t = nodes[ell] + h * q
+                f = at_points(u(x1, x2, t))
+                pu[i], first_l2[i] = _p1_split(f, p1, lam, wts, r)
+                g1, g2 = grad(x1, x2, t)
+                pg[i, 0], s1 = _p0_split(at_points(g1), p0, wts, r)
+                pg[i, 1], s2 = _p0_split(at_points(g2), p0, wts, r)
+                f = at_points(dt(x1, x2, t))
+                pdt[i], sdt = _p1_split(f, p1, lam, wts, r)
+                first_h1[i] = sdt + s1 + s2
+            # the second part of every stack entry (k, n_q, ...) at once;
             # u_h = c_lo + (t - t_ell) c_dt within the cell
-            l2 = 2.0 * area @ su + p1_square(pu - (c_lo + q * h * c_dt))
-            dg = np.stack([pg1, pg2]) - ((1.0 - q) * g_lo + q * g_hi)
-            h1 = (2.0 * area @ (sdt + s1 + s2) + p1_square(pdt - c_dt)
-                  + np.einsum("kdt,kdt->kt", dg, dg) @ area)
-            acc_l2 += wq * h * l2
-            acc_h1 += wq * h * h1
+            d = (h * qs)[:, None, None] * c_dt[:, None]
+            d += c_lo[:, None]
+            np.subtract(pu, d, out=d)
+            l2 = p1_square(d) + first_l2 @ two_area
+            np.subtract(pdt, c_dt[:, None], out=d)
+            h1 = p1_square(d) + first_h1 @ two_area
+            d = (1.0 - qs)[:, None, None] * g_lo[:, None]
+            d += qs[:, None, None] * g_hi[:, None]
+            np.subtract(pg, d, out=d)
+            h1 += np.einsum("kqdt,kqdt->kqt", d, d) @ area
+            acc_l2 += l2 @ (h * ws)
+            acc_h1 += h1 @ (h * ws)
         c_lo, g_lo = c_hi, g_hi
     pairs = [(math.sqrt(a), math.sqrt(b)) for a, b in zip(acc_l2, acc_h1)]
     return pairs if coeffs.ndim == 3 else pairs[0]

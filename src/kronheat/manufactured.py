@@ -24,6 +24,10 @@ __all__ = ["CENTER", "ExactFields", "exact_u", "exact_dt", "exact_grad"]
 
 CENTER = (0.25, -0.25)
 
+# exp(-x) is subnormal beyond x = 708.4, and numpy's exp takes a slow path
+# near there; ExactFields sets its Gaussian to 0 where x passes this cut
+_EXP_CUT = 700.0
+
 
 def _gaussian(x1, x2, t):
     # returns (G, r2) with G = 5/(2 pi t) exp(-r2 / (4 t)); the limit
@@ -89,6 +93,13 @@ class ExactFields:
       time point cost a single ``exp`` per point together, and so does
       ``source`` at a time the others were evaluated at.
 
+    Where ``r2 / (4 t)`` passes a cut of 700, the Gaussian is exactly 0
+    rather than a value below exp(-700), about 1e-304, that would soon
+    turn subnormal and slow down ``exp`` and every product.  The smallest
+    and largest ``r2`` of the point set decide per ``t`` whether to clamp
+    the exponent at the cut, and whether every field is 0 at ``t``, with
+    no ``exp`` at all.
+
     The returned arrays are read-only views of those buffers, valid
     until the next call at another time or on another point set.
     """
@@ -109,7 +120,7 @@ class ExactFields:
         self._use(x1, x2, t)
         if t != self._source_t:
             f = self._buffers[5]
-            if t <= 0.0:
+            if self._vanishes(t):
                 f.fill(0.0)
             else:
                 if self._source_factors is None:
@@ -119,7 +130,7 @@ class ExactFields:
                         (a1 - CENTER[0]) * x2c + (a2 - CENTER[1]) * x1c,
                         np.pi**2 * (a1**2 + a2**2) * s)
                 cross_c, lap_s = self._source_factors
-                np.divide(cross_c, t, out=f)
+                np.multiply(cross_c, 1.0 / t, out=f)
                 f += lap_s
                 f *= self._gaussian(t)
             self._source_t = t
@@ -142,7 +153,10 @@ class ExactFields:
             d2 = a2 - CENTER[1]
             s = np.sin(np.pi * a1 * a2)
             c = np.pi * np.cos(np.pi * a1 * a2)
-            self._factors = (d1**2 + d2**2, s, d1 * s, d2 * s, a2 * c, a1 * c)
+            r2 = d1**2 + d2**2
+            self._factors = (r2, s, d1 * s, d2 * s, a2 * c, a1 * c)
+            # NaN in r2 makes both comparisons with the cut false
+            self._r2_range = (r2.min(initial=np.inf), r2.max(initial=-np.inf))
             self._source_factors = None
             # G, u, du/dx1, du/dx2, du/dt, f; 0-d for scalar points
             self._buffers = [np.empty(a1.shape) for _ in range(6)]
@@ -151,12 +165,23 @@ class ExactFields:
                 view.flags.writeable = False
             self._gaussian_t = self._fields_t = self._source_t = None
 
+    def _vanishes(self, t):
+        # every field is 0 at t: t <= 0, or r2 / (4 t) past the cut
+        return t <= 0.0 or self._r2_range[0] * (0.25 / t) > _EXP_CUT
+
     def _gaussian(self, t):
-        # G = 5/(2 pi t) exp(-r2 / (4 t)) at one t > 0
+        # G = 5/(2 pi t) exp(-r2 / (4 t)) at one t > 0, and 0 where
+        # r2 / (4 t) passes the cut
         g = self._buffers[0]
         if t != self._gaussian_t:
-            np.divide(self._factors[0], -4.0 * t, out=g)
-            np.exp(g, out=g)
+            np.multiply(self._factors[0], -0.25 / t, out=g)
+            if self._r2_range[1] * (0.25 / t) > _EXP_CUT:
+                below = g < -_EXP_CUT
+                np.maximum(g, -_EXP_CUT, out=g)
+                np.exp(g, out=g)
+                g[below] = 0.0
+            else:
+                np.exp(g, out=g)
             g *= 5.0 / (2.0 * np.pi * t)
             self._gaussian_t = t
         return g
@@ -168,7 +193,7 @@ class ExactFields:
         if t != self._fields_t:
             r2, s, d1s, d2s, x2c, x1c = self._factors
             u, g1, g2, u_t = self._buffers[1:5]
-            if t <= 0.0:
+            if self._vanishes(t):
                 for field in (u, g1, g2, u_t):
                     field.fill(0.0)
             else:
@@ -180,7 +205,7 @@ class ExactFields:
                 np.multiply(d2s, -0.5 / t, out=g2)
                 g2 += x1c
                 g2 *= g
-                np.divide(r2, 4.0 * t**2, out=u_t)
+                np.multiply(r2, 0.25 / t**2, out=u_t)
                 u_t -= 1.0 / t
                 u_t *= u
             self._fields_t = t

@@ -217,15 +217,15 @@ def _back_substitution(G, T, A, symbolic):
     block has lambda = T[k, k].  A 2x2 block [[a, b1], [b2, a]] of R, a
     conjugate pair a +- i omega with omega = sqrt(-b1 b2), is one complex
     solve (M + (a + i omega) A) w = b2 h_s + i omega h_{s+1} for
-    w = b2 z_s + i omega z_{s+1}, where h is G less the coupling to the
-    columns already solved.
+    w = b2 z_s + i omega z_{s+1}, where h is G less the coupling
+    A Z[:, end:] T[s:end, end:]^T to the columns already solved, formed
+    when the block is reached.
     """
     n_t = G.shape[1]
     Z = np.zeros_like(G)
-    acc = np.zeros_like(G)
     starts = block_starts(T)
     for s, end in reversed(list(zip(starts, starts[1:] + [n_t]))):
-        h = G[:, s:end] - acc[:, s:end]
+        h = G[:, s:end] - A @ (Z[:, end:] @ T[s:end, end:].T)
         if end - s == 1:
             Z[:, s] = sparse_direct.factorize(symbolic, T[s, s]).solve(h[:, 0])
         else:
@@ -235,7 +235,6 @@ def _back_substitution(G, T, A, symbolic):
             numeric = sparse_direct.factorize(symbolic, lam)
             w = numeric.solve(b2 * h[:, 0] + 1j * omega * h[:, 1])
             Z[:, s], Z[:, s + 1] = w.real / b2, w.imag / omega
-        acc[:, :s] += (A @ Z[:, s:end]) @ T[:s, s:end].T
     return Z
 
 

@@ -2,10 +2,11 @@
 
 Every spatial system of the space-time solvers is M + lambda A on one
 pair of matrices, lambda real or complex.  :func:`analyze` orders the
-union pattern of M and A once and keeps both permuted by that ordering;
-:func:`factorize` takes only the shift and runs SuperLU in the natural
-order.  Complex symmetric systems are factorized in complex arithmetic
-without conjugation tricks.
+union pattern of M and A once and keeps both permuted by that ordering,
+stored on that one pattern; :func:`factorize` takes only the shift, adds
+the two arrays of stored values and runs SuperLU in the natural order.
+Complex symmetric systems are factorized in complex arithmetic without
+conjugation tricks.
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,8 @@ class SymbolicFactorization:
     Immutable; shareable across threads.  ``perm`` is the minimum-degree
     ordering of the union pattern, ``M`` and ``A`` are P M P^T and
     P A P^T in CSC, and ``factor_nnz`` is the predicted L+U fill of
-    every shift.
+    every shift.  ``M`` and ``A`` are stored on one sorted pattern, the
+    union of the patterns given, explicit zeros included.
     """
 
     n: int
@@ -46,6 +48,19 @@ class SymbolicFactorization:
         p = np.sort(np.asarray(self.perm))
         if not np.array_equal(p, np.arange(self.n)):
             raise DimensionMismatch("permutation is not a bijection on 0..n-1")
+        M, A = _shared_pattern(self.M, self.A)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "A", A)
+
+
+def _shared_pattern(M, A):
+    # M and A in CSC on the union of their patterns, sorted; coo -> csc
+    # sums duplicates and keeps explicit zeros
+    M, A = sp.coo_matrix(M), sp.coo_matrix(A)
+    ij = (np.concatenate([M.row, A.row]), np.concatenate([M.col, A.col]))
+    return tuple(
+        sp.csc_matrix((np.concatenate(data), ij), shape=M.shape)
+        for data in ((M.data, np.zeros(A.nnz)), (np.zeros(M.nnz), A.data)))
 
 
 class NumericFactorization:
@@ -106,16 +121,19 @@ def analyze(M, A):
 def factorize(symbolic, shift):
     """Numeric factorization of M + shift * A under its analysis.
 
-    The pencil is already permuted, so SuperLU runs with the natural
-    column order and no re-analysis.  Partial pivoting on rows is
-    retained for stability.
+    The pencil is already permuted and shares one pattern, so the
+    matrix is formed from the stored values alone, and SuperLU runs with
+    the natural column order and no re-analysis.  Partial pivoting on
+    rows is retained for stability.
 
     Raises
     ------
     SingularMatrix
         If a pivot magnitude falls below 1e-13 times the largest entry.
     """
-    K = (symbolic.M + shift * symbolic.A).tocsc()
+    M, A = symbolic.M, symbolic.A
+    K = sp.csc_matrix((M.data + shift * A.data, M.indices, M.indptr),
+                      shape=M.shape)
     try:
         lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
     except RuntimeError as exc:

@@ -1,6 +1,7 @@
 """Quadrature rules, P1 assembly, load vectors, and error norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.linalg as sla
 
 from kronheat import fem
 from kronheat.errors import DimensionMismatch, UsageError
-from kronheat.experiments import assemble_problem
+from kronheat.experiments import assemble_problem, solution_errors
 from kronheat.fem import (
     _graded_unit_edges,
     _space_points,
@@ -435,6 +436,24 @@ class TestErrorSplit:
         assert h1 == pytest.approx(
             math.sqrt(mass * np.sum(h**3) / 3.0
                       + stiffness * np.sum(h**5) / 30.0), rel=1e-13)
+
+    def test_memory_is_a_few_point_sets(self):
+        # the second part is measured a panel of time points at a time:
+        # a stacked level-2 measurement allocates at most 25 arrays of
+        # the point set's size (about 22), where the 96 time points of
+        # the whole first cell at a time take about 72
+        problem = assemble_problem(2)
+        solutions = [solve(problem.system, variant)[0]
+                     for variant in ("bs-real", "bs-complex", "fd")]
+        (pts, _), _ = fem._error_quadrature(None)
+        point_set = 8 * len(pts) * problem.mesh_x.n_triangles
+        tracemalloc.start()
+        try:
+            solution_errors(problem, solutions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * point_set
 
     def test_one_point_rule_is_refused(self, meshes):
         # the 1-point rule's local P1 mass matrix has rank 1, so the P1

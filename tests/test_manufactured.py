@@ -7,6 +7,7 @@ import pytest
 
 from kronheat.errors import UsageError
 from kronheat.manufactured import (
+    _EXP_CUT,
     CENTER,
     ExactFields,
     exact_dt,
@@ -131,8 +132,15 @@ def assert_source_matches_oracle(fields, x1, x2, t):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), t
 
 
+def all_fields(fields, x1, x2, t):
+    return (fields.u(x1, x2, t), *fields.grad(x1, x2, t),
+            fields.dt(x1, x2, t), fields.source(x1, x2, t))
+
+
 class TestExactFields:
     TIMES = (0.0, 1e-6, 1.0 / 64.0, 0.5)
+    # r2 / (4 t) passes the cut at part of lshape_points(200, 1), not all
+    STRADDLE = (1e-4, 3e-4)
 
     @pytest.mark.parametrize("order", list(itertools.permutations(TIMES)))
     def test_matches_oracle_in_any_time_order(self, order):
@@ -157,6 +165,42 @@ class TestExactFields:
                 assert_source_matches_oracle(fields, xa1, xa2, t)
         for t in (1.0 / 64.0, 0.5):
             assert np.max(np.abs(source_f(xa1, xa2, t))) > 1e-3
+
+    def test_matches_oracle_where_part_underflows(self):
+        # the oracle is subnormal at some points; the fields are 0 there
+        # and nowhere subnormal, in either order of source and fields
+        x1, x2 = lshape_points(200, seed=1)
+        r2 = (x1 - CENTER[0]) ** 2 + (x2 - CENTER[1]) ** 2
+        tiny = np.finfo(float).tiny
+        for t in self.STRADDLE:
+            past = r2 / (4.0 * t) > _EXP_CUT
+            assert past.any() and not past.all()
+            want = np.abs(exact_u(x1, x2, t))
+            assert np.any((want > 0.0) & (want < tiny))
+            for source_first in (True, False):
+                fields = ExactFields()
+                if source_first:
+                    assert_source_matches_oracle(fields, x1, x2, t)
+                assert_matches_oracle(fields, x1, x2, t)
+                assert_source_matches_oracle(fields, x1, x2, t)
+                for field in all_fields(fields, x1, x2, t):
+                    a = np.abs(field)
+                    assert np.all((a == 0.0) | (a >= tiny)), t
+                    assert np.all(field[past] == 0.0), t
+
+    def test_nan_comes_out_nan(self):
+        # a NaN coordinate stays NaN, also where the other points pass
+        # the cut, and so does a NaN time
+        x1, x2 = lshape_points(200, seed=1)
+        x1_nan = x1.copy()
+        x1_nan[3, 2] = np.nan
+        fields = ExactFields()
+        for t in (*self.STRADDLE, 1e-6):
+            for field in all_fields(fields, x1_nan, x2, t):
+                assert np.isnan(field[3, 2]), t
+                assert np.isnan(field).sum() == 1, t
+        for field in all_fields(fields, x1, x2, np.nan):
+            assert np.isnan(field).all()
 
     def test_nonzero_at_sampled_times(self):
         # guards the oracle comparison against vacuous all-zero fields

@@ -77,6 +77,25 @@ class TestAnalyze:
             sd.analyze(identity(3), sp.csr_matrix(np.ones((3, 4))))
         assert sd.analyze_call_count() == before
 
+    def test_differing_patterns_are_stored_on_their_union(self):
+        # M diagonal, A tridiagonal with one explicit zero: both are kept
+        # on one sorted pattern, values and explicit zero unchanged
+        n = 8
+        M = 2.0 * identity(n)
+        A = laplacian_1d(n)
+        A.data[1] = 0.0
+        sym = sd.analyze(M, A)
+        assert np.array_equal(sym.M.indptr, sym.A.indptr)
+        assert np.array_equal(sym.M.indices, sym.A.indices)
+        assert sym.A.nnz == A.nnz == 3 * n - 2
+        p = sym.perm
+        assert np.array_equal(sym.M.toarray(), M.toarray()[p][:, p])
+        assert np.array_equal(sym.A.toarray(), A.toarray()[p][:, p])
+        b = np.arange(1.0, n + 1.0)
+        shift = 0.5 - 0.25j
+        x = sd.factorize(sym, shift).solve(b)
+        assert relative_residual((M + shift * A).toarray(), x, b) < 1e-14
+
     def test_shifted_lshape_factor_keeps_predicted_fill(self):
         # a complex shift of the level-3 L-shape pencil factorizes with
         # exactly the probe's fill
