@@ -125,17 +125,21 @@ def eig_pencil(M, A):
     return vals, vecs
 
 
-def svd_of_eigenvectors(vecs):
+def svd_of_eigenvectors(vecs, compute_uv=True):
     """SVD X = U diag(sigma) Vh of an eigenvector matrix, sigma decreasing.
 
     For eigenvectors from :func:`eig_pencil`, whose column scaling is part
-    of the reported condition number sigma[0] / sigma[-1].
+    of the reported condition number sigma[0] / sigma[-1].  Returns
+    (U, sigma, Vh), or sigma alone if ``compute_uv`` is false.  Raises
+    DefectivePencil if X is numerically singular, sigma[-1] <= N eps
+    sigma[0] (a repeated column leaves sigma[-1] near 1e-16 sigma[0]).
     """
     vecs = _check_square(vecs)
-    U, sigma, Vh = sla.svd(vecs)
-    if sigma[-1] <= 0.0:
+    out = sla.svd(vecs, compute_uv=compute_uv)
+    sigma = out[1] if compute_uv else out
+    if sigma[-1] <= len(sigma) * np.finfo(float).eps * sigma[0]:
         raise DefectivePencil("eigenvector matrix is numerically singular")
-    return U, sigma, Vh
+    return out
 
 
 def cholesky_lower(A):

@@ -257,8 +257,10 @@ def run_convergence(config):
 def run_eigstudy(config):
     """Spectral statistics of the temporal pencil per refinement level."""
     rows = []
+    mesh = time_mesh_at_level(0)
     for level in range(config.max_level + 1):
-        mesh = time_mesh_at_level(level)
+        if level:
+            mesh = refine_bisect(mesh)
         stats = eig_study(assemble_temporal_operators(mesh))
         rows.append(EigRow(h_max=mesh.h_max, h_min=mesh.h_min, **stats))
     return rows

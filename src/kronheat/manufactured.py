@@ -31,11 +31,12 @@ _EXP_CUT = 700.0
 
 def _gaussian(x1, x2, t):
     # returns (G, r2) with G = 5/(2 pi t) exp(-r2 / (4 t)); the limit
-    # t -> 0+ is zero away from the center, which is all of the domain
+    # t -> 0+ is zero away from the center, which is all of the domain.
+    # The guards here and below test t <= 0, so a NaN time stays NaN
     r2 = (x1 - CENTER[0]) ** 2 + (x2 - CENTER[1]) ** 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = 5.0 / (2.0 * np.pi * t) * np.exp(-r2 / (4.0 * t))
-        g = np.where(t > 0.0, g, 0.0)
+        g = np.where(t <= 0.0, 0.0, g)
     return g, r2
 
 
@@ -52,7 +53,7 @@ def exact_dt(x1, x2, t):
     g, r2 = _gaussian(x1, x2, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = r2 / (4.0 * t**2) - 1.0 / t
-        factor = np.where(t > 0.0, factor, 0.0)
+        factor = np.where(t <= 0.0, 0.0, factor)
     return g * factor * np.sin(np.pi * x1 * x2)
 
 
@@ -63,7 +64,7 @@ def exact_grad(x1, x2, t):
     s = np.sin(np.pi * x1 * x2)
     c = np.pi * np.cos(np.pi * x1 * x2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        half_t = np.where(t > 0.0, 0.5 / t, 0.0)
+        half_t = np.where(t <= 0.0, 0.0, 0.5 / t)
     dg1 = -g * (x1 - CENTER[0]) * half_t
     dg2 = -g * (x2 - CENTER[1]) * half_t
     return dg1 * s + g * x2 * c, dg2 * s + g * x1 * c

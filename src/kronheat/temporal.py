@@ -34,10 +34,15 @@ r = j mod P, e.g. A = 2T^2 sum_{r<P} W_3(r) beta_r beta_r^T with beta_r the
 ``_hat_bracket`` of the sines and W_k(r) the sum of theta_j^-k over j <= j_max,
 j = r mod P.  Those are Q = (j_max - r)//P + 1 terms theta_j = pi P (q + a),
 q < Q, a = (r + 1/2)/P, so W_k(r) = (pi P)^-k (zeta(k, a) - zeta(k, a + Q))
-with zeta the Hurwitz zeta function.  Assembly costs O(N_t^2 P), not the
-O(N_t^2 P + j_max) of summing terms, with P = 512 on the level-4 mesh of
-(0, 1/2).  On any other mesh P = j_max + 1, every residue holds one term,
-and the same code sums the series term by term in O(N_t^2 j_max).
+with zeta the Hurwitz zeta function.  Since P x_i is even, residue
+P - 1 - r has the sines -sin(theta_r x_i), the cosines cos(theta_r x_i)
+and the sign -(-1)^r, so the sum folds each such mirror into its residue
+r < P/2: P/2 folded residues, with weights W_3(r) + W_3(P - 1 - r) and
+W_4(r) - W_4(P - 1 - r).
+Assembly costs O(N_t^2 P), not the O(N_t^2 P + j_max) of summing terms,
+with P = 512 (256 folded residues) on the level-4 mesh of (0, 1/2).  On any
+other mesh P = j_max + 1, every residue holds one term, none is folded, and
+the same code sums the series term by term in O(N_t^2 j_max).
 
 A is symmetric positive definite and M has positive definite symmetric part
 for every partition, which is what makes the first-order time derivative
@@ -164,12 +169,10 @@ def _blocks(n: int, size: int):
         yield start, min(start + size, n)
 
 
-def _period(mesh: TemporalMesh, j_max: int) -> int:
-    """Phase period P of the series on `mesh`: sin/cos(theta_j t_i/T) depend on j mod P.
+def _dyadic_period(mesh: TemporalMesh, j_max: int) -> int | None:
+    """P = 2^(p+1) for the smallest p with every 2^p t_i/T integral, if P <= j_max + 1.
 
-    P = 2^(p+1) for the smallest p with every 2^p t_i/T integral (an exact
-    test on the floating-point ratios), provided P <= j_max + 1; otherwise
-    P = j_max + 1 and every residue holds a single term.
+    The test is exact on the floating-point ratios; None if no such p.
     """
     x = mesh.nodes / mesh.T
     p = 0
@@ -178,7 +181,16 @@ def _period(mesh: TemporalMesh, j_max: int) -> int:
         if np.array_equal(scaled, np.floor(scaled)):
             return 2 ** (p + 1)
         p += 1
-    return j_max + 1
+    return None
+
+
+def _period(mesh: TemporalMesh, j_max: int) -> int:
+    """Phase period P of the series on `mesh`: sin/cos(theta_j t_i/T) depend on j mod P.
+
+    The dyadic period where there is one, otherwise P = j_max + 1 and
+    every residue holds a single term.
+    """
+    return _dyadic_period(mesh, j_max) or j_max + 1
 
 
 def _residue_weights(r: np.ndarray, P: int, j_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,6 +211,17 @@ def _residue_weights(r: np.ndarray, P: int, j_max: int) -> tuple[np.ndarray, np.
     return w3, w4
 
 
+def _folded_weights(r: np.ndarray, P: int, j_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """W_3(r) + W_3(P - 1 - r) and W_4(r) - W_4(P - 1 - r) for residues r < P/2.
+
+    The weights of a dyadic mesh's residues with their mirrors folded in
+    (module docstring); ``_residue_weights`` sees both in ascending order.
+    """
+    w3, w4 = _residue_weights(np.concatenate([r, P - 1 - r[::-1]]), P, j_max)
+    n = r.size
+    return w3[:n] + w3[n:][::-1], w4[:n] - w4[n:][::-1]
+
+
 def assemble_temporal_operators(mesh: TemporalMesh, j_max: int = DEFAULT_J_MAX) -> TemporalOperators:
     """Assemble A, M, C from the series truncated at j_max, summed per phase residue.
 
@@ -209,18 +232,23 @@ def assemble_temporal_operators(mesh: TemporalMesh, j_max: int = DEFAULT_J_MAX) 
         A = 2T^2 beta diag(W_3) beta^T
         M = 2T^3 beta diag(W_4) gamma^T + 2T^2 beta diag(W_3) (-1)^r e_{N_t}^T
         C = 2T^2 beta diag(W_3) delta^T
+
+    On a dyadic mesh the sum runs over r < P/2, each residue with its
+    mirror P - 1 - r folded into its weights (``_folded_weights``).
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     nodes, T, n = mesh.nodes, mesh.T, mesh.n_cells
     x = nodes / T
-    P = _period(mesh, j_max)
+    dyadic = _dyadic_period(mesh, j_max)
+    P = dyadic or j_max + 1
+    weights = _folded_weights if dyadic else _residue_weights
     triA = np.zeros((n, n), order="F")
     M = np.zeros((n, n))
     C = np.zeros((n, n))
-    for r0, r1 in _blocks(P, _CHUNK):
+    for r0, r1 in _blocks(P // 2 if dyadic else P, _CHUNK):
         r = np.arange(r0, r1)
-        w3, w4 = _residue_weights(r, P, j_max)
+        w3, w4 = weights(r, P, j_max)
         phase = np.outer(x, np.pi * (r + 0.5))
         s, c = np.sin(phase), np.cos(phase)
         beta = _hat_bracket(s, nodes)

@@ -46,10 +46,12 @@ from mpmath import mp
 from kronheat.dense import cholesky_lower, eig_pencil
 from kronheat.experiments import (
     ConvergenceRow,
+    EIGSTUDY_HEADER,
     ExperimentConfig,
     assemble_problem,
     eoc,
     format_convergence_row,
+    format_eig_row,
     run_convergence,
     run_eigstudy,
     solution_errors,
@@ -142,6 +144,15 @@ def test_criterion_1_spectral_table(eig_result):
     report(1, ok,
            f"min Re lambda within {worst_lam:.2%} (limit 1%), "
            f"kappa_2 within {worst_kap:.2%} (limit 5%), {seconds:.1f}s < 30s")
+
+
+def test_criterion_1_printed_rows(eig_result):
+    """Levels 0-4 print the recorded eigstudy rows exactly."""
+    rows, _ = eig_result
+    with open(os.path.join(EXPECTED_DIR, "eigstudy-max-level-4.txt")) as fh:
+        header, *expected = fh.read().splitlines()
+    assert header == EIGSTUDY_HEADER
+    assert [format_eig_row(row) for row in rows] == expected
 
 
 def published_orders(reference):
@@ -269,9 +280,9 @@ def test_criterion_2_convergence_table(conv_result):
     report(2, not failures, detail)
 
 
-EXPECTED_ROWS = os.path.join(os.path.dirname(__file__), os.pardir,
-                             "perfbench", "expected",
-                             "convergence-max-level-3.txt")
+EXPECTED_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "expected")
+EXPECTED_ROWS = os.path.join(EXPECTED_DIR, "convergence-max-level-3.txt")
 
 
 def test_criterion_2_printed_errors(conv_result):

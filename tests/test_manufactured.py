@@ -202,6 +202,21 @@ class TestExactFields:
         for field in all_fields(fields, x1, x2, np.nan):
             assert np.isnan(field).all()
 
+    def test_broadcasting_nan_time_comes_out_nan(self):
+        # the broadcasting fields agree with ExactFields at a NaN time,
+        # next to finite and zero times that stay finite
+        x1, x2 = lshape_points(200, seed=1)
+        t = np.array([np.nan, 0.0, 0.25])[:, None, None]
+        fields = (exact_u(x1, x2, t), *exact_grad(x1, x2, t),
+                  exact_dt(x1, x2, t))
+        for field in fields:
+            assert np.isnan(field[0]).all()
+            assert np.all(field[1] == 0.0)
+            assert np.isfinite(field[2]).all()
+        for field in (exact_u(0.5, 0.5, np.nan), *exact_grad(0.5, 0.5, np.nan),
+                      exact_dt(0.5, 0.5, np.nan)):
+            assert np.isnan(field)
+
     def test_nonzero_at_sampled_times(self):
         # guards the oracle comparison against vacuous all-zero fields
         x1, x2 = lshape_points(200, seed=1)

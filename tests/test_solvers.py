@@ -7,8 +7,14 @@ import pytest
 import scipy.sparse as sp
 
 from kronheat import solvers, sparse_direct
-from kronheat.errors import DimensionMismatch, ResidualTooLarge, UsageError
-from kronheat.experiments import assemble_problem
+from kronheat.dense import eig_pencil
+from kronheat.errors import (
+    DefectivePencil,
+    DimensionMismatch,
+    ResidualTooLarge,
+    UsageError,
+)
+from kronheat.experiments import assemble_problem, time_mesh_at_level
 from kronheat.fem import (
     SpatialOperators,
     assemble_global_rhs,
@@ -172,6 +178,29 @@ class TestEigStudy:
         assert row["sigma_min"] == pytest.approx(s_min, rel=1e-3)
         assert row["sigma_max"] == pytest.approx(s_max, rel=1e-3)
         assert row["kappa2"] == pytest.approx(kappa, rel=1e-3)
+
+    @pytest.mark.parametrize("level", range(5))
+    def test_matches_fd_pencil(self, level):
+        # the singular values alone give the statistics of the full SVD
+        temp = assemble_temporal_operators(time_mesh_at_level(level))
+        row = eig_study(temp)
+        pencil = build_pencil(temp, "fd")
+        assert row["n_t"] == 4 * 2**level
+        want = {"min_re_lambda": pencil.min_re_lambda, **pencil.sigma_stats}
+        assert set(row) == {"n_t", *want}
+        for key, value in want.items():
+            assert row[key] == pytest.approx(value, rel=1e-12, abs=0), key
+
+    def test_singular_eigenvectors_raise(self, base_ops, monkeypatch):
+        # a repeated eigenpair passes the residual check; its sigma_min is
+        # rounding (about 1e-16 sigma_max), not exactly 0
+        vals, vecs = eig_pencil(base_ops.M, base_ops.A)
+        vals[1], vecs[:, 1] = vals[0], vecs[:, 0]
+        monkeypatch.setattr(solvers, "eig_pencil", lambda M, A: (vals, vecs))
+        with pytest.raises(DefectivePencil, match="singular"):
+            build_pencil(base_ops, "fd")
+        with pytest.raises(DefectivePencil, match="singular"):
+            eig_study(base_ops)
 
 
 class TestSolveSmall:

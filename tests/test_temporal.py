@@ -11,7 +11,7 @@ from kronheat import (
     tail_bounds,
 )
 from kronheat import temporal
-from kronheat.temporal import _period, _residue_weights
+from kronheat.temporal import _dyadic_period, _period, _residue_weights
 
 mp.mp.dps = 30
 
@@ -327,6 +327,24 @@ class TestResidueWeights:
         ops = assemble_temporal_operators(mesh, 100_000)
         monkeypatch.setattr(temporal, "_residue_weights", summed_weights)
         summed = assemble_temporal_operators(mesh, 100_000)
+        for got, want in zip((ops.A, ops.M, ops.C), (summed.A, summed.M, summed.C)):
+            assert np.array_equal(got, want)
+
+    def test_fold_where_period_is_whole_budget(self, base_mesh):
+        # P = j_max + 1 = 32 is the base mesh's dyadic period: one term per
+        # residue, and each residue r < 16 folds in its mirror 31 - r
+        assert _dyadic_period(base_mesh, 31) == 32
+        assert_matches_oracle(base_mesh, 31)
+
+    def test_even_fallback_period_never_folds(self, base_mesh, monkeypatch):
+        # P = j_max + 1 = 100 is even but not a phase period of the mesh:
+        # folding would pair residues whose sines are not mirrored
+        mesh = ORACLE_MESHES["non-dyadic"](base_mesh)
+        assert _dyadic_period(mesh, 99) is None and _period(mesh, 99) == 100
+        assert_matches_oracle(mesh, 99)
+        ops = assemble_temporal_operators(mesh, 99)
+        monkeypatch.setattr(temporal, "_residue_weights", summed_weights)
+        summed = assemble_temporal_operators(mesh, 99)
         for got, want in zip((ops.A, ops.M, ops.C), (summed.A, summed.M, summed.C)):
             assert np.array_equal(got, want)
 
