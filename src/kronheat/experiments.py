@@ -24,7 +24,7 @@ from .fem import (
     project_rhs,
 )
 from .lshape import build_lshape_mesh
-from .manufactured import ExactFields, exact_u
+from .manufactured import ExactFields
 from .solvers import TOLERANCES, SpaceTimeSystem, eig_study, solve
 from .temporal import TemporalMesh, assemble_temporal_operators, refine_bisect
 
@@ -150,8 +150,9 @@ def assemble_problem(level):
     mesh_t = time_mesh_at_level(level)
     ops = assemble_p1(mesh_x)
     temp = assemble_temporal_operators(mesh_t)
-    F = project_rhs(mesh_x, mesh_t, ExactFields().source)
-    lift = dirichlet_lift(mesh_x, mesh_t, exact_u)
+    fields = ExactFields()
+    F = project_rhs(mesh_x, mesh_t, fields.source)
+    lift = dirichlet_lift(mesh_x, mesh_t, fields.u)
     rhs = assemble_global_rhs(F, ops, temp, lift=lift)
     system = SpaceTimeSystem(temporal=temp, spatial=ops, rhs=rhs)
     return ProblemData(level=level, mesh_x=mesh_x, mesh_t=mesh_t,

@@ -308,13 +308,21 @@ def project_rhs(mesh_x, mesh_t, f, quad_order=6):
 def dirichlet_lift(mesh_x, mesh_t, g):
     """Nodal boundary values at temporal nodes t_1..t_N.
 
+    ``g(x1, x2, t)`` is called once per node with a scalar ``t`` and the
+    same 1-D boundary coordinates; each result is copied, so ``g`` may
+    reuse its buffer (``manufactured.ExactFields().u``).
+
     Returns
     -------
     ndarray of shape (n_boundary_vertices, N_t)
     """
     bverts = mesh_x.vertices[mesh_x.boundary]
+    x1, x2 = bverts[:, 0], bverts[:, 1]
     t = mesh_t.nodes[1:]
-    return g(bverts[:, :1], bverts[:, 1:2], t[None, :])
+    lift = np.empty((len(bverts), len(t)))
+    for k, t_k in enumerate(t):
+        lift[:, k] = g(x1, x2, t_k)
+    return lift
 
 
 def assemble_global_rhs(F, ops, temp, lift=None):

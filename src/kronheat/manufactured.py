@@ -10,17 +10,17 @@ f = dt u - laplace u involves only the cross terms with the sine factor.
 The center lies inside the removed quadrant of the L-shaped domain, so u
 is smooth up to the boundary and decays to zero as t -> 0.
 
-``exact_u``, ``exact_grad`` and ``exact_dt`` broadcast over all inputs.
-``ExactFields`` evaluates the same fields and the source at many scalar
-times on one fixed point set, as the error norms and the load projection
-do, without recomputing what does not depend on t.
+``ExactFields`` evaluates u, its derivatives and the source at many
+scalar times on one fixed point set, as the error norms, the load
+projection and the Dirichlet lift do, without recomputing what does not
+depend on t.
 """
 
 import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["CENTER", "ExactFields", "exact_u", "exact_dt", "exact_grad"]
+__all__ = ["CENTER", "ExactFields"]
 
 CENTER = (0.25, -0.25)
 
@@ -29,53 +29,13 @@ CENTER = (0.25, -0.25)
 _EXP_CUT = 700.0
 
 
-def _gaussian(x1, x2, t):
-    # returns (G, r2) with G = 5/(2 pi t) exp(-r2 / (4 t)); the limit
-    # t -> 0+ is zero away from the center, which is all of the domain.
-    # The guards here and below test t <= 0, so a NaN time stays NaN
-    r2 = (x1 - CENTER[0]) ** 2 + (x2 - CENTER[1]) ** 2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = 5.0 / (2.0 * np.pi * t) * np.exp(-r2 / (4.0 * t))
-        g = np.where(t <= 0.0, 0.0, g)
-    return g, r2
-
-
-def exact_u(x1, x2, t):
-    """Evaluate the manufactured solution; broadcasts over inputs."""
-    x1, x2, t = np.broadcast_arrays(*map(np.asarray, (x1, x2, t)))
-    g, _ = _gaussian(x1, x2, t)
-    return g * np.sin(np.pi * x1 * x2)
-
-
-def exact_dt(x1, x2, t):
-    """Time derivative of the manufactured solution."""
-    x1, x2, t = np.broadcast_arrays(*map(np.asarray, (x1, x2, t)))
-    g, r2 = _gaussian(x1, x2, t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = r2 / (4.0 * t**2) - 1.0 / t
-        factor = np.where(t <= 0.0, 0.0, factor)
-    return g * factor * np.sin(np.pi * x1 * x2)
-
-
-def exact_grad(x1, x2, t):
-    """Spatial gradient; returns the pair (du/dx1, du/dx2)."""
-    x1, x2, t = np.broadcast_arrays(*map(np.asarray, (x1, x2, t)))
-    g, _ = _gaussian(x1, x2, t)
-    s = np.sin(np.pi * x1 * x2)
-    c = np.pi * np.cos(np.pi * x1 * x2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        half_t = np.where(t <= 0.0, 0.0, 0.5 / t)
-    dg1 = -g * (x1 - CENTER[0]) * half_t
-    dg2 = -g * (x2 - CENTER[1]) * half_t
-    return dg1 * s + g * x2 * c, dg2 * s + g * x1 * c
-
-
 class ExactFields:
     """The manufactured solution, its derivatives and source, memoized.
 
-    The bound methods ``u``, ``grad`` and ``dt`` take ``(x1, x2, t)`` and
-    return what ``exact_u``, ``exact_grad`` and ``exact_dt`` return, for a
-    scalar ``t``; ``source`` returns the heat source dt u - laplace u,
+    The bound methods take ``(x1, x2, t)`` for a scalar ``t``, with x1
+    and x2 broadcast against each other: ``u`` returns u, ``grad`` the
+    pair (du/dx1, du/dx2), ``dt`` du/dt, and ``source`` the heat source
+    dt u - laplace u,
 
         f = G * (pi ((x1 - 1/4) x2 + (x2 + 1/4) x1) cos(pi x1 x2) / t
                  + pi^2 (x1^2 + x2^2) sin(pi x1 x2)),

@@ -7,20 +7,21 @@ P^T = left T^T right, right = left^{-1} (:func:`build_pencil`):
 
 * ``bs-real``: real Schur (Q, R, Q^T), R quasi-triangular;
 * ``bs-complex``: complex Schur (conj(W), S, W^T), S triangular;
-* ``fd``: eigenvectors (X^{-T}, D, X^T), both formed from the SVD of X.
+* ``fd``: eigenvectors (X^{-T}, diag(D), X^T), both formed from the SVD
+  of X.
 
 It then transforms in, G = F A_t^{-1} left, and sweeps the spatial
 systems of M_x Z + A_x Z T^T = G, each one shift lambda of the pencil
 M_x + lambda A_x under the one ``sparse_direct.analyze`` of every solve.
-The Schur variants back-substitute over the diagonal blocks of T
+Every variant back-substitutes over the diagonal blocks of T
 (:func:`_back_substitution`): a 2x2 block of R, a conjugate pair, is one
-complex solve at one eigenvalue of the pair, while S has only 1x1
-blocks.  fd solves the N_t diagonal systems independently, optionally
-on a thread pool (:func:`_independent_sweep`).  Last, U = Z right drops
-an imaginary part below the variant's tolerance and the relative
-residual is checked against the variant's bound.  A failed fd solve is
-rerun with bs-complex and the report says so; a failed Schur solve
-raises.
+complex solve at one eigenvalue of the pair; S and diag(D) have 1x1
+blocks only, and those of diag(D) are uncoupled, so fd's N_t systems
+may run on a thread pool (the fast diagonalization of Lynch, Rice and
+Thomas).  Last, U = Z right drops an imaginary part below the
+variant's tolerance and the relative residual is checked against the
+variant's bound.  A failed fd solve is rerun with bs-complex and the
+report says so; a failed Schur solve raises.
 """
 
 import time
@@ -100,10 +101,11 @@ class SpaceTimeSystem:
 class Pencil:
     """P^T = left T^T right for P = A_t^{-1} M_t, plus chol(A_t).
 
-    T is R (bs-real), S (bs-complex) or the eigenvalue vector D (fd,
-    standing for diag(D)).  ``sigma`` holds the singular values of fd's
-    eigenvector matrix in decreasing order (None for the Schur variants),
-    and ``sigma_stats`` their extremes and kappa2 = sigma_max/sigma_min.
+    T is R (bs-real), S (bs-complex) or diag(D) of the eigenvalues D
+    (fd), N_t x N_t for every variant.  ``sigma`` holds the singular
+    values of fd's eigenvector matrix in decreasing order (None for the
+    Schur variants), and ``sigma_stats`` their extremes and
+    kappa2 = sigma_max/sigma_min.
     """
 
     chol_A: np.ndarray
@@ -193,12 +195,12 @@ def build_pencil(temporal, variant):
         U, sigma, Vh = svd_of_eigenvectors(vecs)
         left = (np.conj(U) / sigma[None, :]) @ np.conj(Vh)
         right = (Vh.T * sigma[None, :]) @ U.T
-        T = vals
+        T = np.diag(vals)
     else:
         raise ValueError(f"unknown pencil variant: {variant!r}")
     # LAPACK gives the two diagonal entries of a 2x2 block of R the real
     # part of its conjugate pair, so diag(T) holds every real part
-    min_re = _min_re_lambda(T if T.ndim == 1 else np.diag(T))
+    min_re = _min_re_lambda(np.diag(T))
     return Pencil(chol_A=L, left=left, T=T, right=right,
                   min_re_lambda=min_re, sigma=sigma)
 
@@ -224,7 +226,7 @@ def _min_re_lambda(eigenvalues):
     return min_re
 
 
-def _back_substitution(G, T, A, symbolic):
+def _back_substitution(G, T, A, symbolic, threads):
     """Solve M Z + A Z T^T = G for Z, with T upper quasi-triangular.
 
     Walks the diagonal blocks of T from the last one; each block is one
@@ -235,13 +237,21 @@ def _back_substitution(G, T, A, symbolic):
     solve (M + (a + i omega) A) w = b2 h_s + i omega h_{s+1} for
     w = b2 z_s + i omega z_{s+1}, where h is G less the coupling
     A Z[:, end:] T[s:end, end:]^T to the columns already solved, formed
-    when the block is reached.
+    when the block is reached and only if T[s:end, end:] is nonzero.
+    Where no block couples to another (fd's diagonal T) and ``threads``
+    exceeds 1, the blocks run on a pool of that many workers; none then
+    reads Z, and each writes only its own columns.
     """
     n_t = G.shape[1]
     Z = np.zeros_like(G)
     starts = block_starts(T)
-    for s, end in reversed(list(zip(starts, starts[1:] + [n_t]))):
-        h = G[:, s:end] - A @ (Z[:, end:] @ T[s:end, end:].T)
+    blocks = list(zip(starts, starts[1:] + [n_t]))
+
+    def solve_block(block):
+        s, end = block
+        h = G[:, s:end]
+        if T[s:end, end:].any():
+            h = h - A @ (Z[:, end:] @ T[s:end, end:].T)
         if end - s == 1:
             Z[:, s] = sparse_direct.factorize(symbolic, T[s, s]).solve(h[:, 0])
         else:
@@ -251,23 +261,14 @@ def _back_substitution(G, T, A, symbolic):
             numeric = sparse_direct.factorize(symbolic, lam)
             w = numeric.solve(b2 * h[:, 0] + 1j * omega * h[:, 1])
             Z[:, s], Z[:, s + 1] = w.real / b2, w.imag / omega
-    return Z
 
-
-def _independent_sweep(G, D, symbolic, threads):
-    """Solve (M + D[k] A) z_k = g_k for every column k independently.
-
-    ``threads`` sizes the worker pool; ``symbolic`` is shared read-only.
-    """
-
-    def spatial_solve(k):
-        return sparse_direct.factorize(symbolic, D[k]).solve(G[:, k])
-
-    columns = range(G.shape[1])
-    if threads > 1:
+    if threads > 1 and not any(T[s:end, end:].any() for s, end in blocks):
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.column_stack(list(pool.map(spatial_solve, columns)))
-    return np.column_stack([spatial_solve(k) for k in columns])
+            list(pool.map(solve_block, blocks))
+    else:
+        for block in reversed(blocks):
+            solve_block(block)
+    return Z
 
 
 def _solve(system, variant, threads):
@@ -291,10 +292,7 @@ def _solve(system, variant, threads):
     analyze_before = sparse_direct.analyze_call_count()
     A = system.spatial.A_II
     symbolic = sparse_direct.analyze(system.spatial.M_II, A)
-    if variant == "fd":
-        Z = _independent_sweep(G, pencil.T, symbolic, threads)
-    else:
-        Z = _back_substitution(G, pencil.T, A, symbolic)
+    Z = _back_substitution(G, pencil.T, A, symbolic, threads)
     report.analyze_calls = sparse_direct.analyze_call_count() - analyze_before
     report.t_spatial = time.perf_counter() - t0
 

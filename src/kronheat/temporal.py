@@ -184,15 +184,6 @@ def _dyadic_period(mesh: TemporalMesh, j_max: int) -> int | None:
     return None
 
 
-def _period(mesh: TemporalMesh, j_max: int) -> int:
-    """Phase period P of the series on `mesh`: sin/cos(theta_j t_i/T) depend on j mod P.
-
-    The dyadic period where there is one, otherwise P = j_max + 1 and
-    every residue holds a single term.
-    """
-    return _dyadic_period(mesh, j_max) or j_max + 1
-
-
 def _residue_weights(r: np.ndarray, P: int, j_max: int) -> tuple[np.ndarray, np.ndarray]:
     """W_k(r) = sum of theta_j^-k over j = r + qP <= j_max, for k = 3 and 4.
 

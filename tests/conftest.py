@@ -35,6 +35,50 @@ def solve_dense_oracle(system):
     return solvers.SpaceTimeSolution(coefficients=coeffs)
 
 
+def _gaussian(x1, x2, t):
+    # returns (G, r2) with G = 5/(2 pi t) exp(-r2 / (4 t)); the limit
+    # t -> 0+ is zero away from the center, which is all of the domain.
+    # The guards here and below test t <= 0, so a NaN time stays NaN
+    r2 = (x1 - CENTER[0]) ** 2 + (x2 - CENTER[1]) ** 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = 5.0 / (2.0 * np.pi * t) * np.exp(-r2 / (4.0 * t))
+        g = np.where(t <= 0.0, 0.0, g)
+    return g, r2
+
+
+def exact_u(x1, x2, t):
+    """The manufactured solution; broadcasts over all inputs.
+
+    With ``exact_grad`` and ``exact_dt``, the oracle of ``ExactFields``.
+    """
+    x1, x2, t = np.broadcast_arrays(*map(np.asarray, (x1, x2, t)))
+    g, _ = _gaussian(x1, x2, t)
+    return g * np.sin(np.pi * x1 * x2)
+
+
+def exact_dt(x1, x2, t):
+    """Time derivative of the manufactured solution."""
+    x1, x2, t = np.broadcast_arrays(*map(np.asarray, (x1, x2, t)))
+    g, r2 = _gaussian(x1, x2, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = r2 / (4.0 * t**2) - 1.0 / t
+        factor = np.where(t <= 0.0, 0.0, factor)
+    return g * factor * np.sin(np.pi * x1 * x2)
+
+
+def exact_grad(x1, x2, t):
+    """Spatial gradient; returns the pair (du/dx1, du/dx2)."""
+    x1, x2, t = np.broadcast_arrays(*map(np.asarray, (x1, x2, t)))
+    g, _ = _gaussian(x1, x2, t)
+    s = np.sin(np.pi * x1 * x2)
+    c = np.pi * np.cos(np.pi * x1 * x2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half_t = np.where(t <= 0.0, 0.0, 0.5 / t)
+    dg1 = -g * (x1 - CENTER[0]) * half_t
+    dg2 = -g * (x2 - CENTER[1]) * half_t
+    return dg1 * s + g * x2 * c, dg2 * s + g * x1 * c
+
+
 def source_f(x1, x2, t):
     """Heat source dt u - laplace u of the manufactured solution.
 

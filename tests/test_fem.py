@@ -9,7 +9,11 @@ import scipy.linalg as sla
 
 from kronheat import fem
 from kronheat.errors import DimensionMismatch, UsageError
-from kronheat.experiments import assemble_problem, solution_errors
+from kronheat.experiments import (
+    assemble_problem,
+    solution_errors,
+    time_mesh_at_level,
+)
 from kronheat.fem import (
     _graded_unit_edges,
     _space_points,
@@ -22,11 +26,18 @@ from kronheat.fem import (
     triangle_rule,
 )
 from kronheat.lshape import TriangleMesh, build_lshape_mesh
-from kronheat.manufactured import ExactFields, exact_dt, exact_grad, exact_u
+from kronheat.manufactured import ExactFields
 from kronheat.solvers import solve
 from kronheat.temporal import TemporalMesh, assemble_temporal_operators
 
-from conftest import BASE_NODES, error_norms_reference, refine_uniform
+from conftest import (
+    BASE_NODES,
+    error_norms_reference,
+    exact_dt,
+    exact_grad,
+    exact_u,
+    refine_uniform,
+)
 
 
 def reference_triangle():
@@ -209,6 +220,17 @@ class TestDirichletLift:
         bv = mesh_x.vertices[mesh_x.boundary]
         for j, t in enumerate(mesh_t.nodes[1:]):
             assert np.allclose(G[:, j], bv[:, 0] + 10 * bv[:, 1] + 100 * t)
+
+    def test_exact_fields_lift_matches_oracle(self):
+        # ExactFields().u returns views of one reused buffer, so the lift
+        # must copy each column or every column holds the last node's
+        mesh_x = build_lshape_mesh(2)
+        mesh_t = time_mesh_at_level(2)
+        lift = dirichlet_lift(mesh_x, mesh_t, ExactFields().u)
+        bv = mesh_x.vertices[mesh_x.boundary]
+        want = exact_u(bv[:, :1], bv[:, 1:], mesh_t.nodes[None, 1:])
+        assert np.max(np.abs(lift - want)) <= 1e-15 * np.max(np.abs(want))
+        assert len(np.unique(lift, axis=1).T) == mesh_t.n_cells
 
 
 @pytest.fixture(scope="module")

@@ -6,16 +6,9 @@ import numpy as np
 import pytest
 
 from kronheat.errors import UsageError
-from kronheat.manufactured import (
-    _EXP_CUT,
-    CENTER,
-    ExactFields,
-    exact_dt,
-    exact_grad,
-    exact_u,
-)
+from kronheat.manufactured import _EXP_CUT, CENTER, ExactFields
 
-from conftest import source_f
+from conftest import exact_dt, exact_grad, exact_u, source_f
 
 # probe points inside the L-shape, away from the removed quadrant
 POINTS = np.array([

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from kronheat import solvers, sparse_direct
-from kronheat.dense import eig_pencil
+from kronheat.dense import block_starts, eig_pencil
 from kronheat.errors import (
     DefectivePencil,
     DimensionMismatch,
@@ -23,7 +23,7 @@ from kronheat.fem import (
     project_rhs,
 )
 from kronheat.lshape import build_lshape_mesh
-from kronheat.manufactured import ExactFields, exact_u
+from kronheat.manufactured import ExactFields
 from kronheat.solvers import (
     SpaceTimeSystem,
     build_pencil,
@@ -48,8 +48,9 @@ def make_problem(level=0, refinements=0, j_max=100_000):
         mesh_t = refine_bisect(mesh_t)
     ops = assemble_p1(mesh_x)
     temp = assemble_temporal_operators(mesh_t, j_max=j_max)
-    F = project_rhs(mesh_x, mesh_t, ExactFields().source, quad_order=4)
-    lift = dirichlet_lift(mesh_x, mesh_t, exact_u)
+    fields = ExactFields()
+    F = project_rhs(mesh_x, mesh_t, fields.source, quad_order=4)
+    lift = dirichlet_lift(mesh_x, mesh_t, fields.u)
     rhs = assemble_global_rhs(F, ops, temp, lift=lift)
     return SpaceTimeSystem(temporal=temp, spatial=ops, rhs=rhs)
 
@@ -126,11 +127,11 @@ def oracle_solution(small_system):
 class TestBuildPencil:
     @pytest.mark.parametrize("variant", ["bs-real", "bs-complex", "fd"])
     def test_transforms_reproduce_pencil(self, base_ops, variant):
-        # P^T = left T^T right, the identity both sweeps rely on
+        # P^T = left T^T right, the identity the sweep relies on
         pencil = build_pencil(base_ops, variant)
         P = np.linalg.solve(base_ops.A, base_ops.M)
-        T = np.diag(pencil.T) if variant == "fd" else pencil.T
-        PT = pencil.left @ T.T @ pencil.right
+        assert pencil.T.shape == P.shape
+        PT = pencil.left @ pencil.T.T @ pencil.right
         assert np.linalg.norm(PT - P.T) < 1e-10 * np.linalg.norm(P)
         assert (pencil.sigma is None) == (variant != "fd")
 
@@ -248,7 +249,7 @@ class TestSolveSmall:
     def test_fd_threads_agree(self, small_system):
         a, _ = solve_as(small_system, "fd", threads=1)
         b, r = solve_as(small_system, "fd", threads=3)
-        assert rel_diff(a.coefficients, b.coefficients) < 1e-13
+        assert np.array_equal(a.coefficients, b.coefficients)
         assert r.threads == 3
 
     def test_one_symbolic_analysis_per_solve(self, small_system,
@@ -276,8 +277,9 @@ def odd_system():
     mesh_t = TemporalMesh(np.linspace(0.0, 0.5, 4))
     ops = assemble_p1(mesh_x)
     temp = assemble_temporal_operators(mesh_t, j_max=100_000)
-    F = project_rhs(mesh_x, mesh_t, ExactFields().source, quad_order=4)
-    lift = dirichlet_lift(mesh_x, mesh_t, exact_u)
+    fields = ExactFields()
+    F = project_rhs(mesh_x, mesh_t, fields.source, quad_order=4)
+    lift = dirichlet_lift(mesh_x, mesh_t, fields.u)
     rhs = assemble_global_rhs(F, ops, temp, lift=lift)
     return SpaceTimeSystem(temporal=temp, spatial=ops, rhs=rhs)
 
@@ -334,31 +336,66 @@ class TestPairSystems:
         assert set(sizes) == {system.m_x}
         assert set(fill) == {predicted}
 
-    def test_back_substitution_matches_dense_kronecker(self):
-        # standardized quasi-triangular T: 2x2 blocks [[a, b1], [b2, a]]
-        # with |b1/b2| of 69 and 1/69 and b2 of both signs, 1x1 blocks
-        # between them, and nonzero couplings above the blocks
+    @pytest.mark.parametrize("form, threads", [
+        ("quasi-triangular", 1), ("diagonal", 1), ("diagonal", 2),
+        ("quasi-triangular", 2),
+    ], ids=["quasi-triangular", "diagonal-t1", "diagonal-t2",
+            "quasi-triangular-t2"])
+    def test_back_substitution_matches_dense_kronecker(self, form, threads):
+        # quasi-triangular: a standardized T with 2x2 blocks
+        # [[a, b1], [b2, a]], |b1/b2| of 69 and 1/69 and b2 of both signs,
+        # 1x1 blocks between them, and nonzero couplings above the blocks,
+        # which keep the walk serial whatever the thread count;
+        # diagonal: fd's complex diag(D), whose blocks are uncoupled and
+        # run on the pool when threads > 1
         m_x = 9
         M, A = fem_pair_1d(m_x, 21)
-        blocks = [np.array([[0.3, 6.9], [-0.1, 0.3]]),
-                  np.array([[0.7]]),
-                  np.array([[0.5, -0.05], [3.45, 0.5]]),
-                  np.array([[1.2, -0.8], [0.6, 1.2]]),
-                  np.array([[0.2]])]
-        n_t = sum(len(b) for b in blocks)
         rng = np.random.default_rng(22)
-        T = np.triu(rng.standard_normal((n_t, n_t)), 1)
-        k = 0
-        for b in blocks:
-            T[k:k + len(b), k:k + len(b)] = b
-            k += len(b)
-        G = rng.standard_normal((m_x, n_t))
+        if form == "diagonal":
+            n_t = 6
+            T = np.diag(rng.uniform(0.1, 2.0, n_t)
+                        + 1j * rng.uniform(-1.0, 1.0, n_t))
+        else:
+            blocks = [np.array([[0.3, 6.9], [-0.1, 0.3]]),
+                      np.array([[0.7]]),
+                      np.array([[0.5, -0.05], [3.45, 0.5]]),
+                      np.array([[1.2, -0.8], [0.6, 1.2]]),
+                      np.array([[0.2]])]
+            n_t = sum(len(b) for b in blocks)
+            T = np.triu(rng.standard_normal((n_t, n_t)), 1)
+            k = 0
+            for b in blocks:
+                T[k:k + len(b), k:k + len(b)] = b
+                k += len(b)
+        G = rng.standard_normal((m_x, n_t)).astype(T.dtype)
         symbolic = sparse_direct.analyze(M, A)
-        Z = solvers._back_substitution(G, T, A, symbolic)
+        Z = solvers._back_substitution(G, T, A, symbolic, threads)
         K = (np.kron(np.eye(n_t), M.toarray())
              + np.kron(T, A.toarray()))
         expect = np.linalg.solve(K, G.ravel(order="F"))
         assert rel_diff(Z.ravel(order="F"), expect) < 1e-12
+
+    @pytest.mark.parametrize("variant, threads", [
+        ("bs-real", 1), ("bs-complex", 1), ("fd", 1), ("fd", 2),
+    ], ids=["bs-real", "bs-complex", "fd", "fd-t2"])
+    def test_one_factorization_per_diagonal_block(self, small_system,
+                                                  odd_system, monkeypatch,
+                                                  variant, threads):
+        # one shift per diagonal block of the variant's T: pairs of R are
+        # one factorization each, and no block is skipped or solved twice
+        factorize = sparse_direct.factorize
+        shifts = []
+
+        def recording(symbolic, shift):
+            shifts.append(shift)
+            return factorize(symbolic, shift)
+
+        monkeypatch.setattr(sparse_direct, "factorize", recording)
+        for system in (small_system, odd_system):
+            shifts.clear()
+            solve_as(system, variant, threads)
+            T = build_pencil(system.temporal, variant).T
+            assert len(shifts) == len(block_starts(T))
 
 
 class TestScalarReductions:

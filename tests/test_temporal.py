@@ -11,7 +11,7 @@ from kronheat import (
     tail_bounds,
 )
 from kronheat import temporal
-from kronheat.temporal import _dyadic_period, _period, _residue_weights
+from kronheat.temporal import _dyadic_period, _residue_weights
 
 mp.mp.dps = 30
 
@@ -248,21 +248,21 @@ class TestResidueSummation:
         assert_matches_oracle(ORACLE_MESHES[name](base_mesh), 20_000)
 
     def test_periods(self, base_mesh):
-        assert _period(base_mesh, 20_000) == 32
-        assert _period(refine_bisect(refine_bisect(base_mesh)), 20_000) == 128
-        assert _period(TemporalMesh([0.0, 0.7]), 20_000) == 2
+        assert _dyadic_period(base_mesh, 20_000) == 32
+        assert _dyadic_period(refine_bisect(refine_bisect(base_mesh)), 20_000) == 128
+        assert _dyadic_period(TemporalMesh([0.0, 0.7]), 20_000) == 2
         # the period never exceeds the number of terms
-        assert _period(base_mesh, 20) == 21
+        assert _dyadic_period(base_mesh, 20) is None
         # non-dyadic meshes, even one node a single ulp off the grid, sum
         # term by term
-        assert _period(TemporalMesh([0.0, 0.2, 0.5, 1.3]), 20_000) == 20_001
-        assert _period(one_ulp_off(base_mesh), 20_000) == 20_001
+        assert _dyadic_period(TemporalMesh([0.0, 0.2, 0.5, 1.3]), 20_000) is None
+        assert _dyadic_period(one_ulp_off(base_mesh), 20_000) is None
 
     def test_level4(self, base_mesh):
         mesh = base_mesh
         for _ in range(4):
             mesh = refine_bisect(mesh)
-        assert _period(mesh, DEFAULT_J_MAX) == 512
+        assert _dyadic_period(mesh, DEFAULT_J_MAX) == 512
         assert_matches_oracle(mesh, 100_000)
 
 
@@ -340,7 +340,7 @@ class TestResidueWeights:
         # P = j_max + 1 = 100 is even but not a phase period of the mesh:
         # folding would pair residues whose sines are not mirrored
         mesh = ORACLE_MESHES["non-dyadic"](base_mesh)
-        assert _dyadic_period(mesh, 99) is None and _period(mesh, 99) == 100
+        assert _dyadic_period(mesh, 99) is None
         assert_matches_oracle(mesh, 99)
         ops = assemble_temporal_operators(mesh, 99)
         monkeypatch.setattr(temporal, "_residue_weights", summed_weights)
