@@ -1,8 +1,10 @@
 """Dense linear-algebra kernels for the temporal pencil.
 
 Wraps LAPACK-backed routines (Schur, eigen, SVD, Cholesky) with the
-residual and singularity checks the space-time solvers rely on.  All
-tolerances are relative Frobenius residuals around 1e-12.
+residual and singularity checks the space-time solvers rely on.  A Schur
+form passes if its Frobenius residual is at most 100 * RESIDUAL_TOL =
+1e-10 times max(||P||_F, 1); an eigenvector matrix counts as singular
+if sigma_min <= N eps sigma_max.
 """
 
 import numpy as np
@@ -51,7 +53,8 @@ def real_schur(P):
     Returns
     -------
     (Q, R)
-        With ``P = Q R Q^T`` to a relative Frobenius residual of 1e-12.
+        With ``P = Q R Q^T`` to a Frobenius residual of at most 1e-10
+        max(||P||_F, 1).
         R is quasi-triangular; LAPACK standardizes each 2x2 block, a pair
         alpha +- i sqrt(-b1 b2), to diagonal entries alpha, alpha.
     """

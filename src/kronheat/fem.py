@@ -31,11 +31,6 @@ __all__ = [
     "error_norms",
 ]
 
-_SQRT15 = math.sqrt(15.0)
-
-# Rules on the reference triangle (0,0)-(1,0)-(0,1); weights sum to 1/2.
-# Entries are (degree, points, normalized weights summing to one).
-
 
 def _perm3(a):
     b = 1.0 - 2.0 * a
@@ -47,25 +42,16 @@ def _perm6(a, b):
     return [(a, b), (b, a), (a, c), (c, a), (b, c), (c, b)]
 
 
-_TRIANGLE_RULES = {
-    1: ([(1 / 3, 1 / 3)], [1.0]),
-    2: (_perm3(1 / 6), [1 / 3] * 3),
-    3: ([(1 / 3, 1 / 3)] + _perm3(1 / 5), [-27 / 48] + [25 / 48] * 3),
-    5: (
-        [(1 / 3, 1 / 3)] + _perm3((6 - _SQRT15) / 21) + _perm3((6 + _SQRT15) / 21),
-        [9 / 40]
-        + [(155 - _SQRT15) / 1200] * 3
-        + [(155 + _SQRT15) / 1200] * 3,
-    ),
-    6: (
-        _perm3(0.063089014491502)
-        + _perm3(0.249286745170910)
-        + _perm6(0.310352451033785, 0.053145049844816),
-        [0.050844906370207] * 3
-        + [0.116786275726379] * 3
-        + [0.082851075618374] * 6,
-    ),
-}
+# The 12-point degree-6 rule on the reference triangle (0,0)-(1,0)-(0,1):
+# points and normalized weights summing to one.
+_DEGREE6_RULE = (
+    _perm3(0.063089014491502)
+    + _perm3(0.249286745170910)
+    + _perm6(0.310352451033785, 0.053145049844816),
+    [0.050844906370207] * 3
+    + [0.116786275726379] * 3
+    + [0.082851075618374] * 6,
+)
 
 
 def _collapsed_rule(order):
@@ -87,9 +73,9 @@ def _collapsed_rule(order):
 def triangle_rule(order):
     """Quadrature points and weights on the reference triangle.
 
-    Picks the smallest catalog rule of at least the requested degree;
-    beyond degree 6 a collapsed tensor rule is constructed.  Weights sum
-    to the reference area 1/2.
+    Up to degree 6 this is the 12-point degree-6 rule; beyond it a
+    collapsed tensor rule is constructed.  Weights sum to the reference
+    area 1/2.
 
     Parameters
     ----------
@@ -102,10 +88,9 @@ def triangle_rule(order):
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    for degree in sorted(_TRIANGLE_RULES):
-        if degree >= order:
-            pts, wts = _TRIANGLE_RULES[degree]
-            return np.array(pts, dtype=float), 0.5 * np.array(wts, dtype=float)
+    if order <= 6:
+        pts, wts = _DEGREE6_RULE
+        return np.array(pts, dtype=float), 0.5 * np.array(wts, dtype=float)
     return _collapsed_rule(order)
 
 
@@ -113,6 +98,18 @@ def gauss_rule_01(n):
     """n-point Gauss-Legendre rule on the unit interval."""
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _load_quadrature():
+    # the spatial and temporal rule of project_rhs
+    return triangle_rule(6), gauss_rule_01(5)
+
+
+def _error_quadrature():
+    # the spatial and temporal rule of error_norms, chosen so level-0
+    # norms are stable to ~1e-5 relative; the spatial rule is the
+    # limiting factor on the coarse 0.5-sized triangles
+    return triangle_rule(12), gauss_rule_01(8)
 
 
 GRADED_SPLITS = 12
@@ -268,8 +265,11 @@ def _space_points(mesh, pts):
     return phys[..., 0], phys[..., 1], lam
 
 
-def project_rhs(mesh_x, mesh_t, f, quad_order=6):
+def project_rhs(mesh_x, mesh_t, f):
     """Cell averages of a space-time field over triangle x interval cells.
+
+    The rule is the degree-6 triangle rule in space and 5 Gauss points in
+    time, on 12 graded panels in the first cell.
 
     Parameters
     ----------
@@ -281,15 +281,12 @@ def project_rhs(mesh_x, mesh_t, f, quad_order=6):
         (the physical spatial quadrature points, one row per triangle),
         so a memoizing callable such as ``manufactured.ExactFields().source``
         can keep its t-independent factors.
-    quad_order : int
-        Polynomial degree of the tensor Gauss rule.
 
     Returns
     -------
     ndarray of shape (n_triangles, n_cells)
     """
-    pts, wts = triangle_rule(quad_order)
-    tq, tw = gauss_rule_01((quad_order + 4) // 2)
+    (pts, wts), (tq, tw) = _load_quadrature()
     x1, x2, _ = _space_points(mesh_x, pts)
 
     nodes = mesh_t.nodes
@@ -325,7 +322,7 @@ def dirichlet_lift(mesh_x, mesh_t, g):
     return lift
 
 
-def assemble_global_rhs(F, ops, temp, lift=None):
+def assemble_global_rhs(F, ops, temp, lift):
     """Load vector of the Kronecker system, interior unknowns only.
 
     Combines the projected source with the boundary-lift coupling,
@@ -340,8 +337,8 @@ def assemble_global_rhs(F, ops, temp, lift=None):
         Cell averages from project_rhs.
     ops : SpatialOperators
     temp : TemporalOperators
-    lift : ndarray (n_boundary, N_t) or None
-        Boundary nodal values; None means homogeneous data.
+    lift : ndarray (n_boundary, N_t)
+        Boundary nodal values from dirichlet_lift.
 
     Returns
     -------
@@ -352,27 +349,13 @@ def assemble_global_rhs(F, ops, temp, lift=None):
         raise DimensionMismatch(
             f"F has shape {F.shape}, expected {(ops.M10.shape[1], n_t)}"
         )
+    if lift.shape != (ops.M_IB.shape[1], n_t):
+        raise DimensionMismatch(
+            f"lift has shape {lift.shape}, expected {(ops.M_IB.shape[1], n_t)}"
+        )
     rhs = ops.M10 @ F @ temp.C.T
-    if lift is not None:
-        if lift.shape != (ops.M_IB.shape[1], n_t):
-            raise DimensionMismatch(
-                f"lift has shape {lift.shape}, expected {(ops.M_IB.shape[1], n_t)}"
-            )
-        rhs = rhs - ops.M_IB @ lift @ temp.A.T - ops.A_IB @ lift @ temp.M.T
+    rhs = rhs - ops.M_IB @ lift @ temp.A.T - ops.A_IB @ lift @ temp.M.T
     return rhs.ravel(order="F")
-
-
-def _error_quadrature(quad_order):
-    # the default is calibrated so level-0 norms are stable to ~1e-5
-    # relative; the spatial rule is the limiting factor on the coarse
-    # 0.5-sized triangles
-    if quad_order is None:
-        return triangle_rule(12), gauss_rule_01(8)
-    if quad_order < 2:
-        raise UsageError(
-            f"error quad_order {quad_order} < 2: the error split needs a "
-            f"spatial rule that integrates products of P1 functions exactly")
-    return triangle_rule(quad_order), gauss_rule_01((quad_order + 2) // 2)
 
 
 def _p1_split(f, proj, lam, wts, r):
@@ -402,10 +385,10 @@ def _p0_split(f, proj, wts, r):
     return mean, wts @ r
 
 
-def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt, quad_order=None):
+def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt):
     """Space-time L2 and H1-seminorm errors of discrete functions.
 
-    The discrete function is piecewise linear in space and time with
+    Each discrete function is piecewise linear in space and time with
     nodal coefficients at temporal nodes t_1..t_N; it vanishes at t = 0.
     The seminorm contains the full space-time gradient,
     sqrt(|dt e|^2 + |grad_x e|^2) integrated over the cylinder.
@@ -414,20 +397,19 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt, quad_order=None):
     e = (u - Pi u) + (Pi u - u_h), where Pi is the local L2 projection:
     onto P1 for the value and for the time derivative (u_h's time
     derivative is P1 in space within a cell), onto constants for the
-    spatial gradient.  The spatial rule integrates products of P1
-    functions exactly (degree >= 2, so ``quad_order`` 1 is refused), so
-    the two parts are orthogonal under it and their squares add.  The
-    first part does not depend on u_h and is measured once per time
-    point at the quadrature points; the second is a P1 or constant
-    function per triangle, measured from its vertex values with the
-    exact local mass matrix area (1 + I)/12.  Both are summed directly,
-    without cancellation.
+    spatial gradient.  The spatial rule (degree 12) integrates products
+    of P1 functions exactly, so the two parts are orthogonal under it and
+    their squares add.  The first part does not depend on u_h and is
+    measured once per time point at the quadrature points; the second is
+    a P1 or constant function per triangle, measured from its vertex
+    values with the exact local mass matrix area (1 + I)/12.  Both are
+    summed directly, without cancellation.
 
-    Several discrete functions on the same meshes (for instance one per
-    solver variant) are measured in one call by passing a stack of
-    coefficient arrays; they share the first part and every evaluation
+    The functions of one stack (for instance one per solver variant) are
+    measured in one call; they share the first part and every evaluation
     of the exact fields.  ``u``, ``grad`` and ``dt`` are each called
-    once per temporal quadrature point, in that order and at the same
+    once per temporal quadrature point (8 Gauss points per panel, on 12
+    graded panels in the first cell), in that order and at the same
     time, always with the same ``x1`` and ``x2`` arrays (the physical
     spatial quadrature points), whatever the stack size, so a memoizing
     callable such as ``manufactured.ExactFields`` can keep its
@@ -439,35 +421,27 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt, quad_order=None):
 
     Parameters
     ----------
-    coeffs : ndarray (n_vertices, N_t) or (k, n_vertices, N_t)
-        Total nodal coefficients including boundary values, or a stack
-        of k such arrays; all finite.
+    coeffs : ndarray (k, n_vertices, N_t)
+        A stack of k arrays of total nodal coefficients, boundary values
+        included; all finite.
     mesh_x : TriangleMesh
     mesh_t : TemporalMesh
     u, grad, dt : callables
         Exact value, spatial gradient pair, and time derivative, each
         called as f(x1, x2, t) with a scalar t.
-    quad_order : int or None
-        Spatial degree, >= 2, with (quad_order + 2) // 2 Gauss points in
-        time.  None selects the default rule pair (degree 12 in space, 8
-        Gauss points in time, 12 graded panels on the first cell).
 
     Returns
     -------
-    (l2_error, h1_error) : pair of floats, or a list of k such pairs
-        for a stack.
+    list of k pairs (l2_error, h1_error) of floats
     """
-    coeffs = np.asarray(coeffs)
+    stack = np.asarray(coeffs)
     shape = (mesh_x.n_vertices, mesh_t.n_cells)
-    if coeffs.ndim not in (2, 3) or coeffs.shape[-2:] != shape:
+    if stack.ndim != 3 or stack.shape[1:] != shape:
         raise DimensionMismatch(
-            f"coeffs shape {coeffs.shape} does not match {shape} "
-            f"or (k, *{shape})"
-        )
-    if not np.isfinite(coeffs).all():
+            f"coeffs shape {stack.shape} does not match (k, *{shape})")
+    if not np.isfinite(stack).all():
         raise UsageError("coeffs hold a non-finite value")
-    stack = coeffs.reshape((-1,) + shape)
-    (pts, wts), (tq, tw) = _error_quadrature(quad_order)
+    (pts, wts), (tq, tw) = _error_quadrature()
     area, grads = _geometry(mesh_x)
     tris = mesh_x.triangles
     m = len(tris)
@@ -541,5 +515,4 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt, quad_order=None):
             acc_l2 += l2 @ (h * ws)
             acc_h1 += h1 @ (h * ws)
         c_lo, g_lo = c_hi, g_hi
-    pairs = [(math.sqrt(a), math.sqrt(b)) for a, b in zip(acc_l2, acc_h1)]
-    return pairs if coeffs.ndim == 3 else pairs[0]
+    return [(math.sqrt(a), math.sqrt(b)) for a, b in zip(acc_l2, acc_h1)]

@@ -50,9 +50,10 @@ class ExactFields:
       in place between calls.  The two factors only the source uses are
       formed on its first call for a point set;
     - one buffer per returned field, allocated once per point set, and
-      the Gaussian at the last ``t``: ``u``, ``grad`` and ``dt`` at one
-      time point cost a single ``exp`` per point together, and so does
-      ``source`` at a time the others were evaluated at.
+      ``u``, ``grad`` and ``dt`` at the last ``t``: the three at one time
+      point cost a single ``exp`` per point together.  ``source`` takes
+      its own ``exp`` on every call, as the load and the error norms
+      never evaluate at the same point set and time.
 
     Where ``r2 / (4 t)`` passes a cut of 700, the Gaussian is exactly 0
     rather than a value below exp(-700), about 1e-304, that would soon
@@ -79,22 +80,20 @@ class ExactFields:
 
     def source(self, x1, x2, t):
         self._use(x1, x2, t)
-        if t != self._source_t:
-            f = self._buffers[5]
-            if self._vanishes(t):
-                f.fill(0.0)
-            else:
-                if self._source_factors is None:
-                    a1, a2 = self._coordinates()
-                    _, s, _, _, x2c, x1c = self._factors
-                    self._source_factors = (
-                        (a1 - CENTER[0]) * x2c + (a2 - CENTER[1]) * x1c,
-                        np.pi**2 * (a1**2 + a2**2) * s)
-                cross_c, lap_s = self._source_factors
-                np.multiply(cross_c, 1.0 / t, out=f)
-                f += lap_s
-                f *= self._gaussian(t)
-            self._source_t = t
+        f = self._buffers[5]
+        if self._vanishes(t):
+            f.fill(0.0)
+        else:
+            if self._source_factors is None:
+                a1, a2 = self._coordinates()
+                _, s, _, _, x2c, x1c = self._factors
+                self._source_factors = (
+                    (a1 - CENTER[0]) * x2c + (a2 - CENTER[1]) * x1c,
+                    np.pi**2 * (a1**2 + a2**2) * s)
+            cross_c, lap_s = self._source_factors
+            np.multiply(cross_c, 1.0 / t, out=f)
+            f += lap_s
+            f *= self._gaussian(t)
         return self._views[5]
 
     def _coordinates(self):
@@ -103,7 +102,7 @@ class ExactFields:
                                    np.asarray(x2, dtype=float))
 
     def _use(self, x1, x2, t):
-        # switch to the point set (x1, x2), dropping every cached time
+        # switch to the point set (x1, x2), dropping the cached time
         if np.ndim(t) != 0:
             raise UsageError("ExactFields evaluates one scalar time per call")
         points = self._points
@@ -124,7 +123,7 @@ class ExactFields:
             self._views = tuple(buffer.view() for buffer in self._buffers)
             for view in self._views:
                 view.flags.writeable = False
-            self._gaussian_t = self._fields_t = self._source_t = None
+            self._fields_t = None
 
     def _vanishes(self, t):
         # every field is 0 at t: t <= 0, or r2 / (4 t) past the cut
@@ -134,17 +133,15 @@ class ExactFields:
         # G = 5/(2 pi t) exp(-r2 / (4 t)) at one t > 0, and 0 where
         # r2 / (4 t) passes the cut
         g = self._buffers[0]
-        if t != self._gaussian_t:
-            np.multiply(self._factors[0], -0.25 / t, out=g)
-            if self._r2_range[1] * (0.25 / t) > _EXP_CUT:
-                below = g < -_EXP_CUT
-                np.maximum(g, -_EXP_CUT, out=g)
-                np.exp(g, out=g)
-                g[below] = 0.0
-            else:
-                np.exp(g, out=g)
-            g *= 5.0 / (2.0 * np.pi * t)
-            self._gaussian_t = t
+        np.multiply(self._factors[0], -0.25 / t, out=g)
+        if self._r2_range[1] * (0.25 / t) > _EXP_CUT:
+            below = g < -_EXP_CUT
+            np.maximum(g, -_EXP_CUT, out=g)
+            np.exp(g, out=g)
+            g[below] = 0.0
+        else:
+            np.exp(g, out=g)
+        g *= 5.0 / (2.0 * np.pi * t)
         return g
 
     def _fields(self, x1, x2, t):

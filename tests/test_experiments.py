@@ -122,7 +122,8 @@ class TestPatchSolution:
             full[ops.interior] = solution.coefficients.reshape(
                 ops.n_interior, -1, order="F")
             full[ops.boundary] = lift
-            l2, h1 = error_norms(full, mesh_x, mesh_t, u, grad, dt)
+            [(l2, h1)] = error_norms(full[None], mesh_x, mesh_t,
+                                     u, grad, dt)
             assert l2 < 1e-10 and h1 < 1e-10, (variant, l2, h1)
 
 
@@ -312,8 +313,9 @@ class TestSolutionErrors:
             ops.n_interior, -1, order="F")
         full[ops.boundary] = problem.lift
         fields = ExactFields()
-        expected = error_norms(full, problem.mesh_x, problem.mesh_t,
-                               fields.u, fields.grad, fields.dt)
+        [expected] = error_norms(full[None], problem.mesh_x,
+                                 problem.mesh_t,
+                                 fields.u, fields.grad, fields.dt)
         [got] = solution_errors(problem, [solution])
         np.testing.assert_allclose(got, expected, rtol=1e-14)
 

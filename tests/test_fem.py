@@ -16,7 +16,6 @@ from kronheat.experiments import (
 )
 from kronheat.fem import (
     _graded_unit_edges,
-    _space_points,
     assemble_global_rhs,
     assemble_p1,
     dirichlet_lift,
@@ -76,6 +75,23 @@ class TestTriangleRule:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             triangle_rule(0)
+
+    def test_fixed_rules(self):
+        # one 12-point rule up to degree 6; the load takes it with 5
+        # Gauss points in time, the error norms degree 12 with 8
+        pts6, wts6 = triangle_rule(6)
+        for order in range(1, 7):
+            pts, wts = triangle_rule(order)
+            assert len(pts) == 12
+            assert np.array_equal(pts, pts6) and np.array_equal(wts, wts6)
+        for seam, degree, n in ((fem._load_quadrature, 6, 5),
+                                (fem._error_quadrature, 12, 8)):
+            (pts, wts), (tq, tw) = seam()
+            want_pts, want_wts = triangle_rule(degree)
+            want_tq, want_tw = gauss_rule_01(n)
+            assert np.array_equal(pts, want_pts)
+            assert np.array_equal(wts, want_wts)
+            assert np.array_equal(tq, want_tq) and np.array_equal(tw, want_tw)
 
 
 class TestGaussRule:
@@ -196,16 +212,19 @@ class TestProjectRhs:
         cx = mesh_x.vertices[mesh_x.triangles, 0].mean(axis=1)
         assert np.allclose(F, cx[:, None], atol=1e-14)
 
-    def test_self_convergence_on_source(self, meshes):
-        # the source projection is limited by the spatial rule; degrees 6
-        # and 12 agree to a few 1e-7 relative on the actual problem data
+    def test_self_convergence_on_source(self, meshes, monkeypatch):
+        # the source projection is limited by the spatial rule; the load
+        # rule (degree 6, 5 time points) and degree 12 with 8 time points
+        # agree to a few 1e-7 relative on the actual problem data
         source = ExactFields().source
         mesh_x = refine_uniform(refine_uniform(build_lshape_mesh(0)))
         base = np.asarray(BASE_NODES)
         mesh_t = TemporalMesh(np.sort(np.concatenate(
             [base, 0.5 * (base[:-1] + base[1:])])))
-        coarse = project_rhs(mesh_x, mesh_t, source, quad_order=6)
-        fine = project_rhs(mesh_x, mesh_t, source, quad_order=12)
+        coarse = project_rhs(mesh_x, mesh_t, source)
+        monkeypatch.setattr(fem, "_load_quadrature",
+                            lambda: (triangle_rule(12), gauss_rule_01(8)))
+        fine = project_rhs(mesh_x, mesh_t, source)
         scale = np.abs(fine).max()
         assert np.abs(coarse - fine).max() < 1e-6 * scale
 
@@ -257,16 +276,10 @@ class TestAssembleGlobalRhs:
         )
         assert np.allclose(rhs, dense, atol=1e-12)
 
-    def test_homogeneous_drops_lift_terms(self, pieces):
-        ops, temp, F, _ = pieces
-        rhs = assemble_global_rhs(F, ops, temp)
-        dense = np.kron(temp.C, ops.M10.toarray()) @ F.ravel(order="F")
-        assert np.allclose(rhs, dense, atol=1e-12)
-
     def test_dimension_checks(self, pieces):
         ops, temp, F, G = pieces
         with pytest.raises(DimensionMismatch):
-            assemble_global_rhs(F[:, :-1], ops, temp)
+            assemble_global_rhs(F[:, :-1], ops, temp, G)
         with pytest.raises(DimensionMismatch):
             assemble_global_rhs(F, ops, temp, lift=G[:-1])
 
@@ -283,7 +296,7 @@ class TestErrorNorms:
         dt = lambda x1, x2, t: (a + b * x1 + c * x2) * np.ones_like(t + x1)
         vals = a + b * mesh_x.vertices[:, 0] + c * mesh_x.vertices[:, 1]
         coeffs = vals[:, None] * mesh_t.nodes[None, 1:]
-        l2, h1 = error_norms(coeffs, mesh_x, mesh_t, u, grad, dt)
+        [(l2, h1)] = error_norms(coeffs[None], mesh_x, mesh_t, u, grad, dt)
         assert l2 < 1e-13
         assert h1 < 1e-12
 
@@ -291,25 +304,27 @@ class TestErrorNorms:
         # coeffs = 0 turns the error into the norm of u itself; u = t has
         # ||u||_L2^2 = |Omega| T^3/3 and full gradient norm |Omega| T
         mesh_x, mesh_t = meshes
-        zero = np.zeros((mesh_x.n_vertices, mesh_t.n_cells))
+        zero = np.zeros((1, mesh_x.n_vertices, mesh_t.n_cells))
         u = lambda x1, x2, t: t + 0 * x1
         grad = lambda x1, x2, t: (0 * x1 + 0 * t, 0 * x1 + 0 * t)
         dt = lambda x1, x2, t: 1.0 + 0 * x1 + 0 * t
-        l2, h1 = error_norms(zero, mesh_x, mesh_t, u, grad, dt)
+        [(l2, h1)] = error_norms(zero, mesh_x, mesh_t, u, grad, dt)
         T = mesh_t.T
         assert l2 == pytest.approx(math.sqrt(3.0 * T**3 / 3.0), rel=1e-13)
         assert h1 == pytest.approx(math.sqrt(3.0 * T), rel=1e-13)
 
-    def test_quadrature_invariance_on_smooth_error(self, meshes):
+    def test_quadrature_invariance_on_smooth_error(self, meshes,
+                                                   monkeypatch):
         # quartic-in-space error integrated with the default versus an
-        # elevated rule; both are converged so the norms agree tightly
+        # elevated rule (degree 16, 9 time points); both are converged so
+        # the norms agree tightly
         mesh_x, mesh_t = meshes
-        zero = np.zeros((mesh_x.n_vertices, mesh_t.n_cells))
-        u = lambda x1, x2, t: (x1**4 - x2**3) * t**2
-        grad = lambda x1, x2, t: (4 * x1**3 * t**2, -3 * x2**2 * t**2)
-        dt = lambda x1, x2, t: (x1**4 - x2**3) * 2 * t
-        a = error_norms(zero, mesh_x, mesh_t, u, grad, dt)
-        b = error_norms(zero, mesh_x, mesh_t, u, grad, dt, quad_order=16)
+        zero = np.zeros((1, mesh_x.n_vertices, mesh_t.n_cells))
+        u, grad, dt = quartic_fields()
+        [a] = error_norms(zero, mesh_x, mesh_t, u, grad, dt)
+        monkeypatch.setattr(fem, "_error_quadrature",
+                            lambda: (triangle_rule(16), gauss_rule_01(9)))
+        [b] = error_norms(zero, mesh_x, mesh_t, u, grad, dt)
         assert a[0] == pytest.approx(b[0], rel=1e-12)
         assert a[1] == pytest.approx(b[1], rel=1e-12)
 
@@ -321,7 +336,7 @@ class TestErrorNorms:
             error_norms(bad, mesh_x, mesh_t, u, lambda *a: (0, 0), u)
 
     @pytest.mark.parametrize("shape", [(3, 20, 4), (3, 21, 5), (2, 1, 21, 4),
-                                       (21 * 4,)])
+                                       (21 * 4,), (21, 4)])
     def test_stack_shape_check(self, meshes, shape):
         mesh_x, mesh_t = meshes
         assert (mesh_x.n_vertices, mesh_t.n_cells) == (21, 4)
@@ -332,8 +347,8 @@ class TestErrorNorms:
 
     def test_stack_equals_single_calls(self, meshes):
         # three unrelated coefficient sets against the manufactured
-        # solution: the stacked call shares the exact fields and must
-        # reproduce every single call
+        # solution: the stack of 3 shares the exact fields and must
+        # reproduce every stack of 1
         mesh_x, mesh_t = meshes
         rng = np.random.default_rng(5)
         stack = rng.standard_normal((3, mesh_x.n_vertices, mesh_t.n_cells))
@@ -342,8 +357,8 @@ class TestErrorNorms:
                             fields.u, fields.grad, fields.dt)
         assert len(pairs) == 3
         for coeffs, (l2, h1) in zip(stack, pairs):
-            want = error_norms(coeffs, mesh_x, mesh_t,
-                               exact_u, exact_grad, exact_dt)
+            [want] = error_norms(coeffs[None], mesh_x, mesh_t,
+                                 exact_u, exact_grad, exact_dt)
             assert l2 == pytest.approx(want[0], rel=1e-13)
             assert h1 == pytest.approx(want[1], rel=1e-13)
 
@@ -408,18 +423,22 @@ class TestErrorSplit:
                                      exact_u, exact_grad, exact_dt)
         assert_pairs_close(got, want, 1e-12)
 
-    @pytest.mark.parametrize("quad_order", [None, 2, 5])
-    def test_matches_reference_on_random_stack(self, meshes, quad_order):
+    @pytest.mark.parametrize("degree, n_time", [(None, None), (2, 2), (5, 3)],
+                             ids=["None", "2", "5"])
+    def test_matches_reference_on_random_stack(self, meshes, monkeypatch,
+                                               degree, n_time):
         # the split holds under any rule exact for P1 products, even one
-        # that does not integrate the quartic field exactly
+        # that does not integrate the quartic field exactly; the
+        # reference reads the patched rule too
+        if degree is not None:
+            rules = (fem._collapsed_rule(degree), gauss_rule_01(n_time))
+            monkeypatch.setattr(fem, "_error_quadrature", lambda: rules)
         mesh_x, mesh_t = meshes
         rng = np.random.default_rng(11)
         stack = rng.standard_normal((3, mesh_x.n_vertices, mesh_t.n_cells))
         u, grad, dt = quartic_fields()
-        got = error_norms(stack, mesh_x, mesh_t, u, grad, dt,
-                          quad_order=quad_order)
-        want = error_norms_reference(stack, mesh_x, mesh_t, u, grad, dt,
-                                     quad_order=quad_order)
+        got = error_norms(stack, mesh_x, mesh_t, u, grad, dt)
+        want = error_norms_reference(stack, mesh_x, mesh_t, u, grad, dt)
         assert_pairs_close(got, want, 1e-12)
 
     def test_p1_field_has_zero_first_part(self, meshes, monkeypatch):
@@ -445,7 +464,7 @@ class TestErrorSplit:
         monkeypatch.setattr(fem, "_p0_split", spy(fem._p0_split))
         nodal = phi(mesh_x.vertices[:, 0], mesh_x.vertices[:, 1])
         coeffs = nodal[:, None] * mesh_t.nodes[None, 1:] ** 2
-        l2, h1 = error_norms(coeffs, mesh_x, mesh_t, u, grad, dt)
+        [(l2, h1)] = error_norms(coeffs[None], mesh_x, mesh_t, u, grad, dt)
         assert len(ratios) == 4 * (12 * 8 + 3 * 8)
         assert max(ratios) < 1e-28
         # on a cell of width h, t^2 less its interpolant is s (s - h)
@@ -467,7 +486,7 @@ class TestErrorSplit:
         problem = assemble_problem(2)
         solutions = [solve(problem.system, variant)[0]
                      for variant in ("bs-real", "bs-complex", "fd")]
-        (pts, _), _ = fem._error_quadrature(None)
+        (pts, _), _ = fem._error_quadrature()
         point_set = 8 * len(pts) * problem.mesh_x.n_triangles
         tracemalloc.start()
         try:
@@ -476,19 +495,6 @@ class TestErrorSplit:
         finally:
             tracemalloc.stop()
         assert peak <= 25 * point_set
-
-    def test_one_point_rule_is_refused(self, meshes):
-        # the 1-point rule's local P1 mass matrix has rank 1, so the P1
-        # projection it defines does not exist; degree 2 is full rank
-        mesh_x, mesh_t = meshes
-        for order, rank in ((1, 1), (2, 3)):
-            pts, wts = triangle_rule(order)
-            _, _, lam = _space_points(reference_triangle(), pts)
-            assert np.linalg.matrix_rank((lam.T * wts) @ lam) == rank
-        zero = np.zeros((mesh_x.n_vertices, mesh_t.n_cells))
-        u, grad, dt = quartic_fields()
-        with pytest.raises(UsageError):
-            error_norms(zero, mesh_x, mesh_t, u, grad, dt, quad_order=1)
 
     def test_non_finite_coefficient_is_refused(self, meshes):
         mesh_x, mesh_t = meshes

@@ -143,9 +143,9 @@ class TestExactFields:
             assert_matches_oracle(fields, x1, x2, t)
 
     def test_source_matches_oracle(self):
-        # every order of the times; the source shares the Gaussian with
-        # the other fields at one time and point set, in either order,
-        # and a switch of point sets drops both
+        # every order of the times; the source and the other fields
+        # write one Gaussian buffer at one time and point set, in either
+        # order, and a switch of point sets drops the cached fields
         xa1, xa2 = lshape_points(200, seed=5)
         xb1, xb2 = lshape_points(200, seed=6)
         for order in itertools.permutations(self.TIMES):

@@ -49,7 +49,7 @@ def make_problem(level=0, refinements=0, j_max=100_000):
     ops = assemble_p1(mesh_x)
     temp = assemble_temporal_operators(mesh_t, j_max=j_max)
     fields = ExactFields()
-    F = project_rhs(mesh_x, mesh_t, fields.source, quad_order=4)
+    F = project_rhs(mesh_x, mesh_t, fields.source)
     lift = dirichlet_lift(mesh_x, mesh_t, fields.u)
     rhs = assemble_global_rhs(F, ops, temp, lift=lift)
     return SpaceTimeSystem(temporal=temp, spatial=ops, rhs=rhs)
@@ -278,7 +278,7 @@ def odd_system():
     ops = assemble_p1(mesh_x)
     temp = assemble_temporal_operators(mesh_t, j_max=100_000)
     fields = ExactFields()
-    F = project_rhs(mesh_x, mesh_t, fields.source, quad_order=4)
+    F = project_rhs(mesh_x, mesh_t, fields.source)
     lift = dirichlet_lift(mesh_x, mesh_t, fields.u)
     rhs = assemble_global_rhs(F, ops, temp, lift=lift)
     return SpaceTimeSystem(temporal=temp, spatial=ops, rhs=rhs)
