@@ -7,7 +7,9 @@ Assembles the Kronecker-structured global system
 arising from a tensor-product P1 discretization with the modified Hilbert
 transformation in time, and solves it with three direct methods: the
 Bartels-Stewart method with real or complex Schur decomposition of the
-temporal pencil, and Fast Diagonalization with time parallelism.
+temporal pencil, and Fast Diagonalization, whose spatial solves are
+independent in time (a thread pool runs them, no faster while SuperLU
+holds the GIL).
 """
 
 from .errors import (

@@ -1,10 +1,11 @@
 """Dense linear-algebra kernels for the temporal pencil.
 
-Wraps LAPACK-backed routines (Schur, eigen, SVD, Cholesky) with the
-residual and singularity checks the space-time solvers rely on.  A Schur
-form passes if its Frobenius residual is at most 100 * RESIDUAL_TOL =
-1e-10 times max(||P||_F, 1); an eigenvector matrix counts as singular
-if sigma_min <= N eps sigma_max.
+Wraps LAPACK-backed routines (real and complex Schur in one
+:func:`schur`, eigen, SVD, Cholesky) with the residual and singularity
+checks the space-time solvers rely on.  A Schur form passes if its
+Frobenius residual is at most 100 * RESIDUAL_TOL = 1e-10 times
+max(||P||_F, 1); an eigenvector matrix counts as singular if
+sigma_min <= N eps sigma_max.
 """
 
 import numpy as np
@@ -47,39 +48,24 @@ def _check_square(P):
     return P
 
 
-def real_schur(P):
-    """Real Schur form of a square real matrix.
+def schur(P, output):
+    """Schur form (Z, T), P = Z T Z^H, of a square real matrix.
 
-    Returns
-    -------
-    (Q, R)
-        With ``P = Q R Q^T`` to a Frobenius residual of at most 1e-10
-        max(||P||_F, 1).
-        R is quasi-triangular; LAPACK standardizes each 2x2 block, a pair
-        alpha +- i sqrt(-b1 b2), to diagonal entries alpha, alpha.
+    ``output`` is "real" or "complex", as for ``scipy.linalg.schur``.
+    The real form's T = R is quasi-triangular; LAPACK standardizes each
+    2x2 block, a pair alpha +- i sqrt(-b1 b2), to diagonal entries
+    alpha, alpha.  The complex form's T = S is triangular.  Raises
+    ConvergenceFailure unless ||Z T Z^H - P||_F <= 1e-10 max(||P||_F, 1).
     """
-    P = _check_square(P).astype(float)
+    P = _check_square(P)
     try:
-        R, Q = sla.schur(P, output="real")
+        T, Z = sla.schur(P, output=output)
     except sla.LinAlgError as exc:  # pragma: no cover - QR failure is rare
         raise ConvergenceFailure(str(exc)) from exc
     scale = max(_frob(P), 1.0)
-    if _frob(Q @ R @ Q.T - P) > 100 * RESIDUAL_TOL * scale:
-        raise ConvergenceFailure("real Schur residual above tolerance")
-    return Q, R
-
-
-def complex_schur(P):
-    """Complex Schur form (W, S), P = W S W*, of a real or complex P."""
-    P = _check_square(P).astype(complex)
-    try:
-        S, W = sla.schur(P, output="complex")
-    except sla.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(str(exc)) from exc
-    scale = max(_frob(P), 1.0)
-    if _frob(W @ S @ W.conj().T - P) > 100 * RESIDUAL_TOL * scale:
-        raise ConvergenceFailure("complex Schur residual above tolerance")
-    return W, S
+    if _frob(Z @ T @ Z.conj().T - P) > 100 * RESIDUAL_TOL * scale:
+        raise ConvergenceFailure(f"{output} Schur residual above tolerance")
+    return Z, T
 
 
 def eig_pencil(M, A):

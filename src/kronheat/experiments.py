@@ -355,7 +355,10 @@ def write_csv(path, header, lines):
 
 
 def load_config_file(path):
-    """Flat key-value config: one ``key = value`` per line, # comments."""
+    """Flat key-value config: one ``key = value`` per line, # comments.
+
+    A key given on two lines raises UsageError naming the second.
+    """
     values = {}
     try:
         fh = open(path)
@@ -370,8 +373,10 @@ def load_config_file(path):
                 raise UsageError(
                     f"{path}:{lineno}: expected 'key = value', got {raw!r}"
                 )
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in values:
+                raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
+            values[key] = value
     return values
 
 

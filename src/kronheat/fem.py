@@ -196,8 +196,8 @@ def _geometry(mesh):
         axis=1,
     )
     area2 = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]
-    if np.any(area2 <= 0.0):
-        raise DegenerateElement("triangle with non-positive area")
+    if not np.all((area2 > 0.0) & (area2 < np.inf)):  # NaN fails too
+        raise DegenerateElement("triangle area not positive and finite")
     area = 0.5 * area2
     grads = np.stack([b, c], axis=2) / area2[:, None, None]  # (m, 3, 2)
     return area, grads

@@ -107,8 +107,8 @@ class TriangleMesh:
 
     def areas(self):
         a = self.signed_areas()
-        if np.any(a <= 0.0):
-            raise DegenerateElement("triangle with non-positive area")
+        if not np.all((a > 0.0) & (a < np.inf)):  # NaN fails too
+            raise DegenerateElement("triangle area not positive and finite")
         return a
 
     @property

@@ -8,7 +8,7 @@ P^T = left T^T right, right = left^{-1} (:func:`build_pencil`):
 * ``bs-real``: real Schur (Q, R, Q^T), R quasi-triangular;
 * ``bs-complex``: complex Schur (conj(W), S, W^T), S triangular;
 * ``fd``: eigenvectors (X^{-T}, diag(D), X^T), both formed from the SVD
-  of X.
+  of X, whose condition number kappa2 the report carries.
 
 It then transforms in, G = F A_t^{-1} left, and sweeps the spatial
 systems of M_x Z + A_x Z T^T = G, each one shift lambda of the pencil
@@ -16,17 +16,18 @@ M_x + lambda A_x under the one ``sparse_direct.analyze`` of every solve.
 Every variant back-substitutes over the diagonal blocks of T
 (:func:`_back_substitution`): a 2x2 block of R, a conjugate pair, is one
 complex solve at one eigenvalue of the pair; S and diag(D) have 1x1
-blocks only, and those of diag(D) are uncoupled, so fd's N_t systems
-may run on a thread pool (the fast diagonalization of Lynch, Rice and
-Thomas).  Last, U = Z right drops an imaginary part below the
-variant's tolerance and the relative residual is checked against the
-variant's bound.  A failed fd solve is rerun with bs-complex and the
-report says so; a failed Schur solve raises.
+blocks only, and those of diag(D) are uncoupled (the fast
+diagonalization of Lynch, Rice and Thomas).  With ``threads > 1`` fd's
+N_t systems run on a thread pool; SuperLU holds the GIL, so the pool
+does not make them faster.  Last, U = Z right drops an imaginary part
+below the variant's tolerance and the relative residual is checked
+against the variant's bound.  A failed fd solve is rerun with
+bs-complex and the report says so; a failed Schur solve raises.
 """
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,9 +36,8 @@ from . import sparse_direct
 from .dense import (
     block_starts,
     cholesky_lower,
-    complex_schur,
     eig_pencil,
-    real_schur,
+    schur,
     spd_solve,
     svd_of_eigenvectors,
 )
@@ -102,10 +102,9 @@ class Pencil:
     """P^T = left T^T right for P = A_t^{-1} M_t, plus chol(A_t).
 
     T is R (bs-real), S (bs-complex) or diag(D) of the eigenvalues D
-    (fd), N_t x N_t for every variant.  ``sigma`` holds the singular
-    values of fd's eigenvector matrix in decreasing order (None for the
-    Schur variants), and ``sigma_stats`` their extremes and
-    kappa2 = sigma_max/sigma_min.
+    (fd), N_t x N_t for every variant.  ``kappa2`` is the condition
+    number sigma_max/sigma_min of fd's eigenvector matrix (None for the
+    Schur variants).
     """
 
     chol_A: np.ndarray
@@ -113,17 +112,7 @@ class Pencil:
     T: np.ndarray
     right: np.ndarray
     min_re_lambda: float
-    sigma: Optional[np.ndarray] = None
-
-    @property
-    def sigma_stats(self):
-        return _sigma_stats(self.sigma)
-
-
-def _sigma_stats(s):
-    """Extremes of decreasing singular values s, and kappa2 = s_max/s_min."""
-    return {"sigma_min": float(s[-1]), "sigma_max": float(s[0]),
-            "kappa2": float(s[0] / s[-1])}
+    kappa2: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -136,23 +125,22 @@ class SpaceTimeSolution:
 
 @dataclass
 class SolveReport:
-    """Wall times per step and spectral statistics of one solve."""
+    """Wall times per step and pencil statistics of one solve.
+
+    ``kappa2`` is the pencil's (None for the Schur variants), and
+    ``fallback`` names the fd failure a bs-complex solve stood in for.
+    """
 
     variant: str
     dof: int
     n_t: int
-    m_x: int
     t_decompose: float = 0.0
     t_transform_in: float = 0.0
     t_spatial: float = 0.0
     t_transform_out: float = 0.0
     residual: float = 0.0
     min_re_lambda: float = 0.0
-    sigma_min: float = 0.0
-    sigma_max: float = 0.0
-    kappa2: float = 0.0
-    threads: int = 1
-    analyze_calls: int = 0
+    kappa2: Optional[float] = None
     fallback: Optional[str] = None
 
     @property
@@ -180,43 +168,47 @@ def build_pencil(temporal, variant):
         eigenvector matrix is numerically defective; the caller should
         fall back to "bs-complex".
     """
-    L = cholesky_lower(temporal.A)
-    P = spd_solve(L, temporal.M)
-    sigma = None
-    if variant == "bs-real":
-        left, T = real_schur(P)
-        right = left.T
-    elif variant == "bs-complex":
-        W, T = complex_schur(P)
-        left, right = np.conj(W), W.T
-    elif variant == "fd":
-        vals, vecs = _eigenpairs(temporal, P)
+    if variant == "fd":
+        L, vals, min_re, (U, sigma, Vh) = _fd_spectrum(temporal, True)
         # X^{-T} and X^T, both formed from the SVD X = U diag(sigma) Vh
-        U, sigma, Vh = svd_of_eigenvectors(vecs)
         left = (np.conj(U) / sigma[None, :]) @ np.conj(Vh)
         right = (Vh.T * sigma[None, :]) @ U.T
-        T = np.diag(vals)
-    else:
+        return Pencil(chol_A=L, left=left, T=np.diag(vals), right=right,
+                      min_re_lambda=min_re,
+                      kappa2=float(sigma[0] / sigma[-1]))
+    if variant not in ("bs-real", "bs-complex"):
         raise ValueError(f"unknown pencil variant: {variant!r}")
+    L = cholesky_lower(temporal.A)
+    # (Q, R, Q^T) or (conj(W), S, W^T); conj leaves the real Q as it is
+    Z, T = schur(spd_solve(L, temporal.M),
+                 "real" if variant == "bs-real" else "complex")
     # LAPACK gives the two diagonal entries of a 2x2 block of R the real
     # part of its conjugate pair, so diag(T) holds every real part
-    min_re = _min_re_lambda(np.diag(T))
-    return Pencil(chol_A=L, left=left, T=T, right=right,
-                  min_re_lambda=min_re, sigma=sigma)
+    return Pencil(chol_A=L, left=np.conj(Z), T=T, right=Z.T,
+                  min_re_lambda=_min_re_lambda(np.diag(T)))
 
 
-def _eigenpairs(temporal, P):
-    """fd's eigenpairs of the pencil (M_t, A_t), checked against P = A_t^{-1} M_t.
+def _fd_spectrum(temporal, compute_uv):
+    """(chol(A_t), eigenvalues, min Re lambda, SVD of the eigenvectors).
 
-    The pencil route keeps the reference eigenvector scaling for the
-    spectral statistics; eigenvectors of (M, A) and of A^{-1} M coincide.
+    fd's spectrum of P = A_t^{-1} M_t, for :func:`build_pencil` and
+    :func:`eig_study`; the SVD is :func:`svd_of_eigenvectors`' for
+    ``compute_uv``.  The eigenpairs are those of the pencil (M_t, A_t),
+    which keeps the reference eigenvector scaling for the spectral
+    statistics; eigenvectors of (M, A) and of A^{-1} M coincide.  Raises
+    DefectivePencil on an eigenvector residual above 1e-8 ||P||_F, a
+    numerically singular eigenvector matrix or an eigenvalue with
+    nonpositive real part.
     """
+    L = cholesky_lower(temporal.A)
+    P = spd_solve(L, temporal.M)
     vals, vecs = eig_pencil(temporal.M, temporal.A)
     scale = max(np.linalg.norm(P, "fro"), 1.0)
     resid = np.linalg.norm(P @ vecs - vecs * vals[None, :], "fro")
     if resid > 1e-8 * scale:
         raise DefectivePencil("eigenvector residual above tolerance")
-    return vals, vecs
+    svd = svd_of_eigenvectors(vecs, compute_uv=compute_uv)
+    return L, vals, _min_re_lambda(vals), svd
 
 
 def _min_re_lambda(eigenvalues):
@@ -274,14 +266,12 @@ def _back_substitution(G, T, A, symbolic, threads):
 def _solve(system, variant, threads):
     """One solve by one variant; see the module docstring."""
     imag_tol, residual_bound = TOLERANCES[variant]
-    report = SolveReport(variant=variant, dof=system.dof, n_t=system.n_t,
-                         m_x=system.m_x)
+    report = SolveReport(variant=variant, dof=system.dof, n_t=system.n_t)
     t0 = time.perf_counter()
     pencil = build_pencil(system.temporal, variant)
     report.t_decompose = time.perf_counter() - t0
     report.min_re_lambda = pencil.min_re_lambda
-    if pencil.sigma is not None:
-        report = replace(report, threads=threads, **pencil.sigma_stats)
+    report.kappa2 = pencil.kappa2
 
     t0 = time.perf_counter()
     F = system.rhs_matrix()
@@ -289,11 +279,9 @@ def _solve(system, variant, threads):
     report.t_transform_in = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    analyze_before = sparse_direct.analyze_call_count()
     A = system.spatial.A_II
     symbolic = sparse_direct.analyze(system.spatial.M_II, A)
     Z = _back_substitution(G, pencil.T, A, symbolic, threads)
-    report.analyze_calls = sparse_direct.analyze_call_count() - analyze_before
     report.t_spatial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -374,8 +362,7 @@ def eig_study(temporal):
     the mesh sizes are the caller's (``experiments.run_eigstudy`` adds
     them from the temporal mesh).
     """
-    P = spd_solve(cholesky_lower(temporal.A), temporal.M)
-    vals, vecs = _eigenpairs(temporal, P)
-    sigma = svd_of_eigenvectors(vecs, compute_uv=False)
-    return {"n_t": temporal.A.shape[0], "min_re_lambda": _min_re_lambda(vals),
-            **_sigma_stats(sigma)}
+    _, _, min_re, sigma = _fd_spectrum(temporal, False)
+    return {"n_t": temporal.A.shape[0], "min_re_lambda": min_re,
+            "sigma_min": float(sigma[-1]), "sigma_max": float(sigma[0]),
+            "kappa2": float(sigma[0] / sigma[-1])}

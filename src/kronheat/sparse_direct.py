@@ -5,8 +5,9 @@ pair of matrices, lambda real or complex.  :func:`analyze` orders the
 union pattern of M and A once and keeps both permuted by that ordering,
 stored on that one pattern; :func:`factorize` takes only the shift, adds
 the two arrays of stored values and runs SuperLU in the natural order.
-Complex symmetric systems are factorized in complex arithmetic without
-conjugation tricks.
+A solve of ``solvers`` calls :func:`analyze` once and :func:`factorize`
+once per diagonal block of its temporal form.  Complex symmetric
+systems are factorized in complex arithmetic without conjugation tricks.
 """
 
 from dataclasses import dataclass
@@ -18,13 +19,6 @@ import scipy.sparse.linalg as spla
 from .errors import DimensionMismatch, SingularMatrix
 
 PIVOT_THRESHOLD = 1e-13
-
-_analyze_calls = 0
-
-
-def analyze_call_count():
-    """Total number of symbolic analyses performed in this process."""
-    return _analyze_calls
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,6 @@ def analyze(M, A):
     DimensionMismatch
         If M is not square or A's shape differs from M's.
     """
-    global _analyze_calls
     M, A = sp.csr_matrix(M), sp.csr_matrix(A)
     if M.shape[0] != M.shape[1] or A.shape != M.shape:
         raise DimensionMismatch(
@@ -111,7 +104,6 @@ def analyze(M, A):
     # the elimination sequence.  SuperLU postorders the elimination tree
     # of each matrix it factorizes, so no postorder is needed here.
     perm = np.argsort(np.asarray(probe.perm_c))
-    _analyze_calls += 1
     return SymbolicFactorization(
         n=n, perm=perm, factor_nnz=int(probe.L.nnz + probe.U.nnz),
         M=sp.csc_matrix(M[perm, :][:, perm]),

@@ -73,7 +73,7 @@ class TemporalMesh:
     Parameters
     ----------
     nodes : array_like
-        Strictly increasing node coordinates starting at 0.
+        Strictly increasing finite node coordinates starting at 0.
     """
 
     nodes: np.ndarray
@@ -84,6 +84,8 @@ class TemporalMesh:
             raise ValueError("need at least two nodes")
         if nodes[0] != 0.0:
             raise ValueError("mesh must start at t = 0")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("nodes must be finite")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
         nodes = nodes.copy()

@@ -153,6 +153,23 @@ def error_norms_reference(stack, mesh_x, mesh_t, u, grad, dt):
     return [(math.sqrt(a), math.sqrt(b)) for a, b in zip(acc_l2, acc_h1)]
 
 
+def counting(monkeypatch, module, name):
+    """Wrap ``module.name`` to record the arguments of every call.
+
+    Returns the list the calls are appended to.  The solvers call
+    ``sparse_direct.analyze`` through its module, so a wrapper counts
+    every analysis, as the benchmark's tracer does.
+    """
+    fn, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def forced_fd_fallback(monkeypatch):
     """Make every fd pencil defective, so ``solve`` falls back to bs-complex."""

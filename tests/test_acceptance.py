@@ -43,6 +43,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from kronheat import sparse_direct
 from kronheat.dense import cholesky_lower, eig_pencil
 from kronheat.experiments import (
     ConvergenceRow,
@@ -67,7 +68,7 @@ from kronheat.temporal import (
     assemble_temporal_operators,
 )
 
-from conftest import solve_dense_oracle
+from conftest import counting, solve_dense_oracle
 from test_solvers import wrap_spatial
 
 VARIANTS = ("bs-real", "bs-complex", "fd")
@@ -122,15 +123,25 @@ def conv_result():
 
 @pytest.fixture(scope="module")
 def solved_levels():
-    """Levels 0-3 assembled once and solved with every variant."""
+    """Levels 0-3 assembled once and solved with every variant.
+
+    Also returns the number of symbolic analyses of each solve, counted
+    through a wrapper of ``sparse_direct.analyze``.
+    """
     problems = {}
     results = {}
+    analyses = {}
     t0 = time.perf_counter()
-    for level in range(4):
-        problems[level] = assemble_problem(level)
-        for variant in VARIANTS:
-            results[(level, variant)] = solve(problems[level].system, variant)
-    return problems, results, time.perf_counter() - t0
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counting(patch, sparse_direct, "analyze")
+        for level in range(4):
+            problems[level] = assemble_problem(level)
+            for variant in VARIANTS:
+                calls.clear()
+                results[(level, variant)] = solve(problems[level].system,
+                                                  variant)
+                analyses[(level, variant)] = len(calls)
+    return problems, results, analyses, time.perf_counter() - t0
 
 
 def test_criterion_1_spectral_table(eig_result):
@@ -357,7 +368,7 @@ def test_criterion_2_gate_rejects_bad_tables(monkeypatch):
 
 
 def test_criterion_3_oracle_equivalence(solved_levels):
-    problems, results, _ = solved_levels
+    problems, results, _, _ = solved_levels
     t0 = time.perf_counter()
     worst = {"bs-real": 0.0, "bs-complex": 0.0, "fd": 0.0}
     for level in (0, 1):
@@ -399,7 +410,7 @@ def test_criterion_3_oracle_equivalence(solved_levels):
 
 
 def test_criterion_4_cross_solver(solved_levels):
-    problems, results, seconds = solved_levels
+    problems, results, _, seconds = solved_levels
     worst_bs = 0.0
     worst_fd = 0.0
     for level in range(4):
@@ -418,7 +429,7 @@ def test_criterion_4_cross_solver(solved_levels):
 
 
 def test_criterion_5_residuals(solved_levels):
-    _, results, _ = solved_levels
+    _, results, _, _ = solved_levels
     worst_bs = max(results[(level, v)][1].residual
                    for level in range(4) for v in ("bs-real", "bs-complex"))
     worst_fd = max(results[(level, "fd")][1].residual for level in range(4))
@@ -506,7 +517,7 @@ def test_criterion_8_complexity_envelope(conv_result, solved_levels):
     M + lambda A, a conjugate pair of the real Schur form included.
     """
     tables, _ = conv_result
-    _, results, _ = solved_levels
+    _, _, analyses, _ = solved_levels
     growth = []
     for variant, rows in tables.items():
         factors = []
@@ -515,8 +526,7 @@ def test_criterion_8_complexity_envelope(conv_result, solved_levels):
             factors.append(f"{cur.seconds / prev.seconds:.1f}"
                            if prev.seconds >= 0.05 else "-")
         growth.append(f"{variant} {'/'.join(factors)}")
-    actual = {key: results[key][1].analyze_calls for key in results}
-    mismatch = {key: count for key, count in actual.items() if count != 1}
+    mismatch = {key: count for key, count in analyses.items() if count != 1}
     ok = not mismatch
     analysis_note = ("one symbolic analysis per solve "
                      + ("verified" if ok else f"violated: {mismatch}"))

@@ -44,6 +44,14 @@ class TestParsing:
         assert main(["convergence", "--config", str(cfg)]) == 2
         assert "error: threads" in capsys.readouterr().err
 
+    def test_repeated_config_key_exits_2_before_study(self, tmp_path,
+                                                      capsys, monkeypatch):
+        monkeypatch.setattr("kronheat.cli.run_convergence", _refuse_study)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_level = 2\nmax_level = 5\n")
+        assert main(["convergence", "--config", str(cfg)]) == 2
+        assert f"error: {cfg}:2: repeated key" in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
         assert main(["eigstudy", "--config", str(missing)]) == 2

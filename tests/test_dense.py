@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from kronheat import solvers
+from kronheat import dense, solvers
 from kronheat.dense import (
     block_starts,
     cholesky_lower,
-    complex_schur,
     eig_pencil,
-    real_schur,
+    schur,
     spd_solve,
     svd_of_eigenvectors,
 )
 from kronheat.errors import (
+    ConvergenceFailure,
     DefectivePencil,
     NotPositiveDefinite,
 )
@@ -42,7 +42,7 @@ class TestRealSchur:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((5, 5))
         P = A + A.T
-        _, R = real_schur(P)
+        _, R = schur(P, "real")
         off = R - np.diag(np.diag(R))
         assert np.max(np.abs(off)) < 1e-10
         assert np.allclose(np.sort(np.diag(R)),
@@ -50,7 +50,7 @@ class TestRealSchur:
 
     def test_rotation_block(self):
         # [[0,1],[-1,0]] has eigenvalues +-i: one 2x2 block, alpha = 0
-        _, R = real_schur(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        _, R = schur(np.array([[0.0, 1.0], [-1.0, 0.0]]), "real")
         assert R[1, 0] != 0.0
         assert abs(R[0, 0]) < 1e-14
         assert R[0, 1] * R[1, 0] == pytest.approx(-1.0, abs=1e-12)
@@ -58,7 +58,7 @@ class TestRealSchur:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reconstruction_and_structure(self, seed):
         P = random_matrix(7, seed)
-        Q, R = real_schur(P)
+        Q, R = schur(P, "real")
         assert np.linalg.norm(Q @ Q.T - np.eye(7)) < 1e-12
         assert np.linalg.norm(Q @ R @ Q.T - P) < 1e-11
         # zero below the first subdiagonal
@@ -78,7 +78,7 @@ class TestRealSchur:
     def test_eigenvalues_match_numpy(self):
         P = random_matrix(6, 11)
         # diag(R) holds the real parts of the eigenvalues, each pair twice
-        _, R = real_schur(P)
+        _, R = schur(P, "real")
         expected = np.linalg.eigvals(P)
         assert np.allclose(np.sort(np.diag(R)), np.sort(expected.real),
                            atol=1e-10)
@@ -86,11 +86,11 @@ class TestRealSchur:
 
 class TestComplexSchur:
     def test_diagonal_passthrough(self):
-        _, S = complex_schur(np.diag([1.0, 2.0]))
+        _, S = schur(np.diag([1.0, 2.0]), "complex")
         assert np.allclose(np.diag(S), [1.0, 2.0])
 
     def test_rotation_eigenvalues(self):
-        _, S = complex_schur(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        _, S = schur(np.array([[0.0, 1.0], [-1.0, 0.0]]), "complex")
         assert np.allclose(sort_spectrum(np.diag(S)),
                            [-1j, 1j], atol=1e-14)
 
@@ -98,8 +98,8 @@ class TestComplexSchur:
     def test_matches_real_schur_spectrum(self, seed):
         P = random_matrix(6, seed)
         # diag(S) is the spectrum; diag(R) its real parts
-        _, S = complex_schur(P)
-        _, R = real_schur(P)
+        _, S = schur(P, "complex")
+        _, R = schur(P, "real")
         expected = np.linalg.eigvals(P)
         assert np.allclose(sort_spectrum(np.diag(S)), sort_spectrum(expected),
                            atol=1e-10)
@@ -108,10 +108,24 @@ class TestComplexSchur:
 
     def test_unitary_and_triangular(self):
         P = random_matrix(5, 9)
-        W, S = complex_schur(P)
+        W, S = schur(P, "complex")
         assert np.linalg.norm(W @ W.conj().T - np.eye(5)) < 1e-12
         assert np.max(np.abs(np.tril(S, -1))) == 0.0
         assert np.linalg.norm(W @ S @ W.conj().T - P) < 1e-11
+
+
+@pytest.mark.parametrize("output", ["real", "complex"])
+def test_schur_residual_check(monkeypatch, output):
+    # one check serves both forms: a factor off by 1e-8 fails it
+    schur_lapack = dense.sla.schur
+
+    def perturbed(P, output):
+        T, Z = schur_lapack(P, output=output)
+        return T * (1 + 1e-8), Z
+
+    monkeypatch.setattr(dense.sla, "schur", perturbed)
+    with pytest.raises(ConvergenceFailure, match=f"{output} Schur residual"):
+        schur(random_matrix(5, 4), output)
 
 
 class TestEigSvd:
@@ -148,7 +162,7 @@ class TestEigSvd:
     def test_spectrum_agrees_with_schur(self):
         P = random_matrix(6, 17)
         evals = sort_spectrum(eig_pencil(P, np.eye(6))[0])
-        svals = sort_spectrum(np.diag(complex_schur(P)[1]))
+        svals = sort_spectrum(np.diag(schur(P, "complex")[1]))
         assert np.allclose(evals, svals, atol=1e-10)
 
 

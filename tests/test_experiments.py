@@ -184,6 +184,13 @@ class TestConfigFile:
         assert config.out == str(tmp_path / "table.csv")
         assert config.threads == 2
 
+    def test_repeated_key(self, tmp_path):
+        # the second line would silently win
+        path = tmp_path / "twice.cfg"
+        path.write_text("max_level = 2\n# finer\nmax_level = 5\n")
+        with pytest.raises(UsageError, match="twice.cfg:3: repeated key"):
+            load_config_file(path)
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("max_level 1\n")

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 from kronheat import fem
-from kronheat.errors import DimensionMismatch, UsageError
+from kronheat.errors import DegenerateElement, DimensionMismatch, UsageError
 from kronheat.experiments import (
     assemble_problem,
     solution_errors,
@@ -119,6 +119,16 @@ class TestGradedEdges:
 
 
 class TestAssembleP1:
+    def test_nan_vertex_rejected(self):
+        # a NaN area passes a <= 0 test; the P1 matrices would be NaN
+        mesh = TriangleMesh(
+            vertices=[(0.0, 0.0), (1.0, 0.0), (np.nan, 1.0)],
+            triangles=[(0, 1, 2)],
+            boundary_flags=[True, True, True],
+        )
+        with pytest.raises(DegenerateElement):
+            assemble_p1(mesh)
+
     def test_reference_element_matrices(self):
         ops = assemble_p1(reference_triangle())
         K = ops.A_full.toarray()

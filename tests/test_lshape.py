@@ -136,6 +136,17 @@ class TestMeshType:
         with pytest.raises(DegenerateElement):
             mesh.areas()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        # a NaN area compares false with 0, and an infinite one is > 0
+        mesh = TriangleMesh(
+            vertices=[(0.0, 0.0), (1.0, 0.0), (0.0, bad)],
+            triangles=[(0, 1, 2)],
+            boundary_flags=[True, True, True],
+        )
+        with pytest.raises(DegenerateElement):
+            mesh.areas()
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             TriangleMesh(vertices=[(0.0, 0.0, 0.0)], triangles=[(0, 0, 0)],

@@ -11,6 +11,7 @@ from kronheat.dense import block_starts, eig_pencil
 from kronheat.errors import (
     DefectivePencil,
     DimensionMismatch,
+    ImaginaryResidueTooLarge,
     ResidualTooLarge,
     UsageError,
 )
@@ -38,7 +39,12 @@ from kronheat.temporal import (
 )
 
 import conftest
-from conftest import BASE_NODES, SizeGuardExceeded, solve_dense_oracle
+from conftest import (
+    BASE_NODES,
+    SizeGuardExceeded,
+    counting,
+    solve_dense_oracle,
+)
 
 
 def make_problem(level=0, refinements=0, j_max=100_000):
@@ -133,7 +139,7 @@ class TestBuildPencil:
         assert pencil.T.shape == P.shape
         PT = pencil.left @ pencil.T.T @ pencil.right
         assert np.linalg.norm(PT - P.T) < 1e-10 * np.linalg.norm(P)
-        assert (pencil.sigma is None) == (variant != "fd")
+        assert (pencil.kappa2 is None) == (variant != "fd")
 
     def test_pencil_is_frozen(self, base_ops):
         pencil = build_pencil(base_ops, "bs-real")
@@ -187,10 +193,12 @@ class TestEigStudy:
         row = eig_study(temp)
         pencil = build_pencil(temp, "fd")
         assert row["n_t"] == 4 * 2**level
-        want = {"min_re_lambda": pencil.min_re_lambda, **pencil.sigma_stats}
-        assert set(row) == {"n_t", *want}
-        for key, value in want.items():
-            assert row[key] == pytest.approx(value, rel=1e-12, abs=0), key
+        assert set(row) == {"n_t", "min_re_lambda", "sigma_min",
+                            "sigma_max", "kappa2"}
+        assert row["kappa2"] == row["sigma_max"] / row["sigma_min"]
+        for key in ("min_re_lambda", "kappa2"):
+            assert row[key] == pytest.approx(getattr(pencil, key),
+                                             rel=1e-12, abs=0), key
 
     def test_singular_eigenvectors_raise(self, base_ops, monkeypatch):
         # a repeated eigenpair passes the residual check; its sigma_min is
@@ -248,24 +256,27 @@ class TestSolveSmall:
 
     def test_fd_threads_agree(self, small_system):
         a, _ = solve_as(small_system, "fd", threads=1)
-        b, r = solve_as(small_system, "fd", threads=3)
+        b, _ = solve_as(small_system, "fd", threads=3)
         assert np.array_equal(a.coefficients, b.coefficients)
-        assert r.threads == 3
 
     def test_one_symbolic_analysis_per_solve(self, small_system,
-                                             odd_system):
+                                             odd_system, monkeypatch):
         # every spatial system is M + lambda A, so one analysis serves
         # every variant, with mixed 1x1 and 2x2 blocks of R (odd_system)
         # as with pairs alone (small_system)
+        calls = counting(monkeypatch, sparse_direct, "analyze")
         for system in (small_system, odd_system):
             for variant in ("bs-real", "bs-complex", "fd"):
-                _, report = solve_as(system, variant)
-                assert report.analyze_calls == 1
+                calls.clear()
+                solve_as(system, variant)
+                assert len(calls) == 1
 
     def test_fd_reports_spectral_stats(self, small_system):
         _, report = solve_as(small_system, "fd")
         assert report.kappa2 == pytest.approx(9.576, rel=1e-3)
-        assert report.sigma_min > 0.0
+        assert report.min_re_lambda > 0.0
+        _, report = solve_as(small_system, "bs-complex")
+        assert report.kappa2 is None
         assert report.min_re_lambda > 0.0
 
 
@@ -495,6 +506,32 @@ class TestResidualGuard:
         assert report.residual < 1e-9
         oracle = solve_dense_oracle(near_defective_system)
         assert rel_diff(sol.coefficients, oracle.coefficients) < 1e-9
+
+    def test_imaginary_residue_above_tolerance_raises(self):
+        U = np.array([[1.0 + 2e-6j, 3.0], [0.5, -2.0 - 1e-6j]])
+        assert np.array_equal(solvers._discard_imaginary(U, 1e-6), U.real)
+        with pytest.raises(ImaginaryResidueTooLarge, match="above 1.0e-07"):
+            solvers._discard_imaginary(U, 1e-7)
+
+    def test_fd_falls_back_on_imaginary_residue(self, small_system,
+                                                monkeypatch):
+        # right scaled by 1 + 1e-3 i leaves U = Z right with an imaginary
+        # part 1e-3 of its real one, far above fd's 1e-6
+        build = solvers.build_pencil
+
+        def tilted(temporal, variant):
+            pencil = build(temporal, variant)
+            if variant != "fd":
+                return pencil
+            return dataclasses.replace(pencil,
+                                       right=pencil.right * (1 + 1e-3j))
+
+        monkeypatch.setattr(solvers, "build_pencil", tilted)
+        sol, report = solve(small_system, "fd")
+        assert report.variant == "bs-complex"
+        assert report.fallback == "fd failed: ImaginaryResidueTooLarge"
+        oracle = solve_dense_oracle(small_system)
+        assert rel_diff(sol.coefficients, oracle.coefficients) < 1e-10
 
     @pytest.mark.parametrize("bad", [1e-3, np.nan])
     def test_schur_variant_raises(self, small_system, monkeypatch, bad):

@@ -54,6 +54,14 @@ class TestTemporalMesh:
         with pytest.raises(ValueError):
             TemporalMesh([0.0, 0.3, 0.2])
 
+    @pytest.mark.parametrize("nodes", [[0.0, np.inf], [0.0, 0.25, np.inf],
+                                       [0.0, np.nan]])
+    def test_non_finite_node_rejected(self, nodes):
+        # an infinite end node is strictly increasing, but its operators
+        # would be NaN
+        with pytest.raises(ValueError, match="finite"):
+            TemporalMesh(nodes)
+
     def test_refine_bisect_keeps_ratio(self, base_mesh):
         fine = refine_bisect(base_mesh)
         assert fine.n_cells == 2 * base_mesh.n_cells
