@@ -9,6 +9,7 @@ field less its local L2 projection, shared by every discrete function
 measured, and the projection less the discrete function, a P1 (or
 constant) function measured from its vertex values.  The split is exact
 because the spatial rule integrates products of P1 functions exactly.
+The triangles are measured in cache-sized blocks, one after another.
 """
 
 import math
@@ -110,6 +111,12 @@ def _error_quadrature():
     # norms are stable to ~1e-5 relative; the spatial rule is the
     # limiting factor on the coarse 0.5-sized triangles
     return triangle_rule(12), gauss_rule_01(8)
+
+
+# the most spatial quadrature points error_norms evaluates at once (its
+# triangle block); a point array of 2**14 doubles is 128 KiB, about one
+# L2 cache, and 2**13-2**14 measured fastest at level 5
+ERROR_BLOCK_POINTS = 2**14
 
 
 GRADED_SPLITS = 12
@@ -257,9 +264,9 @@ def assemble_p1(mesh):
     )
 
 
-def _space_points(mesh, pts):
-    # physical coordinates of reference points in every triangle
-    p = mesh.vertices[mesh.triangles]  # (m, 3, 2)
+def _space_points(mesh, pts, block=slice(None)):
+    # physical coordinates of reference points in the triangles block
+    p = mesh.vertices[mesh.triangles[block]]  # (m, 3, 2)
     lam = np.column_stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
     phys = np.einsum("qi,tid->tqd", lam, p)
     return phys[..., 0], phys[..., 1], lam
@@ -405,19 +412,24 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt):
     values with the exact local mass matrix area (1 + I)/12.  Both are
     summed directly, without cancellation.
 
-    The functions of one stack (for instance one per solver variant) are
-    measured in one call; they share the first part and every evaluation
-    of the exact fields.  ``u``, ``grad`` and ``dt`` are each called
-    once per temporal quadrature point (8 Gauss points per panel, on 12
-    graded panels in the first cell), in that order and at the same
-    time, always with the same ``x1`` and ``x2`` arrays (the physical
-    spatial quadrature points), whatever the stack size, so a memoizing
-    callable such as ``manufactured.ExactFields`` can keep its
-    t-independent factors.  Scalar results are broadcast to the points.
-    The first part is split off at each time point; the projections of
-    one panel of time points (one temporal Gauss rule) are kept, and the
-    second part of every stack entry is measured for the whole panel at
-    once.
+    The triangles are taken in contiguous blocks of at most
+    ``ERROR_BLOCK_POINTS`` spatial quadrature points, and each block runs
+    the whole time sweep before the next starts, so the arrays of a time
+    point stay block-sized; the blocks' squared errors are added at the
+    end.  The functions of one stack (for instance one per solver
+    variant) are measured in one call; they share the first part and
+    every evaluation of the exact fields.  ``u``, ``grad`` and ``dt`` are
+    each called once per temporal quadrature point per block (8 Gauss
+    points per panel, on 12 graded panels in the first cell), in that
+    order and at the same time, with that block's own ``x1`` and ``x2``
+    arrays (its physical spatial quadrature points), whatever the stack
+    size.  The calls of one block are contiguous, so a memoizing callable
+    such as ``manufactured.ExactFields``, which keeps the t-independent
+    factors of one point set, sees one point set at a time.  Scalar
+    results are broadcast to the points.  The first part is split off at
+    each time point; the projections of one panel of time points (one
+    temporal Gauss rule) are kept, and the second part of every stack
+    entry is measured for the whole panel at once.
 
     Parameters
     ----------
@@ -441,12 +453,30 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt):
             f"coeffs shape {stack.shape} does not match (k, *{shape})")
     if not np.isfinite(stack).all():
         raise UsageError("coeffs hold a non-finite value")
-    (pts, wts), (tq, tw) = _error_quadrature()
+    rules = _error_quadrature()
+    (pts, _), _ = rules
     area, grads = _geometry(mesh_x)
-    tris = mesh_x.triangles
+    step = max(1, ERROR_BLOCK_POINTS // len(pts))
+    squares = np.zeros((2, len(stack)))
+    for start in range(0, mesh_x.n_triangles, step):
+        block = slice(start, start + step)
+        squares += _block_squares(stack, mesh_x, mesh_t, block, rules,
+                                  area[block], grads[block], u, grad, dt)
+    return [(math.sqrt(a), math.sqrt(b)) for a, b in squares.T]
+
+
+def _block_squares(stack, mesh_x, mesh_t, block, rules, area, grads,
+                   u, grad, dt):
+    """Squared L2 and H1 errors (2, k) on the triangles ``block``.
+
+    Runs the time sweep of ``error_norms`` on one block of triangles,
+    whose areas and P1 gradients are ``area`` and ``grads``.
+    """
+    (pts, wts), (tq, tw) = rules
+    tris = mesh_x.triangles[block]
     m = len(tris)
     # points in (nq, m) order, so per-triangle means broadcast along rows
-    x1, x2, lam = _space_points(mesh_x, pts)
+    x1, x2, lam = _space_points(mesh_x, pts, block)
     x1, x2 = np.ascontiguousarray(x1.T), np.ascontiguousarray(x2.T)
     # onto P1 through the inverse local mass 3 (4 I - J) / area (J all
     # ones); the reference weights sum to 1/2
@@ -481,8 +511,7 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt):
     pg = np.empty((n_q, 2, m))
     first_l2, first_h1 = np.empty((n_q, m)), np.empty((n_q, m))
     nodes = mesh_t.nodes
-    acc_l2 = np.zeros(len(stack))
-    acc_h1 = np.zeros(len(stack))
+    squares = np.zeros((2, len(stack)))
     c_lo, g_lo = at_node(0)
     for ell in range(mesh_t.n_cells):
         h = nodes[ell + 1] - nodes[ell]
@@ -512,7 +541,7 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt):
             d += qs[:, None, None] * g_hi[:, None]
             np.subtract(pg, d, out=d)
             h1 += np.einsum("kqdt,kqdt->kqt", d, d) @ area
-            acc_l2 += l2 @ (h * ws)
-            acc_h1 += h1 @ (h * ws)
+            squares[0] += l2 @ (h * ws)
+            squares[1] += h1 @ (h * ws)
         c_lo, g_lo = c_hi, g_hi
-    return [(math.sqrt(a), math.sqrt(b)) for a, b in zip(acc_l2, acc_h1)]
+    return squares

@@ -72,6 +72,8 @@ class TriangleMesh:
         object.__setattr__(self, "boundary_flags", np.asarray(self.boundary_flags, dtype=bool))
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must have shape (n, 2)")
+        if not np.all(np.isfinite(self.vertices)):
+            raise ValueError("vertices must be finite")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must have shape (m, 3)")
         if self.boundary_flags.shape != (len(self.vertices),):

@@ -11,9 +11,9 @@ The center lies inside the removed quadrant of the L-shaped domain, so u
 is smooth up to the boundary and decays to zero as t -> 0.
 
 ``ExactFields`` evaluates u, its derivatives and the source at many
-scalar times on one fixed point set, as the error norms, the load
-projection and the Dirichlet lift do, without recomputing what does not
-depend on t.
+scalar times on one point set at a time, as the load projection and the
+Dirichlet lift do on theirs and the error norms do on each triangle
+block in turn, without recomputing what does not depend on t.
 """
 
 import numpy as np
@@ -46,7 +46,8 @@ class ExactFields:
     - the t-independent factors (``x - CENTER``, ``r2``, ``sin(pi x1 x2)``
       and ``pi cos(pi x1 x2)``) of the last point set, keyed by the
       identity of the ``x1`` and ``x2`` objects, which are held until a
-      new pair arrives.  Arrays passed in must therefore not be modified
+      new pair arrives; the old pair's arrays are freed before the new
+      pair's are formed.  Arrays passed in must therefore not be modified
       in place between calls.  The two factors only the source uses are
       formed on its first call for a point set;
     - one buffer per returned field, allocated once per point set, and
@@ -107,6 +108,8 @@ class ExactFields:
             raise UsageError("ExactFields evaluates one scalar time per call")
         points = self._points
         if points is None or points[0] is not x1 or points[1] is not x2:
+            self._factors = self._source_factors = None
+            self._buffers = self._views = None
             self._points = (x1, x2)
             a1, a2 = self._coordinates()
             d1 = a1 - CENTER[0]
@@ -117,7 +120,6 @@ class ExactFields:
             self._factors = (r2, s, d1 * s, d2 * s, a2 * c, a1 * c)
             # NaN in r2 makes both comparisons with the cut false
             self._r2_range = (r2.min(initial=np.inf), r2.max(initial=-np.inf))
-            self._source_factors = None
             # G, u, du/dx1, du/dx2, du/dt, f; 0-d for scalar points
             self._buffers = [np.empty(a1.shape) for _ in range(6)]
             self._views = tuple(buffer.view() for buffer in self._buffers)

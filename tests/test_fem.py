@@ -120,12 +120,14 @@ class TestGradedEdges:
 
 class TestAssembleP1:
     def test_nan_vertex_rejected(self):
-        # a NaN area passes a <= 0 test; the P1 matrices would be NaN
+        # a NaN area passes a <= 0 test; the P1 matrices would be NaN.
+        # TriangleMesh refuses a NaN vertex, so write one in afterwards
         mesh = TriangleMesh(
-            vertices=[(0.0, 0.0), (1.0, 0.0), (np.nan, 1.0)],
+            vertices=[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
             triangles=[(0, 1, 2)],
             boundary_flags=[True, True, True],
         )
+        mesh.vertices[2, 0] = np.nan
         with pytest.raises(DegenerateElement):
             assemble_p1(mesh)
 
@@ -396,6 +398,69 @@ class TestErrorNorms:
         assert counts[0] == counts[1] == 2 * (12 * 8 + 3 * 8)
 
 
+class TestErrorBlocks:
+    """``error_norms`` on a mesh split into several triangle blocks."""
+
+    @pytest.fixture
+    def blocks_of_ten(self, meshes, monkeypatch):
+        # the 24 level-0 triangles in blocks of 10, 10 and 4; the bound
+        # is no multiple of the rule's 49 points
+        (pts, _), _ = fem._error_quadrature()
+        assert meshes[0].n_triangles == 24
+        monkeypatch.setattr(fem, "ERROR_BLOCK_POINTS", 10 * len(pts) + 3)
+
+    @pytest.fixture
+    def stack(self, meshes):
+        mesh_x, mesh_t = meshes
+        rng = np.random.default_rng(17)
+        return rng.standard_normal((3, mesh_x.n_vertices, mesh_t.n_cells))
+
+    def test_matches_one_block(self, meshes, stack, blocks_of_ten,
+                               monkeypatch):
+        mesh_x, mesh_t = meshes
+        fields = ExactFields()
+        split = error_norms(stack, mesh_x, mesh_t,
+                            fields.u, fields.grad, fields.dt)
+        (pts, _), _ = fem._error_quadrature()
+        monkeypatch.setattr(fem, "ERROR_BLOCK_POINTS",
+                            mesh_x.n_triangles * len(pts))
+        one = error_norms(stack, mesh_x, mesh_t,
+                          fields.u, fields.grad, fields.dt)
+        assert_pairs_close(split, one, 1e-13)
+        want = error_norms_reference(stack, mesh_x, mesh_t,
+                                     exact_u, exact_grad, exact_dt)
+        assert_pairs_close(split, want, 1e-12)
+
+    def test_fields_called_per_block(self, meshes, stack, blocks_of_ten):
+        # each block passes its own (x1, x2) pair in one contiguous run of
+        # calls, u then grad then dt once per time point
+        mesh_x, mesh_t = meshes
+        seen = []
+
+        def recording(name, field):
+            def f(x1, x2, t):
+                seen.append((name, x1, x2, t))
+                return field(x1, x2, t)
+            return f
+
+        error_norms(stack, mesh_x, mesh_t, recording("u", exact_u),
+                    recording("grad", exact_grad), recording("dt", exact_dt))
+        runs = []
+        for name, x1, x2, t in seen:
+            if not runs or runs[-1][0] is not x1:
+                runs.append((x1, x2, []))
+            assert runs[-1][1] is x2
+            runs[-1][2].append((name, t))
+        assert [x1.shape[1] for x1, _, _ in runs] == [10, 10, 4]
+        n_times = 12 * 8 + 3 * 8
+        for _, _, calls in runs:
+            names = [name for name, _ in calls]
+            assert names == ["u", "grad", "dt"] * n_times
+            times = [t for _, t in calls]
+            assert times[::3] == times[1::3] == times[2::3]
+            assert times == [t for _, t in runs[0][2]]
+
+
 def assert_pairs_close(got, want, rel):
     assert len(got) == len(want)
     for pair, expected in zip(got, want):
@@ -491,7 +556,8 @@ class TestErrorSplit:
     def test_memory_is_a_few_point_sets(self):
         # the second part is measured a panel of time points at a time:
         # a stacked level-2 measurement allocates at most 25 arrays of
-        # the point set's size (about 22), where the 96 time points of
+        # the point set's size (about 19 in blocks of 334 and 50
+        # triangles, about 22 as one block), where the 96 time points of
         # the whole first cell at a time take about 72
         problem = assemble_problem(2)
         solutions = [solve(problem.system, variant)[0]
@@ -505,6 +571,25 @@ class TestErrorSplit:
         finally:
             tracemalloc.stop()
         assert peak <= 25 * point_set
+
+    def test_memory_is_a_few_block_sets(self):
+        # each triangle block runs the whole time sweep in turn, so a
+        # stacked level-3 measurement (five blocks) allocates its stack
+        # and at most 25 arrays of a block's points (about 23), where the
+        # whole mesh as one block took about 22 arrays of all its points
+        problem = assemble_problem(3)
+        solutions = [solve(problem.system, variant)[0]
+                     for variant in ("bs-real", "bs-complex", "fd")]
+        stack = 8 * len(solutions) * problem.mesh_x.n_vertices \
+            * problem.mesh_t.n_cells
+        block_set = 8 * fem.ERROR_BLOCK_POINTS
+        tracemalloc.start()
+        try:
+            solution_errors(problem, solutions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= stack + 25 * block_set
 
     def test_non_finite_coefficient_is_refused(self, meshes):
         mesh_x, mesh_t = meshes
