@@ -41,7 +41,9 @@ def _add_common(parser):
                         help="solver variant (repeatable, or "
                              "comma-separated): " + ", ".join(VARIANTS))
     parser.add_argument("--threads", metavar="N",
-                        help="worker pool size for the fd variant")
+                        help="thread pool size for the fd variant's "
+                             "spatial solves (pays with BLAS pinned to "
+                             "one thread)")
     parser.add_argument("--out", metavar="CSV",
                         help="write results as CSV to this path")
 

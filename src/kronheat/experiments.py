@@ -173,15 +173,16 @@ def solution_errors(problem, solutions):
     """
     if not solutions:
         return []
-    ops = problem.system.spatial
-    stack = np.empty((len(solutions), problem.mesh_x.n_vertices,
+    mesh_x = problem.mesh_x
+    stack = np.empty((len(solutions), mesh_x.n_vertices,
                       problem.lift.shape[1]))
-    stack[:, ops.boundary] = problem.lift
+    stack[:, mesh_x.boundary] = problem.lift
+    interior = mesh_x.interior
     for full, solution in zip(stack, solutions):
-        full[ops.interior] = solution.coefficients.reshape(
-            ops.n_interior, -1, order="F")
+        full[interior] = solution.coefficients.reshape(
+            len(interior), -1, order="F")
     fields = ExactFields()
-    return error_norms(stack, problem.mesh_x, problem.mesh_t,
+    return error_norms(stack, mesh_x, problem.mesh_t,
                        fields.u, fields.grad, fields.dt)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import roots_jacobi
 
-from .errors import DegenerateElement, DimensionMismatch, UsageError
+from .errors import DimensionMismatch, UsageError
 
 __all__ = [
     "SpatialOperators",
@@ -147,20 +147,17 @@ def _time_panels(ell, tq, tw):
 
 @dataclass(frozen=True)
 class SpatialOperators:
-    """Sparse P1 matrices of a triangulation, split by boundary flags.
+    """Sparse P1 blocks of a triangulation, split by its boundary flags.
+
+    Rows run over the mesh's interior vertices and the coupling blocks'
+    columns over its boundary vertices, both in vertex order
+    (``TriangleMesh.interior`` and ``.boundary``).
 
     Attributes
     ----------
-    M_full, A_full : csr_matrix
-        Mass and stiffness over all vertices.
-    interior : ndarray
-        Vertex indices of the interior nodes, defining their order.
-    boundary : ndarray
-        Vertex indices of the boundary nodes.
-    interior_index : ndarray
-        Per-vertex position among the interior nodes, -1 on the boundary.
     M_II, A_II : csr_matrix
-        Interior-interior blocks, symmetric positive definite.
+        Interior-interior blocks of mass and stiffness, symmetric
+        positive definite.
     M_IB, A_IB : csr_matrix
         Interior-boundary coupling blocks.
     M10 : csr_matrix
@@ -168,11 +165,6 @@ class SpatialOperators:
         entry (i, j) is area(triangle j)/3 when vertex i spans it.
     """
 
-    M_full: sp.csr_matrix
-    A_full: sp.csr_matrix
-    interior: np.ndarray
-    boundary: np.ndarray
-    interior_index: np.ndarray
     M_II: sp.csr_matrix
     A_II: sp.csr_matrix
     M_IB: sp.csr_matrix
@@ -181,37 +173,23 @@ class SpatialOperators:
 
     @property
     def n_interior(self):
-        return len(self.interior)
+        return self.M_II.shape[0]
 
 
 def _geometry(mesh):
+    # areas and P1 basis gradients (m, 3, 2) of the triangles; the mesh
+    # checked the areas positive and finite.  Vertex i's gradient is its
+    # opposite edge, from vertex i + 1 to i + 2, turned a quarter
+    # counterclockwise, over twice the area
     p = mesh.vertices[mesh.triangles]
-    b = np.stack(
-        [
-            p[:, 1, 1] - p[:, 2, 1],
-            p[:, 2, 1] - p[:, 0, 1],
-            p[:, 0, 1] - p[:, 1, 1],
-        ],
-        axis=1,
-    )
-    c = np.stack(
-        [
-            p[:, 2, 0] - p[:, 1, 0],
-            p[:, 0, 0] - p[:, 2, 0],
-            p[:, 1, 0] - p[:, 0, 0],
-        ],
-        axis=1,
-    )
-    area2 = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]
-    if not np.all((area2 > 0.0) & (area2 < np.inf)):  # NaN fails too
-        raise DegenerateElement("triangle area not positive and finite")
-    area = 0.5 * area2
-    grads = np.stack([b, c], axis=2) / area2[:, None, None]  # (m, 3, 2)
-    return area, grads
+    edge = p.take([2, 0, 1], axis=1) - p.take([1, 2, 0], axis=1)
+    area = mesh.areas()
+    grads = np.stack([-edge[..., 1], edge[..., 0]], axis=2)
+    return area, grads / (2.0 * area)[:, None, None]
 
 
 def assemble_p1(mesh):
-    """Assemble the P1 operators of a triangulation.
+    """Assemble the P1 blocks of a triangulation.
 
     Returns
     -------
@@ -235,11 +213,6 @@ def assemble_p1(mesh):
     interior_index = -np.ones(n, dtype=np.int64)
     interior_index[interior] = np.arange(len(interior))
 
-    M_II = M_full[interior][:, interior].tocsr()
-    A_II = A_full[interior][:, interior].tocsr()
-    M_IB = M_full[interior][:, boundary].tocsr()
-    A_IB = A_full[interior][:, boundary].tocsr()
-
     tri_flat = tris.ravel()
     mask = interior_index[tri_flat] >= 0
     m10 = sp.coo_matrix(
@@ -251,15 +224,10 @@ def assemble_p1(mesh):
     ).tocsr()
 
     return SpatialOperators(
-        M_full=M_full,
-        A_full=A_full,
-        interior=interior,
-        boundary=boundary,
-        interior_index=interior_index,
-        M_II=M_II,
-        A_II=A_II,
-        M_IB=M_IB,
-        A_IB=A_IB,
+        M_II=M_full[interior][:, interior].tocsr(),
+        A_II=A_full[interior][:, interior].tocsr(),
+        M_IB=M_full[interior][:, boundary].tocsr(),
+        A_IB=A_full[interior][:, boundary].tocsr(),
         M10=m10,
     )
 

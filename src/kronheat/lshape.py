@@ -19,14 +19,16 @@ __all__ = [
 ]
 
 
-def on_lshape_boundary(points, tol=1e-12):
+# absolute tolerance of the boundary predicate's geometric comparisons
+BOUNDARY_TOL = 1e-12
+
+
+def on_lshape_boundary(points):
     """Flag points lying on the boundary of the L-shaped domain.
 
     Parameters
     ----------
     points : ndarray of shape (n, 2)
-    tol : float
-        Absolute tolerance for the geometric comparisons.
 
     Returns
     -------
@@ -34,6 +36,7 @@ def on_lshape_boundary(points, tol=1e-12):
     """
     points = np.asarray(points, dtype=float)
     x, y = points[:, 0], points[:, 1]
+    tol = BOUNDARY_TOL
     outer = (
         (np.abs(x + 1.0) <= tol)
         | (np.abs(x - 1.0) <= tol)
@@ -51,33 +54,50 @@ def on_lshape_boundary(points, tol=1e-12):
 class TriangleMesh:
     """Conforming triangulation with per-vertex boundary flags.
 
+    The mesh checks itself once, at construction, and keeps read-only
+    copies of its arrays, so it stays valid: finite vertices, vertex
+    indices in range, and every triangle counterclockwise with a
+    positive, finite area (``DegenerateElement`` otherwise).
+
     Attributes
     ----------
     vertices : ndarray of shape (n_vertices, 2)
     triangles : ndarray of shape (n_triangles, 3)
         Vertex index triples, counterclockwise.
     boundary_flags : ndarray of bool, shape (n_vertices,)
-    level : int
-        Refinement level the mesh was generated at.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_flags: np.ndarray
-    level: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
-        object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=np.int64))
-        object.__setattr__(self, "boundary_flags", np.asarray(self.boundary_flags, dtype=bool))
+        for name, dtype in (("vertices", float), ("triangles", np.int64),
+                            ("boundary_flags", bool)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must have shape (n, 2)")
         if not np.all(np.isfinite(self.vertices)):
             raise ValueError("vertices must be finite")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must have shape (m, 3)")
-        if self.boundary_flags.shape != (len(self.vertices),):
+        if not np.all((self.triangles >= 0)
+                      & (self.triangles < self.n_vertices)):
+            raise ValueError("triangle vertex index out of range")
+        if self.boundary_flags.shape != (self.n_vertices,):
             raise ValueError("one boundary flag per vertex required")
+        p = self.vertices[self.triangles]
+        # far-apart finite vertices can overflow to an inf or NaN area
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1 = p[:, 1] - p[:, 0]
+            d2 = p[:, 2] - p[:, 0]
+            area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        if not np.all((area > 0.0) & (area < np.inf)):  # NaN fails too
+            raise DegenerateElement("triangle area not positive and finite")
+        area.flags.writeable = False
+        object.__setattr__(self, "_areas", area)
 
     @property
     def n_vertices(self):
@@ -97,21 +117,9 @@ class TriangleMesh:
         """Indices of boundary vertices, in vertex order."""
         return np.flatnonzero(self.boundary_flags)
 
-    @property
-    def n_interior(self):
-        return int(np.count_nonzero(~self.boundary_flags))
-
-    def signed_areas(self):
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
     def areas(self):
-        a = self.signed_areas()
-        if not np.all((a > 0.0) & (a < np.inf)):  # NaN fails too
-            raise DegenerateElement("triangle area not positive and finite")
-        return a
+        """Triangle areas, formed and checked once at construction."""
+        return self._areas
 
     @property
     def h_x(self):
@@ -155,4 +163,4 @@ def build_lshape_mesh(level):
     triangles = np.array(tris, dtype=np.int64)
 
     flags = on_lshape_boundary(vertices)
-    return TriangleMesh(vertices, triangles, flags, level=level)
+    return TriangleMesh(vertices, triangles, flags)

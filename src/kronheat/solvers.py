@@ -18,8 +18,9 @@ Every variant back-substitutes over the diagonal blocks of T
 complex solve at one eigenvalue of the pair; S and diag(D) have 1x1
 blocks only, and those of diag(D) are uncoupled (the fast
 diagonalization of Lynch, Rice and Thomas).  With ``threads > 1`` fd's
-N_t systems run on a thread pool; SuperLU holds the GIL, so the pool
-does not make them faster.  Last, U = Z right drops an imaginary part
+N_t systems run concurrently on a thread pool, which pays with BLAS
+pinned to one thread (``OPENBLAS_NUM_THREADS=1``), not while BLAS's
+own threads fill the cores.  Last, U = Z right drops an imaginary part
 below the variant's tolerance and the relative residual is checked
 against the variant's bound.  A failed fd solve is rerun with
 bs-complex and the report says so; a failed Schur solve raises.

@@ -194,6 +194,19 @@ def base_ops(base_mesh):
     return assemble_temporal_operators(base_mesh, j_max=400_000)
 
 
+def full_p1(mesh):
+    """Mass and stiffness matrices of ``mesh`` over all its vertices.
+
+    ``assemble_p1`` keeps only the blocks the system reads; on the same
+    mesh with every vertex flagged interior, its interior blocks are the
+    full matrices, in vertex order.
+    """
+    everywhere = TriangleMesh(mesh.vertices, mesh.triangles,
+                              np.zeros(mesh.n_vertices, dtype=bool))
+    ops = fem.assemble_p1(everywhere)
+    return ops.M_II, ops.A_II
+
+
 def refine_uniform(mesh):
     """Split every triangle into four congruent children via edge midpoints.
 
@@ -229,4 +242,4 @@ def refine_uniform(mesh):
     flags = np.concatenate(
         [mesh.boundary_flags, on_lshape_boundary(vertices[nv:])]
     )
-    return TriangleMesh(vertices, children, flags, level=mesh.level + 1)
+    return TriangleMesh(vertices, children, flags)

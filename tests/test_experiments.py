@@ -44,6 +44,8 @@ from kronheat.manufactured import ExactFields
 from kronheat.solvers import SpaceTimeSystem, solve
 from kronheat.temporal import assemble_temporal_operators
 
+from conftest import full_p1
+
 
 class TestEoc:
     def test_second_order_model(self):
@@ -102,12 +104,13 @@ class TestPatchSolution:
         temp = assemble_temporal_operators(mesh_t)
         lift = dirichlet_lift(mesh_x, mesh_t, u)
         if exact_load:
-            # <f, H_T v> for the P1 source: M_full f in space times the
-            # row sums of C in time, as f is constant in t
+            # <f, H_T v> for the P1 source: the full mass times f in
+            # space times the row sums of C in time, as f is constant in t
             F = np.zeros((mesh_x.n_triangles, temp.n))
             x1, x2 = mesh_x.vertices.T
             f_nodes = a + b * x1 + c * x2
-            load = np.outer((ops.M_full @ f_nodes)[ops.interior],
+            M, _ = full_p1(mesh_x)
+            load = np.outer((M @ f_nodes)[mesh_x.interior],
                             temp.C.sum(axis=1)).ravel(order="F")
         else:
             # the source dt u = a is constant, so the cell averages of
@@ -119,9 +122,9 @@ class TestPatchSolution:
         for variant in ("bs-real", "bs-complex", "fd"):
             solution, _ = solve(system, variant)
             full = np.empty((mesh_x.n_vertices, temp.n))
-            full[ops.interior] = solution.coefficients.reshape(
+            full[mesh_x.interior] = solution.coefficients.reshape(
                 ops.n_interior, -1, order="F")
-            full[ops.boundary] = lift
+            full[mesh_x.boundary] = lift
             [(l2, h1)] = error_norms(full[None], mesh_x, mesh_t,
                                      u, grad, dt)
             assert l2 < 1e-10 and h1 < 1e-10, (variant, l2, h1)
@@ -313,12 +316,12 @@ class TestSolutionErrors:
         # nonzero for the manufactured solution
         problem = assemble_problem(1)
         solution, _ = solve(problem.system, "bs-complex")
-        ops = problem.system.spatial
+        mesh_x = problem.mesh_x
         assert np.abs(problem.lift).max() > 0.1
-        full = np.empty((problem.mesh_x.n_vertices, problem.mesh_t.n_cells))
-        full[ops.interior] = solution.coefficients.reshape(
-            ops.n_interior, -1, order="F")
-        full[ops.boundary] = problem.lift
+        full = np.empty((mesh_x.n_vertices, problem.mesh_t.n_cells))
+        full[mesh_x.interior] = solution.coefficients.reshape(
+            problem.system.spatial.n_interior, -1, order="F")
+        full[mesh_x.boundary] = problem.lift
         fields = ExactFields()
         [expected] = error_norms(full[None], problem.mesh_x,
                                  problem.mesh_t,

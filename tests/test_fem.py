@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 from kronheat import fem
-from kronheat.errors import DegenerateElement, DimensionMismatch, UsageError
+from kronheat.errors import DimensionMismatch, UsageError
 from kronheat.experiments import (
     assemble_problem,
     solution_errors,
@@ -35,6 +35,7 @@ from conftest import (
     exact_dt,
     exact_grad,
     exact_u,
+    full_p1,
     refine_uniform,
 )
 
@@ -120,21 +121,18 @@ class TestGradedEdges:
 
 class TestAssembleP1:
     def test_nan_vertex_rejected(self):
-        # a NaN area passes a <= 0 test; the P1 matrices would be NaN.
-        # TriangleMesh refuses a NaN vertex, so write one in afterwards
-        mesh = TriangleMesh(
-            vertices=[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
-            triangles=[(0, 1, 2)],
-            boundary_flags=[True, True, True],
-        )
-        mesh.vertices[2, 0] = np.nan
-        with pytest.raises(DegenerateElement):
-            assemble_p1(mesh)
+        # a NaN vertex would make the P1 matrices NaN.  TriangleMesh
+        # refuses one when it is built, and writing one into a mesh that
+        # passed its checks is refused too
+        mesh = reference_triangle()
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.vertices[2, 0] = np.nan
+        assert np.isfinite(assemble_p1(mesh).M10.toarray()).all()
 
     def test_reference_element_matrices(self):
-        ops = assemble_p1(reference_triangle())
-        K = ops.A_full.toarray()
-        M = ops.M_full.toarray()
+        M, K = full_p1(reference_triangle())
+        K = K.toarray()
+        M = M.toarray()
         K_exact = np.array([
             [1.0, -0.5, -0.5],
             [-0.5, 0.5, 0.0],
@@ -149,22 +147,22 @@ class TestAssembleP1:
         assert np.allclose(M, M_exact, atol=1e-16)
 
     def test_mass_sums_to_domain_area(self):
-        ops = assemble_p1(build_lshape_mesh(1))
-        assert ops.M_full.sum() == pytest.approx(3.0, rel=1e-13)
+        M, _ = full_p1(build_lshape_mesh(1))
+        assert M.sum() == pytest.approx(3.0, rel=1e-13)
 
     def test_stiffness_annihilates_constants(self):
-        ops = assemble_p1(build_lshape_mesh(1))
-        ones = np.ones(ops.M_full.shape[0])
-        assert np.abs(ops.A_full @ ones).max() < 1e-13
+        M, A = full_p1(build_lshape_mesh(1))
+        ones = np.ones(M.shape[0])
+        assert np.abs(A @ ones).max() < 1e-13
 
     def test_stiffness_linear_exactness(self):
         # for u = x1, v = x2: int grad u . grad v = 0; u = v = x1 gives area
         mesh = build_lshape_mesh(0)
-        ops = assemble_p1(mesh)
+        _, A = full_p1(mesh)
         ux = mesh.vertices[:, 0]
         uy = mesh.vertices[:, 1]
-        assert ux @ (ops.A_full @ ux) == pytest.approx(3.0, rel=1e-13)
-        assert ux @ (ops.A_full @ uy) == pytest.approx(0.0, abs=1e-13)
+        assert ux @ (A @ ux) == pytest.approx(3.0, rel=1e-13)
+        assert ux @ (A @ uy) == pytest.approx(0.0, abs=1e-13)
 
     def test_interior_blocks_are_spd(self):
         ops = assemble_p1(build_lshape_mesh(1))
@@ -173,31 +171,32 @@ class TestAssembleP1:
             assert np.allclose(dense, dense.T, atol=1e-14)
             assert sla.eigvalsh(dense).min() > 0.0
 
-    def test_interior_index_inverts_interior(self):
-        ops = assemble_p1(build_lshape_mesh(0))
-        assert np.array_equal(ops.interior_index[ops.interior],
-                              np.arange(ops.n_interior))
-        assert np.all(ops.interior_index[ops.boundary] == -1)
-
     def test_mixed_mass_rows(self):
         mesh = build_lshape_mesh(0)
         ops = assemble_p1(mesh)
         areas = mesh.areas()
         m10 = ops.M10.toarray()
+        row = {v: i for i, v in enumerate(mesh.interior)}
         # each column holds area/3 at the triangle's interior vertices
         for j, tri in enumerate(mesh.triangles):
-            idx = ops.interior_index[tri]
             expect = np.zeros(ops.n_interior)
-            expect[idx[idx >= 0]] = areas[j] / 3.0
+            for v in tri:
+                if v in row:
+                    expect[row[v]] = areas[j] / 3.0
             assert np.allclose(m10[:, j], expect, atol=1e-15)
 
     def test_submatrix_blocks_match_full(self):
-        ops = assemble_p1(build_lshape_mesh(0))
-        M = ops.M_full.toarray()
-        assert np.allclose(ops.M_II.toarray(),
-                           M[np.ix_(ops.interior, ops.interior)])
-        assert np.allclose(ops.M_IB.toarray(),
-                           M[np.ix_(ops.interior, ops.boundary)])
+        mesh = build_lshape_mesh(0)
+        ops = assemble_p1(mesh)
+        interior, boundary = mesh.interior, mesh.boundary
+        assert ops.n_interior == len(interior)
+        for blocks, full in zip(((ops.M_II, ops.M_IB), (ops.A_II, ops.A_IB)),
+                                full_p1(mesh)):
+            full = full.toarray()
+            assert np.allclose(blocks[0].toarray(),
+                               full[np.ix_(interior, interior)])
+            assert np.allclose(blocks[1].toarray(),
+                               full[np.ix_(interior, boundary)])
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +271,7 @@ def pieces():
     temp = assemble_temporal_operators(mesh_t, j_max=20_000)
     rng = np.random.default_rng(7)
     F = rng.standard_normal((mesh_x.n_triangles, temp.n))
-    G = rng.standard_normal((len(ops.boundary), temp.n))
+    G = rng.standard_normal((len(mesh_x.boundary), temp.n))
     return ops, temp, F, G
 
 
@@ -482,15 +481,15 @@ class TestErrorSplit:
     def test_matches_reference_on_problem(self, level):
         # all three variants' solutions, boundary rows from the lift
         problem = assemble_problem(level)
-        ops = problem.system.spatial
+        mesh_x = problem.mesh_x
         variants = ("bs-real", "bs-complex", "fd")
-        stack = np.empty((len(variants), problem.mesh_x.n_vertices,
+        stack = np.empty((len(variants), mesh_x.n_vertices,
                           problem.mesh_t.n_cells))
-        stack[:, ops.boundary] = problem.lift
+        stack[:, mesh_x.boundary] = problem.lift
         for full, variant in zip(stack, variants):
             solution, _ = solve(problem.system, variant)
-            full[ops.interior] = solution.coefficients.reshape(
-                ops.n_interior, -1, order="F")
+            full[mesh_x.interior] = solution.coefficients.reshape(
+                len(mesh_x.interior), -1, order="F")
         fields = ExactFields()
         got = error_norms(stack, problem.mesh_x, problem.mesh_t,
                           fields.u, fields.grad, fields.dt)
@@ -543,9 +542,9 @@ class TestErrorSplit:
         assert len(ratios) == 4 * (12 * 8 + 3 * 8)
         assert max(ratios) < 1e-28
         # on a cell of width h, t^2 less its interpolant is s (s - h)
-        ops = assemble_p1(mesh_x)
-        mass = nodal @ ops.M_full @ nodal
-        stiffness = nodal @ ops.A_full @ nodal
+        M, A = full_p1(mesh_x)
+        mass = nodal @ M @ nodal
+        stiffness = nodal @ A @ nodal
         h = np.diff(mesh_t.nodes)
         assert l2 == pytest.approx(math.sqrt(mass * np.sum(h**5) / 30.0),
                                    rel=1e-13)

@@ -39,7 +39,7 @@ class TestBuildMesh:
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_interior_counts(self, level):
         mesh = build_lshape_mesh(level)
-        assert mesh.n_interior == INTERIOR_COUNTS[level]
+        assert mesh.interior.size == INTERIOR_COUNTS[level]
 
     def test_level0_shape(self):
         mesh = build_lshape_mesh(0)
@@ -95,8 +95,7 @@ class TestRefineUniform:
     def test_counts(self):
         fine = refine_uniform(build_lshape_mesh(0))
         assert fine.n_triangles == 96
-        assert fine.level == 1
-        assert fine.n_interior == INTERIOR_COUNTS[1]
+        assert fine.interior.size == INTERIOR_COUNTS[1]
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_matches_direct_build(self, level):
@@ -126,15 +125,43 @@ class TestRefineUniform:
         assert fine.areas().max() == pytest.approx(coarse.areas().max() / 4)
 
 
+def one_triangle(vertices, triangle=(0, 1, 2)):
+    return TriangleMesh(vertices=vertices, triangles=[triangle],
+                        boundary_flags=[True] * len(vertices))
+
+
 class TestMeshType:
+    # every area is checked once, when the mesh is built
     def test_degenerate_triangle_rejected(self):
-        mesh = TriangleMesh(
-            vertices=[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
-            triangles=[(0, 1, 2)],
-            boundary_flags=[True, True, True],
-        )
         with pytest.raises(DegenerateElement):
-            mesh.areas()
+            one_triangle([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+
+    def test_clockwise_triangle_rejected(self):
+        with pytest.raises(DegenerateElement):
+            one_triangle([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+
+    def test_nan_area_rejected(self):
+        # finite vertices whose difference overflows: inf * 0 is NaN
+        with pytest.raises(DegenerateElement):
+            one_triangle([(-1e308, 0.0), (1e308, 0.0), (0.0, 0.0)])
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_vertex_index_out_of_range_rejected(self, index):
+        # -1 would silently mean the last vertex, n_vertices an
+        # IndexError inside the assembly
+        with pytest.raises(ValueError, match="out of range"):
+            one_triangle([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+                         triangle=(0, 1, index))
+
+    def test_arrays_are_read_only_copies(self):
+        vertices = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        mesh = one_triangle(vertices)
+        vertices[1, 0] = -1.0  # the caller's array stays writable
+        assert mesh.areas()[0] == 0.5
+        for array in (mesh.vertices, mesh.triangles, mesh.boundary_flags,
+                      mesh.areas()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vertex_rejected(self, bad):
@@ -142,11 +169,7 @@ class TestMeshType:
         # the doubled area, which numpy warns about
         for vertex in ((0.0, bad), (bad, 1.0)):
             with pytest.raises(ValueError, match="vertices must be finite"):
-                TriangleMesh(
-                    vertices=[(0.0, 0.0), (1.0, 0.0), vertex],
-                    triangles=[(0, 1, 2)],
-                    boundary_flags=[True, True, True],
-                )
+                one_triangle([(0.0, 0.0), (1.0, 0.0), vertex])
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

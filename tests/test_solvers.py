@@ -64,15 +64,9 @@ def make_problem(level=0, refinements=0, j_max=100_000):
 def wrap_spatial(M, A):
     """Package bare interior matrices as SpatialOperators for the solvers."""
     M = sp.csr_matrix(M)
-    A = sp.csr_matrix(A)
-    n = M.shape[0]
-    empty_col = sp.csr_matrix((n, 0))
-    return SpatialOperators(
-        M_full=M, A_full=A,
-        interior=np.arange(n), boundary=np.empty(0, dtype=int),
-        interior_index=np.arange(n),
-        M_II=M, A_II=A, M_IB=empty_col, A_IB=empty_col, M10=empty_col,
-    )
+    empty_col = sp.csr_matrix((M.shape[0], 0))
+    return SpatialOperators(M_II=M, A_II=sp.csr_matrix(A), M_IB=empty_col,
+                            A_IB=empty_col, M10=empty_col)
 
 
 def fem_pair_1d(n, seed):
