@@ -145,7 +145,7 @@ def _time_panels(ell, tq, tw):
     return q, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpatialOperators:
     """Sparse P1 blocks of a triangulation, split by its boundary flags.
 
@@ -207,28 +207,19 @@ def assemble_p1(mesh):
     cols = np.tile(tris, (1, 3)).ravel()
     A_full = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     M_full = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    M10_full = sp.coo_matrix(
+        (np.repeat(area / 3.0, 3), (tris.ravel(), np.repeat(np.arange(m), 3))),
+        shape=(n, m),
+    ).tocsr()
 
     interior = mesh.interior
     boundary = mesh.boundary
-    interior_index = -np.ones(n, dtype=np.int64)
-    interior_index[interior] = np.arange(len(interior))
-
-    tri_flat = tris.ravel()
-    mask = interior_index[tri_flat] >= 0
-    m10 = sp.coo_matrix(
-        (
-            np.repeat(area / 3.0, 3)[mask],
-            (interior_index[tri_flat][mask], np.repeat(np.arange(m), 3)[mask]),
-        ),
-        shape=(len(interior), m),
-    ).tocsr()
-
     return SpatialOperators(
         M_II=M_full[interior][:, interior].tocsr(),
         A_II=A_full[interior][:, interior].tocsr(),
         M_IB=M_full[interior][:, boundary].tocsr(),
         A_IB=A_full[interior][:, boundary].tocsr(),
-        M10=m10,
+        M10=M10_full[interior].tocsr(),
     )
 
 

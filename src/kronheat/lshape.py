@@ -50,7 +50,7 @@ def on_lshape_boundary(points):
     return outer | reentrant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangleMesh:
     """Conforming triangulation with per-vertex boundary flags.
 

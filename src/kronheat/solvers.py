@@ -3,14 +3,20 @@
 The global matrix K = A_t (x) M_x + M_t (x) A_x is never formed: the
 coefficients U solve M_x U A_t + A_x U M_t^T = F.  :func:`solve` runs one
 driver for every variant.  It decomposes P = A_t^{-1} M_t as
-P^T = left T^T right, right = left^{-1} (:func:`build_pencil`):
+P^T = left T^T right, right = left^{-1} (:func:`build_pencil`), calling
+SciPy's LAPACK routines here and nowhere else:
 
 * ``bs-real``: real Schur (Q, R, Q^T), R quasi-triangular;
 * ``bs-complex``: complex Schur (conj(W), S, W^T), S triangular;
-* ``fd``: eigenvectors (X^{-T}, diag(D), X^T), both formed from the SVD
-  of X, whose condition number kappa2 the report carries.
+* ``fd``: eigenvectors (X^{-T}, diag(D), X^T) of the pencil's QZ
+  iteration (:func:`eig_pencil`), both formed from the SVD of X, whose
+  condition number kappa2 the report carries.
 
-It then transforms in, G = F A_t^{-1} left, and sweeps the spatial
+Each decomposition's residual against P is checked, and a NaN residual
+fails; the temporal matrices were checked once, when ``TemporalOperators``
+was built.
+
+The driver then transforms in, G = F A_t^{-1} left, and sweeps the spatial
 systems of M_x Z + A_x Z T^T = G, each one shift lambda of the pencil
 M_x + lambda A_x under the one ``sparse_direct.analyze`` of every solve.
 Every variant back-substitutes over the diagonal blocks of T
@@ -32,20 +38,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg as sla
+from scipy.linalg.lapack import dggev
 
 from . import sparse_direct
-from .dense import (
-    block_starts,
-    cholesky_lower,
-    eig_pencil,
-    schur,
-    spd_solve,
-    svd_of_eigenvectors,
-)
 from .errors import (
+    ConvergenceFailure,
     DefectivePencil,
     DimensionMismatch,
     ImaginaryResidueTooLarge,
+    NotPositiveDefinite,
     ResidualTooLarge,
     UsageError,
 )
@@ -61,7 +63,7 @@ TOLERANCES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceTimeSystem:
     """Assembled operators plus the transformed global right-hand side.
 
@@ -98,7 +100,7 @@ class SpaceTimeSystem:
         return self.rhs.reshape(self.m_x, self.n_t, order="F")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pencil:
     """P^T = left T^T right for P = A_t^{-1} M_t, plus chol(A_t).
 
@@ -116,7 +118,7 @@ class Pencil:
     kappa2: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceTimeSolution:
     """Interior coefficients, spatial index fastest; the boundary rows are
     the Dirichlet lift (``experiments.solution_errors`` merges them)."""
@@ -168,6 +170,11 @@ def build_pencil(temporal, variant):
         If an eigenvalue has nonpositive real part, or (fd only) the
         eigenvector matrix is numerically defective; the caller should
         fall back to "bs-complex".
+    ConvergenceFailure
+        If the Schur form fails, or its residual ||Z T Z^H - P||_F
+        exceeds 1e-10 max(||P||_F, 1) (a NaN residual fails too).
+    NotPositiveDefinite
+        If Cholesky finds A_t indefinite.
     """
     if variant == "fd":
         L, vals, min_re, (U, sigma, Vh) = _fd_spectrum(temporal, True)
@@ -179,36 +186,89 @@ def build_pencil(temporal, variant):
                       kappa2=float(sigma[0] / sigma[-1]))
     if variant not in ("bs-real", "bs-complex"):
         raise ValueError(f"unknown pencil variant: {variant!r}")
-    L = cholesky_lower(temporal.A)
+    L, P = _factor(temporal)
+    # R quasi-triangular, LAPACK standardizing each 2x2 block (a pair
+    # alpha +- i sqrt(-b1 b2)) to diagonal entries alpha, alpha; or S
+    # triangular.  Either way diag(T) holds every real part
+    output = "real" if variant == "bs-real" else "complex"
+    try:
+        T, Z = sla.schur(P, output=output)
+    except sla.LinAlgError as exc:  # pragma: no cover - QR failure is rare
+        raise ConvergenceFailure(str(exc)) from exc
+    scale = max(np.linalg.norm(P, "fro"), 1.0)
+    if not np.linalg.norm(Z @ T @ Z.conj().T - P, "fro") <= 1e-10 * scale:
+        raise ConvergenceFailure(f"{output} Schur residual above tolerance")
     # (Q, R, Q^T) or (conj(W), S, W^T); conj leaves the real Q as it is
-    Z, T = schur(spd_solve(L, temporal.M),
-                 "real" if variant == "bs-real" else "complex")
-    # LAPACK gives the two diagonal entries of a 2x2 block of R the real
-    # part of its conjugate pair, so diag(T) holds every real part
     return Pencil(chol_A=L, left=np.conj(Z), T=T, right=Z.T,
                   min_re_lambda=_min_re_lambda(np.diag(T)))
+
+
+def _factor(temporal):
+    """(L, P): the lower Cholesky factor of A_t and P = A_t^{-1} M_t."""
+    try:
+        L = sla.cholesky(temporal.A, lower=True)
+    except sla.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+    return L, sla.cho_solve((L, True), temporal.M)
+
+
+def eig_pencil(M, A):
+    """Generalized eigenpairs of M z = lambda A z via the QZ iteration.
+
+    Returns
+    -------
+    vals : (N,) complex array
+    vecs : (N, N) complex array
+        Columns keep LAPACK's raw scaling (largest component has
+        |Re| + |Im| = 1); they are deliberately not renormalized, so
+        condition numbers of the eigenvector matrix are comparable with
+        tables produced by environments using the same convention.
+
+    Raises
+    ------
+    DefectivePencil
+        On QZ failure or an infinite eigenvalue (beta = 0).
+    """
+    alphar, alphai, beta, _, vr, _, info = dggev(
+        M, A, compute_vl=0, compute_vr=1
+    )
+    if info != 0:
+        raise DefectivePencil(f"QZ iteration failed with info={info}")
+    if np.any(beta == 0.0):
+        raise DefectivePencil("pencil has an infinite eigenvalue")
+    # a conjugate pair j, j + 1 (alphai[j] > 0) is stored as the real
+    # and imaginary parts of its first eigenvector
+    vecs = vr.astype(complex)
+    j = np.flatnonzero(alphai > 0.0)
+    re, im = vr[:, j], 1j * vr[:, j + 1]
+    vecs[:, j], vecs[:, j + 1] = re + im, re - im
+    return (alphar + 1j * alphai) / beta, vecs
 
 
 def _fd_spectrum(temporal, compute_uv):
     """(chol(A_t), eigenvalues, min Re lambda, SVD of the eigenvectors).
 
     fd's spectrum of P = A_t^{-1} M_t, for :func:`build_pencil` and
-    :func:`eig_study`; the SVD is :func:`svd_of_eigenvectors`' for
-    ``compute_uv``.  The eigenpairs are those of the pencil (M_t, A_t),
-    which keeps the reference eigenvector scaling for the spectral
-    statistics; eigenvectors of (M, A) and of A^{-1} M coincide.  Raises
-    DefectivePencil on an eigenvector residual above 1e-8 ||P||_F, a
-    numerically singular eigenvector matrix or an eigenvalue with
-    nonpositive real part.
+    :func:`eig_study`; the SVD X = U diag(sigma) Vh, sigma decreasing,
+    is (U, sigma, Vh) for ``compute_uv`` and sigma alone otherwise.  The
+    eigenpairs are those of the pencil (M_t, A_t), which keeps the
+    reference eigenvector scaling for the spectral statistics;
+    eigenvectors of (M, A) and of A^{-1} M coincide.  Raises
+    DefectivePencil on an eigenvector residual above 1e-8 ||P||_F (or
+    NaN), a numerically singular eigenvector matrix (sigma_min <=
+    N eps sigma_max; a repeated column leaves sigma_min near 1e-16
+    sigma_max) or an eigenvalue with nonpositive real part.
     """
-    L = cholesky_lower(temporal.A)
-    P = spd_solve(L, temporal.M)
+    L, P = _factor(temporal)
     vals, vecs = eig_pencil(temporal.M, temporal.A)
     scale = max(np.linalg.norm(P, "fro"), 1.0)
     resid = np.linalg.norm(P @ vecs - vecs * vals[None, :], "fro")
-    if resid > 1e-8 * scale:
+    if not resid <= 1e-8 * scale:
         raise DefectivePencil("eigenvector residual above tolerance")
-    svd = svd_of_eigenvectors(vecs, compute_uv=compute_uv)
+    svd = sla.svd(vecs, compute_uv=compute_uv)
+    sigma = svd[1] if compute_uv else svd
+    if sigma[-1] <= len(sigma) * np.finfo(float).eps * sigma[0]:
+        raise DefectivePencil("eigenvector matrix is numerically singular")
     return L, vals, _min_re_lambda(vals), svd
 
 
@@ -217,6 +277,20 @@ def _min_re_lambda(eigenvalues):
     if min_re <= 0.0:
         raise DefectivePencil("pencil eigenvalue with nonpositive real part")
     return min_re
+
+
+def block_starts(T):
+    """Start indices of the diagonal blocks of an upper quasi-triangular T.
+
+    A nonzero subdiagonal entry T[k+1, k] opens a 2x2 block at k; a
+    triangular T, whose subdiagonal is exactly zero, has only 1x1 blocks.
+    """
+    n = T.shape[0]
+    starts, k = [], 0
+    while k < n:
+        starts.append(k)
+        k += 2 if k + 1 < n and T[k + 1, k] != 0.0 else 1
+    return starts
 
 
 def _back_substitution(G, T, A, symbolic, threads):
@@ -276,7 +350,7 @@ def _solve(system, variant, threads):
 
     t0 = time.perf_counter()
     F = system.rhs_matrix()
-    G = spd_solve(pencil.chol_A, F.T).T @ pencil.left
+    G = sla.cho_solve((pencil.chol_A, True), F.T).T @ pencil.left
     report.t_transform_in = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -21,7 +21,7 @@ from .errors import DimensionMismatch, SingularMatrix
 PIVOT_THRESHOLD = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolicFactorization:
     """The pencil M + shift * A under its fill-reducing ordering.
 

@@ -56,6 +56,8 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.special import zeta
 
+from .errors import DimensionMismatch, NotPositiveDefinite, UsageError
+
 # Default series truncation.  The acceptance bar is that doubling j_max moves
 # no entry by more than 1e-8 relative on meshes up to N_t = 64; the entrywise
 # tail decays like j_max^-2 and sits near 5e-9 at this budget (measured).
@@ -66,7 +68,7 @@ DEFAULT_J_MAX = 2_000_000
 _CHUNK = 1 << 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemporalMesh:
     """Partition 0 = t_0 < t_1 < ... < t_{N_t} = T of the time interval.
 
@@ -133,14 +135,36 @@ def _hat_bracket(vals: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemporalOperators:
-    """The assembled dense temporal matrices A, M, C and the budget used."""
+    """The assembled dense temporal matrices A, M, C and the budget used.
+
+    The record checks itself once, at construction, and keeps read-only
+    float copies of its matrices, so the solvers need not check them
+    again: A, M and C must be N x N of one size (``DimensionMismatch``),
+    finite (``UsageError``), and A symmetric to rtol 1e-10, atol 1e-14
+    (``NotPositiveDefinite``; Cholesky finds an indefinite A when the
+    pencil is decomposed).
+    """
 
     A: np.ndarray
     M: np.ndarray
     C: np.ndarray
     j_max: int
+
+    def __post_init__(self):
+        A, M, C = (np.array(x, dtype=float) for x in (self.A, self.M, self.C))
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or not (
+                A.shape == M.shape == C.shape):
+            raise DimensionMismatch(
+                f"A, M, C must be N x N, got {A.shape}, {M.shape}, {C.shape}")
+        if not all(np.all(np.isfinite(x)) for x in (A, M, C)):
+            raise UsageError("temporal matrices contain non-finite entries")
+        if not np.allclose(A, A.T, rtol=1e-10, atol=1e-14):
+            raise NotPositiveDefinite("A is not symmetric")
+        for name, x in zip("AMC", (A, M, C)):
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
 
     @property
     def n(self) -> int:

@@ -1,22 +1,22 @@
-"""Tests for the dense decomposition kernels."""
+"""Tests for the dense decomposition of the temporal pencil in ``solvers``.
+
+``build_pencil`` factors A_t, forms P = A_t^{-1} M_t and takes its real
+or complex Schur form, or fd's eigenvector basis and its SVD; the
+pencils here are built as ``TemporalOperators`` with A_t = I wherever
+P = M_t is the matrix under test.
+"""
 
 import numpy as np
 import pytest
 
-from kronheat import dense, solvers
-from kronheat.dense import (
-    block_starts,
-    cholesky_lower,
-    eig_pencil,
-    schur,
-    spd_solve,
-    svd_of_eigenvectors,
-)
+from kronheat import solvers
 from kronheat.errors import (
     ConvergenceFailure,
     DefectivePencil,
     NotPositiveDefinite,
 )
+from kronheat.solvers import block_starts, build_pencil, eig_pencil
+from kronheat.temporal import TemporalOperators
 
 
 def random_matrix(n, seed):
@@ -24,10 +24,19 @@ def random_matrix(n, seed):
     return rng.standard_normal((n, n))
 
 
-def eigenvector_svd(P):
-    """(X, (U, sigma, Vh)) of a standard eigenproblem, as fd builds them."""
-    _, vecs = eig_pencil(P, np.eye(len(P)))
-    return vecs, svd_of_eigenvectors(vecs)
+def pencil_ops(M, A=None):
+    """TemporalOperators of the pencil (M, A), A = I by default."""
+    M = np.asarray(M, dtype=float)
+    A = np.eye(len(M)) if A is None else A
+    return TemporalOperators(A=A, M=M, C=np.zeros_like(M), j_max=0)
+
+
+def random_positive(n, seed):
+    """Random M whose symmetric part is positive definite, so every
+    eigenvalue has positive real part; its skew part makes conjugate
+    pairs."""
+    S = random_matrix(n, seed)
+    return S @ S.T / n + np.eye(n) + 2.0 * (S - S.T)
 
 
 def sort_spectrum(vals):
@@ -37,35 +46,38 @@ def sort_spectrum(vals):
     return vals[order]
 
 
+def schur_of(M, output):
+    """(Z, T) with M = Z T Z^H, as build_pencil forms them for A_t = I."""
+    pencil = build_pencil(pencil_ops(M), f"bs-{output}")
+    return pencil.right.T, pencil.T
+
+
 class TestRealSchur:
     def test_symmetric_gives_diagonal_r(self):
         rng = np.random.default_rng(3)
-        A = rng.standard_normal((5, 5))
-        P = A + A.T
-        _, R = schur(P, "real")
+        B = rng.standard_normal((5, 5))
+        P = B @ B.T + np.eye(5)
+        _, R = schur_of(P, "real")
         off = R - np.diag(np.diag(R))
         assert np.max(np.abs(off)) < 1e-10
         assert np.allclose(np.sort(np.diag(R)),
                            np.sort(np.linalg.eigvalsh(P)), atol=1e-10)
 
     def test_rotation_block(self):
-        # [[0,1],[-1,0]] has eigenvalues +-i: one 2x2 block, alpha = 0
-        _, R = schur(np.array([[0.0, 1.0], [-1.0, 0.0]]), "real")
+        # [[1,1],[-1,1]] has eigenvalues 1 +- i: one 2x2 block, alpha = 1
+        _, R = schur_of(np.array([[1.0, 1.0], [-1.0, 1.0]]), "real")
         assert R[1, 0] != 0.0
-        assert abs(R[0, 0]) < 1e-14
+        assert R[0, 0] == pytest.approx(1.0, abs=1e-14)
         assert R[0, 1] * R[1, 0] == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reconstruction_and_structure(self, seed):
-        P = random_matrix(7, seed)
-        Q, R = schur(P, "real")
+        P = random_positive(7, seed)
+        Q, R = schur_of(P, "real")
         assert np.linalg.norm(Q @ Q.T - np.eye(7)) < 1e-12
-        assert np.linalg.norm(Q @ R @ Q.T - P) < 1e-11
+        assert np.linalg.norm(Q @ R @ Q.T - P) < 1e-11 * np.linalg.norm(P)
         # zero below the first subdiagonal
-        for i in range(7):
-            for j in range(7):
-                if i > j + 1:
-                    assert R[i, j] == 0.0
+        assert not np.tril(R, -2).any()
         # each 2x2 block is standardized: off-diagonal entries of opposite
         # signs and equal diagonal entries, so diag(R) holds every real part
         pairs = [k for k in block_starts(R)
@@ -76,9 +88,9 @@ class TestRealSchur:
             assert R[k, k] == R[k + 1, k + 1]
 
     def test_eigenvalues_match_numpy(self):
-        P = random_matrix(6, 11)
+        P = random_positive(6, 11)
         # diag(R) holds the real parts of the eigenvalues, each pair twice
-        _, R = schur(P, "real")
+        _, R = schur_of(P, "real")
         expected = np.linalg.eigvals(P)
         assert np.allclose(np.sort(np.diag(R)), np.sort(expected.real),
                            atol=1e-10)
@@ -86,20 +98,20 @@ class TestRealSchur:
 
 class TestComplexSchur:
     def test_diagonal_passthrough(self):
-        _, S = schur(np.diag([1.0, 2.0]), "complex")
+        _, S = schur_of(np.diag([1.0, 2.0]), "complex")
         assert np.allclose(np.diag(S), [1.0, 2.0])
 
     def test_rotation_eigenvalues(self):
-        _, S = schur(np.array([[0.0, 1.0], [-1.0, 0.0]]), "complex")
+        _, S = schur_of(np.array([[1.0, 1.0], [-1.0, 1.0]]), "complex")
         assert np.allclose(sort_spectrum(np.diag(S)),
-                           [-1j, 1j], atol=1e-14)
+                           [1 - 1j, 1 + 1j], atol=1e-14)
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_matches_real_schur_spectrum(self, seed):
-        P = random_matrix(6, seed)
+        P = random_positive(6, seed)
         # diag(S) is the spectrum; diag(R) its real parts
-        _, S = schur(P, "complex")
-        _, R = schur(P, "real")
+        _, S = schur_of(P, "complex")
+        _, R = schur_of(P, "real")
         expected = np.linalg.eigvals(P)
         assert np.allclose(sort_spectrum(np.diag(S)), sort_spectrum(expected),
                            atol=1e-10)
@@ -107,25 +119,40 @@ class TestComplexSchur:
                            atol=1e-10)
 
     def test_unitary_and_triangular(self):
-        P = random_matrix(5, 9)
-        W, S = schur(P, "complex")
+        P = random_positive(5, 9)
+        W, S = schur_of(P, "complex")
         assert np.linalg.norm(W @ W.conj().T - np.eye(5)) < 1e-12
         assert np.max(np.abs(np.tril(S, -1))) == 0.0
-        assert np.linalg.norm(W @ S @ W.conj().T - P) < 1e-11
+        assert np.linalg.norm(W @ S @ W.conj().T - P) < (
+            1e-11 * np.linalg.norm(P))
 
 
 @pytest.mark.parametrize("output", ["real", "complex"])
 def test_schur_residual_check(monkeypatch, output):
     # one check serves both forms: a factor off by 1e-8 fails it
-    schur_lapack = dense.sla.schur
+    schur_lapack = solvers.sla.schur
 
     def perturbed(P, output):
         T, Z = schur_lapack(P, output=output)
         return T * (1 + 1e-8), Z
 
-    monkeypatch.setattr(dense.sla, "schur", perturbed)
+    monkeypatch.setattr(solvers.sla, "schur", perturbed)
     with pytest.raises(ConvergenceFailure, match=f"{output} Schur residual"):
-        schur(random_matrix(5, 4), output)
+        build_pencil(pencil_ops(random_positive(5, 4)), f"bs-{output}")
+
+
+@pytest.mark.parametrize("output", ["real", "complex"])
+def test_schur_residual_check_fails_nan(monkeypatch, output):
+    # a NaN residual is not below the bound: it fails, it does not pass
+    schur_lapack = solvers.sla.schur
+
+    def nan_form(P, output):
+        T, Z = schur_lapack(P, output=output)
+        return np.full_like(T, np.nan), Z
+
+    monkeypatch.setattr(solvers.sla, "schur", nan_form)
+    with pytest.raises(ConvergenceFailure, match=f"{output} Schur residual"):
+        build_pencil(pencil_ops(random_positive(5, 4)), f"bs-{output}")
 
 
 class TestEigSvd:
@@ -135,14 +162,13 @@ class TestEigSvd:
         rng = np.random.default_rng(2)
         A = rng.standard_normal((6, 6))
         _, vecs = eig_pencil(A + A.T, np.eye(6))
-        _, sigma, _ = svd_of_eigenvectors(
-            vecs / np.linalg.norm(vecs, axis=0))
-        assert sigma[0] / sigma[-1] == pytest.approx(1.0, abs=1e-8)
+        unit = vecs / np.linalg.norm(vecs, axis=0)
+        assert np.linalg.cond(unit) == pytest.approx(1.0, abs=1e-8)
 
     def test_near_defective_condition_blows_up(self):
-        _, (_, sigma, _) = eigenvector_svd(
-            np.array([[1.0, 1.0], [0.0, 1.0 + 1e-8]]))
-        assert sigma[0] / sigma[-1] > 1e6
+        pencil = build_pencil(
+            pencil_ops([[1.0, 1.0], [0.0, 1.0 + 1e-8]]), "fd")
+        assert pencil.kappa2 > 1e6
 
     def test_defective_raises(self, base_ops, monkeypatch):
         # build_pencil rejects eigenpairs whose residual exceeds 1e-8
@@ -150,19 +176,20 @@ class TestEigSvd:
         monkeypatch.setattr(solvers, "eig_pencil",
                             lambda M, A: (vals * 1.001, vecs))
         with pytest.raises(DefectivePencil):
-            solvers.build_pencil(base_ops, "fd")
+            build_pencil(base_ops, "fd")
 
-    def test_svd_reconstructs_eigenvectors(self):
-        P = random_matrix(6, 13)
-        X, (U, sigma, Vh) = eigenvector_svd(P)
-        assert np.linalg.norm(U @ np.diag(sigma) @ Vh - X) < (
-            1e-12 * np.linalg.norm(X))
-        assert np.all(np.diff(sigma) <= 1e-15)
+    def test_svd_reconstructs_eigenvectors(self, base_ops):
+        # fd forms X^T and X^{-T} from the SVD of the eigenvectors X
+        _, X = eig_pencil(base_ops.M, base_ops.A)
+        pencil = build_pencil(base_ops, "fd")
+        assert np.linalg.norm(pencil.right - X.T) < 1e-12 * np.linalg.norm(X)
+        assert np.allclose(pencil.left @ pencil.right, np.eye(len(X)),
+                           atol=1e-12)
 
     def test_spectrum_agrees_with_schur(self):
-        P = random_matrix(6, 17)
-        evals = sort_spectrum(eig_pencil(P, np.eye(6))[0])
-        svals = sort_spectrum(np.diag(schur(P, "complex")[1]))
+        ops = pencil_ops(random_positive(6, 17))
+        evals = sort_spectrum(np.diag(build_pencil(ops, "fd").T))
+        svals = sort_spectrum(np.diag(build_pencil(ops, "bs-complex").T))
         assert np.allclose(evals, svals, atol=1e-10)
 
 
@@ -207,42 +234,41 @@ class TestEigPencil:
 
 class TestSvdOfEigenvectors:
     def test_wraps_pencil_output(self):
+        # fd's kappa2 is the 2-norm condition number of eig_pencil's X
         rng = np.random.default_rng(40)
         B = rng.standard_normal((5, 5))
         A = B @ B.T + 5 * np.eye(5)
-        M = rng.standard_normal((5, 5))
+        M = random_positive(5, 41)
         _, vecs = eig_pencil(M, A)
-        U, sigma, Vh = svd_of_eigenvectors(vecs)
-        assert np.allclose(U @ np.diag(sigma) @ Vh, vecs)
-        assert sigma[0] / sigma[-1] == pytest.approx(
-            np.linalg.cond(vecs, 2), rel=1e-10)
+        pencil = build_pencil(pencil_ops(M, A), "fd")
+        assert pencil.kappa2 == pytest.approx(np.linalg.cond(vecs, 2),
+                                              rel=1e-10)
 
-    def test_singular_matrix_raises(self):
-        with pytest.raises(DefectivePencil):
-            svd_of_eigenvectors(np.zeros((3, 3)))
+    def test_singular_matrix_raises(self, base_ops, monkeypatch):
+        vals, vecs = eig_pencil(base_ops.M, base_ops.A)
+        monkeypatch.setattr(solvers, "eig_pencil",
+                            lambda M, A: (vals, np.zeros_like(vecs)))
+        with pytest.raises(DefectivePencil, match="singular"):
+            build_pencil(base_ops, "fd")
 
 
 class TestCholesky:
     def test_identity(self):
-        assert np.allclose(cholesky_lower(np.eye(4)), np.eye(4))
+        pencil = build_pencil(pencil_ops(np.eye(4)), "bs-real")
+        assert np.allclose(pencil.chol_A, np.eye(4))
 
     def test_hand_factorization(self):
-        L = cholesky_lower(np.array([[4.0, 2.0], [2.0, 5.0]]))
-        assert np.allclose(L, [[2.0, 0.0], [1.0, 2.0]])
+        A = np.array([[4.0, 2.0], [2.0, 5.0]])
+        pencil = build_pencil(pencil_ops(A, A), "bs-real")
+        assert np.allclose(pencil.chol_A, [[2.0, 0.0], [1.0, 2.0]])
 
     def test_indefinite_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        ops = pencil_ops(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        for variant in ("bs-real", "bs-complex", "fd"):
+            with pytest.raises(NotPositiveDefinite):
+                build_pencil(ops, variant)
 
     def test_nonsymmetric_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky_lower(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_solve_roundtrip(self):
-        rng = np.random.default_rng(21)
-        B = rng.standard_normal((5, 5))
-        A = B @ B.T + 5 * np.eye(5)
-        L = cholesky_lower(A)
-        x = rng.standard_normal(5)
-        assert np.allclose(spd_solve(L, A @ x), x, atol=1e-12)
-
+        # refused when the record is built, before any factorization
+        with pytest.raises(NotPositiveDefinite, match="symmetric"):
+            pencil_ops(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))

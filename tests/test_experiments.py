@@ -330,6 +330,19 @@ class TestSolutionErrors:
         np.testing.assert_allclose(got, expected, rtol=1e-14)
 
 
+class TestRecords:
+    def test_array_records_compare_by_identity(self):
+        # == on two equal levels neither raises nor compares arrays, and
+        # every record hashes
+        a, b = assemble_problem(0), assemble_problem(0)
+        pairs = [(a, b), (a.mesh_x, b.mesh_x), (a.mesh_t, b.mesh_t),
+                 (a.system, b.system), (a.system.temporal, b.system.temporal),
+                 (a.system.spatial, b.system.spatial)]
+        for x, y in pairs:
+            assert x == x and x != y
+            assert len({x, y, x}) == 2
+
+
 class TestCompareSolvers:
     def test_needs_two_variants(self):
         with pytest.raises(UsageError):

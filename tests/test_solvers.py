@@ -7,7 +7,6 @@ import pytest
 import scipy.sparse as sp
 
 from kronheat import solvers, sparse_direct
-from kronheat.dense import block_starts, eig_pencil
 from kronheat.errors import (
     DefectivePencil,
     DimensionMismatch,
@@ -27,7 +26,9 @@ from kronheat.lshape import build_lshape_mesh
 from kronheat.manufactured import ExactFields
 from kronheat.solvers import (
     SpaceTimeSystem,
+    block_starts,
     build_pencil,
+    eig_pencil,
     eig_study,
     residual,
     solve,
@@ -524,6 +525,19 @@ class TestResidualGuard:
         sol, report = solve(small_system, "fd")
         assert report.variant == "bs-complex"
         assert report.fallback == "fd failed: ImaginaryResidueTooLarge"
+        oracle = solve_dense_oracle(small_system)
+        assert rel_diff(sol.coefficients, oracle.coefficients) < 1e-10
+
+    def test_fd_falls_back_on_nan_eigenvectors(self, small_system,
+                                               monkeypatch):
+        # a NaN eigenvector residual fails the check rather than passing it
+        vals, vecs = eig_pencil(small_system.temporal.M,
+                                small_system.temporal.A)
+        vecs[0, 0] = np.nan
+        monkeypatch.setattr(solvers, "eig_pencil", lambda M, A: (vals, vecs))
+        sol, report = solve(small_system, "fd")
+        assert report.variant == "bs-complex"
+        assert report.fallback == "fd failed: DefectivePencil"
         oracle = solve_dense_oracle(small_system)
         assert rel_diff(sol.coefficients, oracle.coefficients) < 1e-10
 

@@ -6,12 +6,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from kronheat import sparse_direct as sd
-from kronheat.dense import block_starts
 from kronheat.errors import DimensionMismatch, SingularMatrix
 from kronheat.experiments import time_mesh_at_level
 from kronheat.fem import assemble_p1
 from kronheat.lshape import build_lshape_mesh
-from kronheat.solvers import build_pencil
+from kronheat.solvers import block_starts, build_pencil
 from kronheat.temporal import assemble_temporal_operators
 
 from conftest import counting

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -6,11 +8,13 @@ from scipy.integrate import quad
 from kronheat import (
     DEFAULT_J_MAX,
     TemporalMesh,
+    TemporalOperators,
     assemble_temporal_operators,
     refine_bisect,
     tail_bounds,
 )
 from kronheat import temporal
+from kronheat.errors import DimensionMismatch, NotPositiveDefinite, UsageError
 from kronheat.temporal import _dyadic_period, _residue_weights
 
 mp.mp.dps = 30
@@ -62,6 +66,12 @@ class TestTemporalMesh:
         with pytest.raises(ValueError, match="finite"):
             TemporalMesh(nodes)
 
+    def test_equality_is_identity(self):
+        a, b = TemporalMesh([0.0, 0.5]), TemporalMesh([0.0, 0.5])
+        assert a == a
+        assert a != b
+        assert len({a, b}) == 2
+
     def test_refine_bisect_keeps_ratio(self, base_mesh):
         fine = refine_bisect(base_mesh)
         assert fine.n_cells == 2 * base_mesh.n_cells
@@ -69,6 +79,64 @@ class TestTemporalMesh:
         ratio = base_mesh.h_max / base_mesh.h_min
         assert fine.h_max / fine.h_min == pytest.approx(ratio)
         assert fine.h_max == pytest.approx(base_mesh.h_max / 2)
+
+
+def three_cell_ops():
+    return assemble_temporal_operators(TemporalMesh(np.linspace(0, 0.5, 4)),
+                                       j_max=50)
+
+
+class TestOperatorsRecord:
+    # the record checks its matrices once, when it is built
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["A", "M", "C"])
+    def test_non_finite_entry_rejected(self, name, bad):
+        ops = three_cell_ops()
+        matrices = {"A": ops.A, "M": ops.M, "C": ops.C}
+        matrices[name] = matrices[name].copy()
+        matrices[name][1, 2] = bad
+        with pytest.raises(UsageError, match="non-finite"):
+            TemporalOperators(**matrices, j_max=ops.j_max)
+
+    @pytest.mark.parametrize("shapes", [
+        ((3, 2), (3, 2), (3, 2)),  # not square
+        ((3,), (3,), (3,)),        # not a matrix
+        ((3, 3), (2, 2), (3, 3)),  # M another size
+        ((3, 3), (3, 3), (3, 4)),  # C not square
+    ], ids=["rectangular", "vector", "M-size", "C-shape"])
+    def test_shape_mismatch_rejected(self, shapes):
+        A, M, C = (np.ones(shape) for shape in shapes)
+        with pytest.raises(DimensionMismatch):
+            TemporalOperators(A=A, M=M, C=C, j_max=0)
+
+    def test_arrays_are_read_only_copies(self):
+        ops = three_cell_ops()
+        M = ops.M.copy()
+        record = TemporalOperators(A=ops.A, M=M, C=ops.C, j_max=ops.j_max)
+        M[0, 0] = -1.0  # the caller's array stays writable
+        assert record.M[0, 0] == ops.M[0, 0]
+        assert record.M is not M
+        for x in (record.A, record.M, record.C):
+            assert x.dtype == float
+            with pytest.raises(ValueError, match="read-only"):
+                x[0, 0] = 0.0
+
+    def test_integer_matrices_become_float(self):
+        record = TemporalOperators(A=[[2, 1], [1, 2]], M=[[1, 0], [0, 1]],
+                                   C=[[0, 0], [0, 0]], j_max=0)
+        assert record.A.dtype == record.M.dtype == record.C.dtype == float
+        assert record.n == 2
+
+    def test_replace_checks_again(self):
+        ops = three_cell_ops()
+        with pytest.raises(UsageError):
+            dataclasses.replace(ops, M=np.full((3, 3), np.nan))
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(ops, A=np.eye(2))
+        with pytest.raises(NotPositiveDefinite, match="symmetric"):
+            dataclasses.replace(ops, A=np.triu(np.ones((3, 3))))
+        replaced = dataclasses.replace(ops, A=2.0 * np.eye(3))
+        assert not replaced.A.flags.writeable
 
 
 class TestSineCoefficients:
