@@ -41,7 +41,8 @@ from kronheat.fem import (
 )
 from kronheat.lshape import build_lshape_mesh
 from kronheat.manufactured import ExactFields
-from kronheat.solvers import SpaceTimeSystem, solve
+from kronheat.solvers import SpaceTimeSystem, build_pencil, solve
+from kronheat.sparse_direct import analyze
 from kronheat.temporal import assemble_temporal_operators
 
 from conftest import full_p1
@@ -335,9 +336,15 @@ class TestRecords:
         # == on two equal levels neither raises nor compares arrays, and
         # every record hashes
         a, b = assemble_problem(0), assemble_problem(0)
+        sa, sb = a.system, b.system
         pairs = [(a, b), (a.mesh_x, b.mesh_x), (a.mesh_t, b.mesh_t),
-                 (a.system, b.system), (a.system.temporal, b.system.temporal),
-                 (a.system.spatial, b.system.spatial)]
+                 (sa, sb), (sa.temporal, sb.temporal),
+                 (sa.spatial, sb.spatial),
+                 (build_pencil(sa.temporal, "bs-real"),
+                  build_pencil(sb.temporal, "bs-real")),
+                 (analyze(sa.spatial.M_II, sa.spatial.A_II),
+                  analyze(sb.spatial.M_II, sb.spatial.A_II)),
+                 (solve(sa, "bs-real")[0], solve(sb, "bs-real")[0])]
         for x, y in pairs:
             assert x == x and x != y
             assert len({x, y, x}) == 2

@@ -175,11 +175,3 @@ class TestMeshType:
         with pytest.raises(ValueError):
             TriangleMesh(vertices=[(0.0, 0.0, 0.0)], triangles=[(0, 0, 0)],
                          boundary_flags=[True])
-
-    def test_equality_is_identity(self):
-        # two equal meshes are two meshes: == neither raises nor
-        # compares arrays, and meshes hash
-        a, b = build_lshape_mesh(0), build_lshape_mesh(0)
-        assert a == a
-        assert a != b
-        assert len({a, b}) == 2

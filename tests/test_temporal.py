@@ -66,12 +66,6 @@ class TestTemporalMesh:
         with pytest.raises(ValueError, match="finite"):
             TemporalMesh(nodes)
 
-    def test_equality_is_identity(self):
-        a, b = TemporalMesh([0.0, 0.5]), TemporalMesh([0.0, 0.5])
-        assert a == a
-        assert a != b
-        assert len({a, b}) == 2
-
     def test_refine_bisect_keeps_ratio(self, base_mesh):
         fine = refine_bisect(base_mesh)
         assert fine.n_cells == 2 * base_mesh.n_cells
