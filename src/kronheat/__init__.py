@@ -32,11 +32,7 @@ from .temporal import (
     refine_bisect,
     tail_bounds,
 )
-from .lshape import (
-    TriangleMesh,
-    build_lshape_mesh,
-    on_lshape_boundary,
-)
+from .lshape import TriangleMesh, build_lshape_mesh
 from .fem import (
     SpatialOperators,
     assemble_global_rhs,
@@ -78,7 +74,6 @@ __all__ = [
     "tail_bounds",
     "TriangleMesh",
     "build_lshape_mesh",
-    "on_lshape_boundary",
     "SpatialOperators",
     "assemble_global_rhs",
     "assemble_p1",

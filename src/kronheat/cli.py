@@ -9,6 +9,7 @@ strings given, so a setting is parsed in one place,
 """
 
 import argparse
+import os
 import sys
 
 from .errors import KronheatError, UsageError
@@ -74,6 +75,17 @@ def config_from_args(args):
     return make_config(values)
 
 
+def _note_unpinned_blas(config):
+    """Note on stderr that fd's pool gains nothing with BLAS unpinned;
+    OpenBLAS takes its thread count from the first variable set to N > 0."""
+    values = [os.environ.get(name, "").strip() for name in
+              ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")]
+    counts = [int(v) for v in values if v.isdigit() and int(v) > 0]
+    if config.threads > 1 and "fd" in config.variants and counts[:1] != [1]:
+        print(f"# note: --threads {config.threads} gains nothing for fd "
+              "without OPENBLAS_NUM_THREADS=1", file=sys.stderr)
+
+
 def _emit(header, lines, path):
     """Print a table, and write it as CSV to ``path`` unless that is None."""
     print(header)
@@ -85,6 +97,7 @@ def _emit(header, lines, path):
 
 def cmd_convergence(config):
     paths = table_paths(config.out, config.variants)
+    _note_unpinned_blas(config)
     tables = run_convergence(config)
     for variant, rows in tables.items():
         print(f"# {variant}")
@@ -100,6 +113,7 @@ def cmd_eigstudy(config):
 
 def cmd_compare(config):
     rows, residuals = compare_solvers(config)
+    _note_unpinned_blas(config)
     _emit(COMPARE_HEADER, [format_compare_row(r) for r in rows], config.out)
     for (level, variant), res in sorted(residuals.items()):
         print(f"# residual level {level} {variant}: {res:.3e}")

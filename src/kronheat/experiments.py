@@ -9,6 +9,7 @@ and quadrature are fixed to the published setup.
 
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -356,7 +357,8 @@ def write_csv(path, header, lines):
 def load_config_file(path):
     """Flat key-value config: one ``key = value`` per line, # comments.
 
-    A key given on two lines raises UsageError naming the second.
+    A # opens a comment at a line start or after whitespace.  A key
+    given on two lines raises UsageError naming the second.
     """
     values = {}
     try:
@@ -365,7 +367,7 @@ def load_config_file(path):
         raise UsageError(f"cannot read config {path}: {exc.strerror}") from exc
     with fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

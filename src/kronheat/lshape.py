@@ -3,51 +3,18 @@
 The domain is (-1, 1)^2 with the closed quadrant [0, 1] x [-1, 0]
 removed.  Meshes are generated on a uniform lattice of spacing
 0.5 * 2**(-level); every lattice square inside the domain is split into
-two triangles along its bottom-left to top-right diagonal.
+two triangles along its bottom-left to top-right diagonal.  Boundary
+flags are read off the integer lattice coordinates, exactly.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateElement
 
-__all__ = [
-    "TriangleMesh",
-    "build_lshape_mesh",
-    "on_lshape_boundary",
-]
-
-
-# absolute tolerance of the boundary predicate's geometric comparisons
-BOUNDARY_TOL = 1e-12
-
-
-def on_lshape_boundary(points):
-    """Flag points lying on the boundary of the L-shaped domain.
-
-    Parameters
-    ----------
-    points : ndarray of shape (n, 2)
-
-    Returns
-    -------
-    ndarray of bool, shape (n,)
-    """
-    points = np.asarray(points, dtype=float)
-    x, y = points[:, 0], points[:, 1]
-    tol = BOUNDARY_TOL
-    outer = (
-        (np.abs(x + 1.0) <= tol)
-        | (np.abs(x - 1.0) <= tol)
-        | (np.abs(y + 1.0) <= tol)
-        | (np.abs(y - 1.0) <= tol)
-    )
-    # reentrant edges {0} x [-1, 0] and [0, 1] x {0}
-    reentrant = ((np.abs(x) <= tol) & (y <= tol)) | (
-        (np.abs(y) <= tol) & (x >= -tol)
-    )
-    return outer | reentrant
+__all__ = ["TriangleMesh", "build_lshape_mesh"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,34 +100,24 @@ def build_lshape_mesh(level):
     Lattice spacing is 0.5 * 2**(-level); level 0 has 24 triangles and
     5 interior vertices.
     """
+    level = operator.index(level)
     if level < 0:
         raise ValueError("level must be >= 0")
     m = 2 ** (level + 1)  # lattice intervals per unit length
 
-    # integer lattice coordinates i, j in [-m, m]; point kept unless it
-    # falls strictly inside the removed quadrant
-    index = -np.ones((2 * m + 1, 2 * m + 1), dtype=np.int64)
-    verts = []
-    for j in range(-m, m + 1):
-        for i in range(-m, m + 1):
-            if i > 0 and j < 0:
-                continue
-            index[i + m, j + m] = len(verts)
-            verts.append((i / m, j / m))
-    vertices = np.array(verts, dtype=float)
+    # integer lattice i, j in [-m, m], j slowest; drop i > 0 and j < 0
+    j, i = np.mgrid[-m:m + 1, -m:m + 1]
+    kept = ~((i > 0) & (j < 0))
+    index = np.cumsum(kept).reshape(kept.shape) - 1
 
-    tris = []
-    for j in range(-m, m):
-        for i in range(-m, m):
-            if i >= 0 and j <= -1:
-                continue  # square inside the removed quadrant
-            bl = index[i + m, j + m]
-            br = index[i + 1 + m, j + m]
-            tr = index[i + 1 + m, j + 1 + m]
-            tl = index[i + m, j + 1 + m]
-            tris.append((bl, br, tr))
-            tris.append((bl, tr, tl))
-    triangles = np.array(tris, dtype=np.int64)
+    # squares by their bottom-left corner, skipping the removed quadrant
+    inside = ((i < 0) | (j >= 0))[:-1, :-1]
+    bl, br = index[:-1, :-1][inside], index[:-1, 1:][inside]
+    tl, tr = index[1:, :-1][inside], index[1:, 1:][inside]
+    triangles = np.column_stack([bl, br, tr, bl, tr, tl]).reshape(-1, 3)
 
-    flags = on_lshape_boundary(vertices)
-    return TriangleMesh(vertices, triangles, flags)
+    i, j = i[kept], j[kept]
+    # outer square, then the reentrant edges {0} x [-1, 0], [0, 1] x {0}
+    flags = ((np.abs(i) == m) | (np.abs(j) == m)
+             | ((i == 0) & (j <= 0)) | ((j == 0) & (i >= 0)))
+    return TriangleMesh(np.column_stack([i / m, j / m]), triangles, flags)

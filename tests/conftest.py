@@ -6,7 +6,7 @@ import pytest
 from kronheat import TemporalMesh, assemble_temporal_operators, fem, solvers
 from kronheat.errors import DefectivePencil, KronheatError
 from kronheat.fem import _geometry, _space_points, _time_panels
-from kronheat.lshape import TriangleMesh, on_lshape_boundary
+from kronheat.lshape import TriangleMesh
 from kronheat.manufactured import CENTER
 
 # Nonuniform base partition of (0, 1/2) used throughout the experiments.
@@ -205,6 +205,28 @@ def full_p1(mesh):
                               np.zeros(mesh.n_vertices, dtype=bool))
     ops = fem.assemble_p1(everywhere)
     return ops.M_II, ops.A_II
+
+
+def on_lshape_boundary(points):
+    """Flag points lying on the boundary of the L-shaped domain.
+
+    The geometric oracle, from float coordinates within an absolute
+    tolerance, for the exact lattice flags of ``build_lshape_mesh``.
+    """
+    points = np.asarray(points, dtype=float)
+    x, y = points[:, 0], points[:, 1]
+    tol = 1e-12
+    outer = (
+        (np.abs(x + 1.0) <= tol)
+        | (np.abs(x - 1.0) <= tol)
+        | (np.abs(y + 1.0) <= tol)
+        | (np.abs(y - 1.0) <= tol)
+    )
+    # reentrant edges {0} x [-1, 0] and [0, 1] x {0}
+    reentrant = ((np.abs(x) <= tol) & (y <= tol)) | (
+        (np.abs(y) <= tol) & (x >= -tol)
+    )
+    return outer | reentrant
 
 
 def refine_uniform(mesh):

@@ -28,9 +28,10 @@ record (possibly other problem data or another norm); comparing them
 waits for the text of the paper's numerical-examples section.
 test_criterion_2_gate_rejects_bad_tables shows the gate can fail.
 
-Set KRONHEAT_ACCEPTANCE_STRETCH=1 to append the level-5 stretch row to
-criterion 2 (several extra minutes); its dof and orders are gated the
-same way.
+Set KRONHEAT_ACCEPTANCE_STRETCH=1 to append the level-5 stretch row of
+every variant to criterion 2 (about a minute more); each is gated as
+one more row of its variant's table: dof, identical printed rows and
+orders.
 """
 
 import dataclasses
@@ -185,7 +186,7 @@ def convergence_gate(tables, stretch=None):
 
     Gates the dof column exactly, every variant's rows printing
     identically (timing column aside), and the computed orders at the
-    ASYMPTOTIC_ROWS finest rows -- plus the stretch row when given --
+    ASYMPTOTIC_ROWS finest rows -- plus the stretch rows when given --
     being no lower than the derived published order minus EOC_SLACK.
     The orders are one-sided because the method's error estimates are
     upper bounds.  The ratios of the errors to their published values
@@ -194,14 +195,18 @@ def convergence_gate(tables, stretch=None):
     Parameters
     ----------
     tables : dict mapping variant name to a list of ConvergenceRow
-    stretch : ConvergenceRow or None
-        Level-5 row, with orders against the finest row of ``tables``.
+    stretch : dict mapping variant name to a ConvergenceRow, or None
+        Level-5 row of each variant, with orders against that variant's
+        finest row of ``tables``; it is gated as one more row of it.
 
     Returns
     -------
     (failures, notes) : list of str, str
     """
     reference = CONV_REFERENCE + ([CONV_STRETCH] if stretch else [])
+    if stretch:
+        tables = {variant: [*rows, stretch[variant]]
+                  for variant, rows in tables.items()}
     derived = published_orders(reference)
     failures = []
     for (dof, _, l2_eoc, _, h1_eoc), orders in zip(reference, derived):
@@ -211,7 +216,7 @@ def convergence_gate(tables, stretch=None):
                 failures.append(
                     f"transcription: dof {dof} {name} order derives to "
                     f"{got:.3f}, printed {column}")
-    expected = [ref[0] for ref in CONV_REFERENCE]
+    expected = [ref[0] for ref in reference]
     printed = {}
     for variant, rows in tables.items():
         if [row.dof for row in rows] != expected:
@@ -227,15 +232,11 @@ def convergence_gate(tables, stretch=None):
         if differ:
             failures.append(f"{variant} rows differ from {first}: "
                             + ", ".join(differ))
+    tail = ASYMPTOTIC_ROWS + bool(stretch)
     by_dof = dict(zip(expected, derived))
     gated = [(variant, row, by_dof[row.dof])
              for variant, rows in tables.items() for row in rows
-             if row.dof in expected[-ASYMPTOTIC_ROWS:]]
-    if stretch is not None:
-        if stretch.dof != CONV_STRETCH[0]:
-            failures.append(
-                f"stretch dof {stretch.dof} vs {CONV_STRETCH[0]}")
-        gated.append(("stretch", stretch, derived[-1]))
+             if row.dof in expected[-tail:]]
     for variant, row, orders in gated:
         for name, got, ref in zip(("L2", "H1"),
                                   (row.l2_eoc, row.h1_eoc), orders):
@@ -244,8 +245,7 @@ def convergence_gate(tables, stretch=None):
                     f"{variant} dof {row.dof} {name} order {got:.3f} < "
                     f"{ref - EOC_SLACK:.3f} (published {ref:.3f} - "
                     f"{EOC_SLACK})")
-    shown = list(tables[first]) + ([stretch] if stretch else [])
-    tail = ASYMPTOTIC_ROWS + (stretch is not None)
+    shown = tables[first]
     notes = []
     for k, name in enumerate(("L2", "H1")):
         orders = "/".join(f"{(row.l2_eoc, row.h1_eoc)[k]:.2f}"
@@ -261,30 +261,49 @@ def convergence_gate(tables, stretch=None):
     return failures, "; ".join(notes)
 
 
-def test_criterion_2_convergence_table(conv_result):
-    tables, seconds = conv_result
-    stretch = None
-    if os.environ.get("KRONHEAT_ACCEPTANCE_STRETCH"):
-        problem = assemble_problem(5)
-        solution, solve_report = solve(problem.system, "bs-complex")
-        [(l2, h1)] = solution_errors(problem, [solution])
-        prev = tables["bs-complex"][-1]
-        dof = problem.system.dof
-        stretch = ConvergenceRow(
+def stretch_rows(tables):
+    """Level-5 row of every variant in ``tables``.
+
+    Each variant solves the level once; all solutions are measured in
+    one ``solution_errors`` call, and each row's orders are taken
+    against that variant's finest row of ``tables``.
+    """
+    problem = assemble_problem(5)
+    solved = {variant: solve(problem.system, variant) for variant in tables}
+    errors = solution_errors(problem,
+                             [solution for solution, _ in solved.values()])
+    dof = problem.system.dof
+    rows = {}
+    for (variant, (_, solve_report)), (l2, h1) in zip(solved.items(),
+                                                      errors):
+        prev = tables[variant][-1]
+        rows[variant] = ConvergenceRow(
             dof=dof, h_x=problem.mesh_x.h_x, h_t_max=problem.mesh_t.h_max,
             h_t_min=problem.mesh_t.h_min,
             l2_error=l2, l2_eoc=eoc(prev.l2_error, l2, prev.dof, dof),
             h1_error=h1, h1_eoc=eoc(prev.h1_error, h1, prev.dof, dof),
             seconds=solve_report.t_total)
+    return rows
+
+
+def test_criterion_2_convergence_table(conv_result):
+    tables, seconds = conv_result
+    stretch = None
+    if os.environ.get("KRONHEAT_ACCEPTANCE_STRETCH"):
+        t0 = time.perf_counter()
+        stretch = stretch_rows(tables)
+        print(f"level 5 in {time.perf_counter() - t0:.0f}s")
+        for variant, row in stretch.items():
+            print(f"stretch {variant}: {format_convergence_row(row)}")
     failures, notes = convergence_gate(tables, stretch)
     if seconds >= 600.0:
         failures.append(f"runtime {seconds:.0f}s exceeds 10 min")
     detail = (f"levels 0-4 x {len(tables)} variants"
-              f"{' plus the bs-complex level-5 row' if stretch else ''} "
+              f"{' plus their level-5 rows' if stretch else ''} "
               f"in {seconds:.0f}s < 600s; dof column exact, variants "
               f"print identically, "
               f"orders at the {ASYMPTOTIC_ROWS} finest rows"
-              f"{' and the stretch row' if stretch else ''} >= published "
+              f"{' and the stretch rows' if stretch else ''} >= published "
               f"- {EOC_SLACK}; {notes}")
     if failures:
         detail += "; failed: " + "; ".join(failures)
@@ -348,15 +367,31 @@ def test_criterion_2_gate_rejects_bad_tables(monkeypatch):
     assert any("bs-complex dof column" in f for f in failures)
 
     finest = _published_tables()["bs-complex"][-1]
-    stretch = ConvergenceRow(
+    good = ConvergenceRow(
         dof=CONV_STRETCH[0], h_x=0.0, h_t_max=0.0, h_t_min=0.0,
         l2_error=CONV_STRETCH[1],
         l2_eoc=eoc(finest.l2_error, CONV_STRETCH[1], finest.dof,
                    CONV_STRETCH[0]),
-        h1_error=CONV_STRETCH[3], h1_eoc=0.9, seconds=0.0)
+        h1_error=CONV_STRETCH[3],
+        h1_eoc=eoc(finest.h1_error, CONV_STRETCH[3], finest.dof,
+                   CONV_STRETCH[0]),
+        seconds=0.0)
+    stretch = dict.fromkeys(VARIANTS, good)
     failures, _ = convergence_gate(_published_tables(), stretch)
-    assert failures == ["stretch dof 1540224 H1 order 0.900 < 0.984 "
-                        "(published 1.004 - 0.02)"]
+    assert failures == []
+
+    stretch["fd"] = dataclasses.replace(good, h1_eoc=0.9)
+    failures, _ = convergence_gate(_published_tables(), stretch)
+    assert failures[0] == ("fd rows differ from bs-real: "
+                           + format_convergence_row(stretch["fd"])
+                           .rsplit(",", 1)[0] + " vs "
+                           + format_convergence_row(good).rsplit(",", 1)[0])
+    assert failures[1:] == ["fd dof 1540224 H1 order 0.900 < 0.984 "
+                            "(published 1.004 - 0.02)"]
+
+    stretch["fd"] = dataclasses.replace(good, dof=good.dof - 1)
+    failures, _ = convergence_gate(_published_tables(), stretch)
+    assert any("fd dof column" in f for f in failures)
 
     # a mistyped order column no longer matches the published errors
     mistyped = list(CONV_REFERENCE)

@@ -1,11 +1,22 @@
 """End-to-end runs of the command-line driver."""
 
 import argparse
+import os
 
 import pytest
 
-from kronheat.cli import build_parser, config_from_args, main
-from kronheat.experiments import _CONFIG_KEYS, table_paths
+from kronheat.cli import (
+    _note_unpinned_blas,
+    build_parser,
+    config_from_args,
+    main,
+)
+from kronheat.experiments import _CONFIG_KEYS, make_config, table_paths
+
+
+# the variables this OpenBLAS reads its thread count from
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                         "OMP_NUM_THREADS")
 
 
 def _refuse_study(config):
@@ -244,3 +255,57 @@ class TestCompare:
     def test_single_variant_exit_2(self, capsys):
         assert main(["compare", "--solver", "fd"]) == 2
         assert "two solver variants" in capsys.readouterr().err
+
+
+class TestUnpinnedBlasNote:
+    @pytest.fixture
+    def unpinned(self, monkeypatch):
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        return monkeypatch
+
+    @pytest.mark.parametrize("command", ["convergence", "compare"])
+    def test_one_note_on_stderr_and_same_stdout(self, command, unpinned,
+                                                capsys):
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("two workers need two cores")
+        argv = [command, "--max-level", "0", "--threads", "2"]
+        assert main(argv) == 0
+        bare = capsys.readouterr()
+        unpinned.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert main(argv) == 0
+        pinned = capsys.readouterr()
+        notes = [line for line in bare.err.splitlines()
+                 if line.startswith("# note:")]
+        assert len(notes) == 1 and "--threads 2" in notes[0]
+        assert "# note:" not in pinned.err
+
+        def rows(out):  # the seconds column of convergence aside
+            return [line.rsplit(",", 1)[0] if command == "convergence"
+                    else line for line in out.splitlines()]
+
+        assert rows(bare.out) == rows(pinned.out)
+
+    @pytest.mark.parametrize("env, noted", [
+        ({}, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, False),
+        ({"GOTO_NUM_THREADS": "1"}, False),
+        ({"OMP_NUM_THREADS": "1"}, False),
+        # OpenBLAS reads the first variable set to a positive integer
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "x", "GOTO_NUM_THREADS": "1"}, False),
+    ])
+    def test_pinning_variables(self, env, noted, unpinned, capsys):
+        for name, value in env.items():
+            unpinned.setenv(name, value)
+        _note_unpinned_blas(make_config({"threads": "2"}))
+        assert ("# note:" in capsys.readouterr().err) == noted
+
+    @pytest.mark.parametrize("values", [
+        {"threads": "1"},
+        {"threads": "2", "variants": "bs-real,bs-complex"},
+    ])
+    def test_no_note_without_a_pool(self, values, unpinned, capsys):
+        _note_unpinned_blas(make_config(values))
+        assert capsys.readouterr().err == ""

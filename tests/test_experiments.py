@@ -188,6 +188,17 @@ class TestConfigFile:
         assert config.out == str(tmp_path / "table.csv")
         assert config.threads == 2
 
+    def test_hash_inside_value_is_kept(self, tmp_path):
+        # only a # at a line start or after whitespace opens a comment
+        path = tmp_path / "hash.cfg"
+        path.write_text("out = a#b.csv\n")
+        assert load_config_file(path) == {"out": "a#b.csv"}
+
+    def test_trailing_comment_after_whitespace(self, tmp_path):
+        path = tmp_path / "trail.cfg"
+        path.write_text("max_level = 2  # finest\n")
+        assert load_config_file(path) == {"max_level": "2"}
+
     def test_repeated_key(self, tmp_path):
         # the second line would silently win
         path = tmp_path / "twice.cfg"

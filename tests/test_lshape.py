@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from kronheat.errors import DegenerateElement
-from kronheat.lshape import (
-    TriangleMesh,
-    build_lshape_mesh,
-    on_lshape_boundary,
-)
+from kronheat.lshape import TriangleMesh, build_lshape_mesh
 
-from conftest import refine_uniform
+from conftest import on_lshape_boundary, refine_uniform
 
 # interior vertex counts of the refinement hierarchy
 INTERIOR_COUNTS = {0: 5, 1: 33, 2: 161, 3: 705}
@@ -60,9 +56,11 @@ class TestBuildMesh:
             assert areas.sum() == pytest.approx(3.0, abs=1e-13)
 
     def test_flags_match_geometry(self):
-        mesh = build_lshape_mesh(1)
-        assert np.array_equal(mesh.boundary_flags,
-                              on_lshape_boundary(mesh.vertices))
+        # the exact lattice flags against the geometric oracle
+        for level in range(6):
+            mesh = build_lshape_mesh(level)
+            assert np.array_equal(mesh.boundary_flags,
+                                  on_lshape_boundary(mesh.vertices))
 
     def test_euler_characteristic(self):
         # V - E + F = 1 for the simply connected L-shape
@@ -85,6 +83,10 @@ class TestBuildMesh:
         with pytest.raises(ValueError):
             build_lshape_mesh(-1)
 
+    def test_non_integer_level_rejected(self):
+        with pytest.raises(TypeError):
+            build_lshape_mesh(1.0)
+
     def test_vertices_stay_out_of_removed_quadrant(self):
         mesh = build_lshape_mesh(2)
         x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
@@ -97,7 +99,7 @@ class TestRefineUniform:
         assert fine.n_triangles == 96
         assert fine.interior.size == INTERIOR_COUNTS[1]
 
-    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_matches_direct_build(self, level):
         refined = refine_uniform(build_lshape_mesh(level))
         direct = build_lshape_mesh(level + 1)
