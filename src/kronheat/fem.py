@@ -5,10 +5,10 @@ coupling nodal hats with piecewise constants, the projected right-hand
 side, the boundary lift, and the combined load vector of the Kronecker
 system.  Error norms are evaluated with tensor Gauss quadrature per
 space-time element, split per triangle and time point into the exact
-field less its local L2 projection, shared by every discrete function
-measured, and the projection less the discrete function, a P1 (or
-constant) function measured from its vertex values.  The split is exact
-because the spatial rule integrates products of P1 functions exactly.
+field less its local L2 projection onto P1, shared by every discrete
+function measured, and the projection less the discrete function, a P1
+function measured from its vertex values.  The split is exact because
+the spatial rule integrates products of P1 functions exactly.
 The triangles are measured in cache-sized blocks, one after another.
 """
 
@@ -340,17 +340,6 @@ def _p1_split(f, proj, lam, wts, r):
     return coef, wts @ r
 
 
-def _p0_split(f, proj, wts, r):
-    """Like ``_p1_split`` for the projection onto constants, the mean.
-
-    ``proj`` (nq,) is twice ``wts``, and the mean is ``proj @ f``.
-    """
-    mean = proj @ f
-    np.subtract(f, mean, out=r)
-    r *= r
-    return mean, wts @ r
-
-
 def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt):
     """Space-time L2 and H1-seminorm errors of discrete functions.
 
@@ -360,16 +349,16 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt):
     sqrt(|dt e|^2 + |grad_x e|^2) integrated over the cylinder.
 
     At every temporal quadrature point each triangle's error splits as
-    e = (u - Pi u) + (Pi u - u_h), where Pi is the local L2 projection:
-    onto P1 for the value and for the time derivative (u_h's time
-    derivative is P1 in space within a cell), onto constants for the
-    spatial gradient.  The spatial rule (degree 12) integrates products
-    of P1 functions exactly, so the two parts are orthogonal under it and
-    their squares add.  The first part does not depend on u_h and is
-    measured once per time point at the quadrature points; the second is
-    a P1 or constant function per triangle, measured from its vertex
-    values with the exact local mass matrix area (1 + I)/12.  Both are
-    summed directly, without cancellation.
+    e = (u - Pi u) + (Pi u - u_h), where Pi is the local L2 projection
+    onto P1, for the value, each gradient component and the time
+    derivative alike: within a cell u_h's time derivative is P1 in space
+    and its gradient constant per triangle.  The spatial rule (degree 12)
+    integrates products of P1 functions exactly, so the two parts are
+    orthogonal under it and their squares add.  The first part does not
+    depend on u_h and is measured once per time point at the quadrature
+    points; the second is a P1 function per triangle, measured from its
+    vertex values with the exact local mass matrix area (1 + I)/12.
+    Both are summed directly, without cancellation.
 
     The triangles are taken in contiguous blocks of at most
     ``ERROR_BLOCK_POINTS`` spatial quadrature points, and each block runs
@@ -384,11 +373,10 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt):
     arrays (its physical spatial quadrature points), whatever the stack
     size.  The calls of one block are contiguous, so a memoizing callable
     such as ``manufactured.ExactFields``, which keeps the t-independent
-    factors of one point set, sees one point set at a time.  Scalar
-    results are broadcast to the points.  The first part is split off at
-    each time point; the projections of one panel of time points (one
-    temporal Gauss rule) are kept, and the second part of every stack
-    entry is measured for the whole panel at once.
+    factors of one point set, sees one point set at a time.  The first
+    part is split off at each time point; the projections of one panel
+    of time points (one temporal Gauss rule) are kept, and the second
+    part of every stack entry is measured for the whole panel at once.
 
     Parameters
     ----------
@@ -399,7 +387,8 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt):
     mesh_t : TemporalMesh
     u, grad, dt : callables
         Exact value, spatial gradient pair, and time derivative, each
-        called as f(x1, x2, t) with a scalar t.
+        called as f(x1, x2, t) with a scalar t and returning arrays
+        shaped like ``x1`` (``grad`` a pair of them).
 
     Returns
     -------
@@ -434,41 +423,33 @@ def _block_squares(stack, mesh_x, mesh_t, block, rules, area, grads,
     (pts, wts), (tq, tw) = rules
     tris = mesh_x.triangles[block]
     m = len(tris)
-    # points in (nq, m) order, so per-triangle means broadcast along rows
+    # points in (nq, m) order, so a projection is one matrix product
     x1, x2, lam = _space_points(mesh_x, pts, block)
     x1, x2 = np.ascontiguousarray(x1.T), np.ascontiguousarray(x2.T)
     # onto P1 through the inverse local mass 3 (4 I - J) / area (J all
     # ones); the reference weights sum to 1/2
     p1 = 6.0 * (4.0 * np.eye(3) - 1.0) @ (lam.T * wts)
-    p0 = 2.0 * wts
     r = np.empty_like(x1)
     two_area, area_12 = 2.0 * area, area / 12.0
 
     def at_node(j):
-        # vertex values (k, 3, m) and gradients (k, 2, m) at temporal node j
+        # vertex values (k, 3, m) and gradients (k, 2, 1, m) at node j
         if j == 0:
             c = np.zeros((len(stack), 3, m))
         else:
             c = stack[:, tris.T, j - 1]
-        return c, np.einsum("kit,tid->kdt", c, grads)
-
-    def at_points(value):
-        value = np.asarray(value, dtype=float)
-        if value.shape == x1.shape:
-            return value
-        return np.broadcast_to(value, x1.shape)
+        return c, np.einsum("kit,tid->kdt", c, grads)[:, :, None]
 
     def p1_square(d):
         # d^T (area (1 + I)/12) d summed over triangles, for d (..., 3, m)
         s = d.sum(axis=-2)
         return (np.einsum("...it,...it->...t", d, d) + s * s) @ area_12
 
-    # one panel: vertex values of Pi u and Pi dt u, means of grad u, and
-    # the first part per triangle (value; time derivative and gradient)
+    # one panel: vertex values of the projections of u, du/dx1, du/dx2
+    # and du/dt, and their first parts per triangle
     n_q = len(tq)
-    pu, pdt = np.empty((n_q, 3, m)), np.empty((n_q, 3, m))
-    pg = np.empty((n_q, 2, m))
-    first_l2, first_h1 = np.empty((n_q, m)), np.empty((n_q, m))
+    proj = np.empty((4, n_q, 3, m))
+    first = np.empty((4, n_q, m))
     nodes = mesh_t.nodes
     squares = np.zeros((2, len(stack)))
     c_lo, g_lo = at_node(0)
@@ -480,26 +461,23 @@ def _block_squares(stack, mesh_x, mesh_t, block, rules, area, grads,
         for qs, ws in zip(q_cell.reshape(-1, n_q), w_cell.reshape(-1, n_q)):
             for i, q in enumerate(qs):
                 t = nodes[ell] + h * q
-                f = at_points(u(x1, x2, t))
-                pu[i], first_l2[i] = _p1_split(f, p1, lam, wts, r)
-                g1, g2 = grad(x1, x2, t)
-                pg[i, 0], s1 = _p0_split(at_points(g1), p0, wts, r)
-                pg[i, 1], s2 = _p0_split(at_points(g2), p0, wts, r)
-                f = at_points(dt(x1, x2, t))
-                pdt[i], sdt = _p1_split(f, p1, lam, wts, r)
-                first_h1[i] = sdt + s1 + s2
-            # the second part of every stack entry (k, n_q, ...) at once;
-            # u_h = c_lo + (t - t_ell) c_dt within the cell
+                fields = (u(x1, x2, t), *grad(x1, x2, t), dt(x1, x2, t))
+                for j, f in enumerate(fields):
+                    proj[j, i], first[j, i] = _p1_split(f, p1, lam, wts, r)
+            # the second part of every stack entry (k, n_q, 3, m) at once;
+            # u_h = c_lo + (t - t_ell) c_dt within the cell, and its
+            # gradient, constant per triangle, interpolates g_lo and g_hi
             d = (h * qs)[:, None, None] * c_dt[:, None]
             d += c_lo[:, None]
-            np.subtract(pu, d, out=d)
-            l2 = p1_square(d) + first_l2 @ two_area
-            np.subtract(pdt, c_dt[:, None], out=d)
-            h1 = p1_square(d) + first_h1 @ two_area
-            d = (1.0 - qs)[:, None, None] * g_lo[:, None]
-            d += qs[:, None, None] * g_hi[:, None]
-            np.subtract(pg, d, out=d)
-            h1 += np.einsum("kqdt,kqdt->kqt", d, d) @ area
+            np.subtract(proj[0], d, out=d)
+            l2 = p1_square(d) + first[0] @ two_area
+            np.subtract(proj[3], c_dt[:, None], out=d)
+            h1 = p1_square(d) + first[1:].sum(axis=0) @ two_area
+            for j in range(2):
+                g = (1.0 - qs)[:, None, None] * g_lo[:, None, j]
+                g += qs[:, None, None] * g_hi[:, None, j]
+                np.subtract(proj[j + 1], g, out=d)
+                h1 += p1_square(d)
             squares[0] += l2 @ (h * ws)
             squares[1] += h1 @ (h * ws)
         c_lo, g_lo = c_hi, g_hi

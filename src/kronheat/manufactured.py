@@ -18,7 +18,7 @@ block in turn, without recomputing what does not depend on t.
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DimensionMismatch, UsageError
 
 __all__ = ["CENTER", "ExactFields"]
 
@@ -32,9 +32,10 @@ _EXP_CUT = 700.0
 class ExactFields:
     """The manufactured solution, its derivatives and source, memoized.
 
-    The bound methods take ``(x1, x2, t)`` for a scalar ``t``, with x1
-    and x2 broadcast against each other: ``u`` returns u, ``grad`` the
-    pair (du/dx1, du/dx2), ``dt`` du/dt, and ``source`` the heat source
+    The bound methods take ``(x1, x2, t)`` for a scalar ``t`` and x1 and
+    x2 of one shape, and return arrays of that shape (a mismatch raises
+    ``DimensionMismatch``): ``u`` returns u, ``grad`` the pair
+    (du/dx1, du/dx2), ``dt`` du/dt, and ``source`` the heat source
     dt u - laplace u,
 
         f = G * (pi ((x1 - 1/4) x2 + (x2 + 1/4) x1) cos(pi x1 x2) / t
@@ -45,11 +46,12 @@ class ExactFields:
 
     - the t-independent factors (``x - CENTER``, ``r2``, ``sin(pi x1 x2)``
       and ``pi cos(pi x1 x2)``) of the last point set, keyed by the
-      identity of the ``x1`` and ``x2`` objects, which are held until a
-      new pair arrives; the old pair's arrays are freed before the new
-      pair's are formed.  Arrays passed in must therefore not be modified
-      in place between calls.  The two factors only the source uses are
-      formed on its first call for a point set;
+      identity of the ``x1`` and ``x2`` float arrays, which are held
+      until a new pair arrives (other inputs are converted on every
+      call, so they never match); the old pair's factors are freed
+      before the new pair's are formed.  Arrays passed in must therefore
+      not be modified in place between calls.  The two factors only the
+      source uses are formed on its first call for a point set;
     - one buffer per returned field, allocated once per point set, and
       ``u``, ``grad`` and ``dt`` at the last ``t``: the three at one time
       point cost a single ``exp`` per point together.  ``source`` takes
@@ -86,7 +88,7 @@ class ExactFields:
             f.fill(0.0)
         else:
             if self._source_factors is None:
-                a1, a2 = self._coordinates()
+                a1, a2 = self._points
                 _, s, _, _, x2c, x1c = self._factors
                 self._source_factors = (
                     (a1 - CENTER[0]) * x2c + (a2 - CENTER[1]) * x1c,
@@ -97,21 +99,19 @@ class ExactFields:
             f *= self._gaussian(t)
         return self._views[5]
 
-    def _coordinates(self):
-        x1, x2 = self._points
-        return np.broadcast_arrays(np.asarray(x1, dtype=float),
-                                   np.asarray(x2, dtype=float))
-
     def _use(self, x1, x2, t):
         # switch to the point set (x1, x2), dropping the cached time
         if np.ndim(t) != 0:
             raise UsageError("ExactFields evaluates one scalar time per call")
         points = self._points
         if points is None or points[0] is not x1 or points[1] is not x2:
+            a1, a2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+            if a1.shape != a2.shape:
+                raise DimensionMismatch(
+                    f"x1 of shape {a1.shape} and x2 of shape {a2.shape}")
             self._factors = self._source_factors = None
             self._buffers = self._views = None
-            self._points = (x1, x2)
-            a1, a2 = self._coordinates()
+            self._points = (a1, a2)
             d1 = a1 - CENTER[0]
             d2 = a2 - CENTER[1]
             s = np.sin(np.pi * a1 * a2)

@@ -320,13 +320,15 @@ def _back_substitution(G, T, A, symbolic, threads):
         if T[s:end, end:].any():
             h = h - A @ (Z[:, end:] @ T[s:end, end:].T)
         if end - s == 1:
-            Z[:, s] = sparse_direct.factorize(symbolic, T[s, s]).solve(h[:, 0])
+            numeric = sparse_direct.factorize(symbolic, T[s, s])
+            Z[:, s] = sparse_direct.solve(numeric, h[:, 0])
         else:
             b1, b2 = T[s, s + 1], T[s + 1, s]
             omega = np.sqrt(-b1 * b2)
             lam = complex(T[s, s], omega)
             numeric = sparse_direct.factorize(symbolic, lam)
-            w = numeric.solve(b2 * h[:, 0] + 1j * omega * h[:, 1])
+            w = sparse_direct.solve(numeric,
+                                    b2 * h[:, 0] + 1j * omega * h[:, 1])
             Z[:, s], Z[:, s + 1] = w.real / b2, w.imag / omega
 
     if threads > 1 and not any(T[s:end, end:].any() for s, end in blocks):

@@ -69,9 +69,6 @@ class NumericFactorization:
         """Actual L+U nonzeros, unit diagonal of L included."""
         return int(self._lu.L.nnz + self._lu.U.nnz)
 
-    def solve(self, rhs):
-        return solve(self, rhs)
-
 
 def analyze(M, A):
     """Symbolic analysis of the pencil M + shift * A.

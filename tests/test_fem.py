@@ -387,7 +387,8 @@ class TestErrorNorms:
         for k in (1, 4):
             seen.clear()
             zero = np.zeros((k, mesh_x.n_vertices, mesh_t.n_cells))
-            error_norms(zero, mesh_x, mesh_t, u, lambda *a: (0, 0), u)
+            error_norms(zero, mesh_x, mesh_t, u,
+                        lambda x1, x2, t: (0 * x1, 0 * x2), u)
             counts.append(len(seen))
             assert len({key[:2] for key in seen}) == 1
             times = [key[2] for key in seen]
@@ -474,6 +475,23 @@ def quartic_fields():
     return u, grad, dt
 
 
+def spy_first_parts(monkeypatch):
+    """Record, per ``_p1_split`` call, its first part relative to the field.
+
+    Returns the list the ratios are appended to, in call order.
+    """
+    ratios = []
+    split = fem._p1_split
+
+    def first_part(f, *args):
+        coef, square = split(f, *args)
+        ratios.append(square.sum() / np.square(f).sum())
+        return coef, square
+
+    monkeypatch.setattr(fem, "_p1_split", first_part)
+    return ratios
+
+
 class TestErrorSplit:
     """``error_norms`` against the unsplit per-point measurement."""
 
@@ -523,19 +541,10 @@ class TestErrorSplit:
         a, b, c = 0.7, -1.3, 0.4
         phi = lambda x1, x2: a + b * x1 + c * x2
         u = lambda x1, x2, t: phi(x1, x2) * t**2
-        grad = lambda x1, x2, t: (b * t**2, c * t**2)  # scalars broadcast
+        grad = lambda x1, x2, t: (np.full_like(x1, b * t**2),
+                                  np.full_like(x2, c * t**2))
         dt = lambda x1, x2, t: 2.0 * t * phi(x1, x2)
-        ratios = []
-
-        def spy(split):
-            def first_part(f, *args):
-                coef, square = split(f, *args)
-                ratios.append(square.sum() / np.square(f).sum())
-                return coef, square
-            return first_part
-
-        monkeypatch.setattr(fem, "_p1_split", spy(fem._p1_split))
-        monkeypatch.setattr(fem, "_p0_split", spy(fem._p0_split))
+        ratios = spy_first_parts(monkeypatch)
         nodal = phi(mesh_x.vertices[:, 0], mesh_x.vertices[:, 1])
         coeffs = nodal[:, None] * mesh_t.nodes[None, 1:] ** 2
         [(l2, h1)] = error_norms(coeffs[None], mesh_x, mesh_t, u, grad, dt)
@@ -551,6 +560,22 @@ class TestErrorSplit:
         assert h1 == pytest.approx(
             math.sqrt(mass * np.sum(h**3) / 3.0
                       + stiffness * np.sum(h**5) / 30.0), rel=1e-13)
+
+    def test_linear_gradient_has_zero_first_part(self, meshes, monkeypatch):
+        # u = (x1^2 + x2^2) t has a linear, nonconstant gradient: it lies
+        # in P1, so its split leaves no first part, where a projection
+        # onto constants would leave one
+        mesh_x, mesh_t = meshes
+        u = lambda x1, x2, t: (x1**2 + x2**2) * t
+        grad = lambda x1, x2, t: (2.0 * x1 * t, 2.0 * x2 * t)
+        dt = lambda x1, x2, t: x1**2 + x2**2
+        ratios = spy_first_parts(monkeypatch)
+        zero = np.zeros((1, mesh_x.n_vertices, mesh_t.n_cells))
+        error_norms(zero, mesh_x, mesh_t, u, grad, dt)
+        # u, du/dx1, du/dx2 and du/dt at each time point, in that order
+        assert len(ratios) == 4 * (12 * 8 + 3 * 8)
+        assert max(ratios[1::4] + ratios[2::4]) < 1e-28
+        assert min(ratios[0::4]) > 1e-6
 
     def test_memory_is_a_few_point_sets(self):
         # the second part is measured a panel of time points at a time:

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from kronheat.errors import UsageError
+from kronheat.errors import DimensionMismatch, UsageError
 from kronheat.manufactured import _EXP_CUT, CENTER, ExactFields
 
 from conftest import exact_dt, exact_grad, exact_u, source_f
@@ -232,13 +232,17 @@ class TestExactFields:
             assert_matches_oracle(fields, x1, x2, t)
 
     def test_scalar_and_broadcast_points(self):
+        # 0-d points and arrays of one shape; x1 and x2 of two shapes
+        # are refused rather than broadcast
         fields = ExactFields()
-        x1 = POINTS[:, :1]
-        x2 = POINTS[:, 1:].T
+        x1, x2 = np.meshgrid(POINTS[:, 0], POINTS[:, 1])
         assert fields.u(x1, x2, 0.2).shape == (len(POINTS), len(POINTS))
         assert_matches_oracle(fields, x1, x2, 0.2)
         assert fields.u(0.5, 0.5, 0.25) == pytest.approx(
             exact_u(0.5, 0.5, 0.25), rel=1e-14)
+        assert_matches_oracle(fields, np.float64(0.5), np.float64(0.5), 0.25)
+        with pytest.raises(DimensionMismatch):
+            fields.u(POINTS[:, :1], POINTS[:, 1:].T, 0.2)
 
     def test_rejects_time_arrays(self):
         with pytest.raises(UsageError):
