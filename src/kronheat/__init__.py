@@ -8,8 +8,9 @@ arising from a tensor-product P1 discretization with the modified Hilbert
 transformation in time, and solves it with three direct methods: the
 Bartels-Stewart method with real or complex Schur decomposition of the
 temporal pencil, and Fast Diagonalization, whose spatial solves are
-independent in time (a thread pool runs them concurrently; it pays with
-BLAS pinned to one thread).
+independent in time (the calling thread and a pool of workers run them
+concurrently; it pays with BLAS pinned to one thread).  Every solve
+sweeps in place, on one work array of the space-time size.
 """
 
 from .errors import (

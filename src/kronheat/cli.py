@@ -42,9 +42,10 @@ def _add_common(parser):
                         help="solver variant (repeatable, or "
                              "comma-separated): " + ", ".join(VARIANTS))
     parser.add_argument("--threads", metavar="N",
-                        help="thread pool size for the fd variant's "
-                             "spatial solves (pays with BLAS pinned to "
-                             "one thread)")
+                        help="threads for the fd variant's spatial "
+                             "solves: the calling thread plus up to N-1 "
+                             "pool workers (pays with BLAS pinned to one "
+                             "thread)")
     parser.add_argument("--out", metavar="CSV",
                         help="write results as CSV to this path")
 

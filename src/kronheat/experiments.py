@@ -26,7 +26,13 @@ from .fem import (
 )
 from .lshape import build_lshape_mesh
 from .manufactured import ExactFields
-from .solvers import TOLERANCES, SpaceTimeSystem, eig_study, solve
+from .solvers import (
+    TOLERANCES,
+    SpaceTimeSystem,
+    check_threads,
+    eig_study,
+    solve,
+)
 from .temporal import TemporalMesh, assemble_temporal_operators, refine_bisect
 
 VARIANTS = tuple(TOLERANCES)
@@ -48,8 +54,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.max_level < 0:
             raise UsageError("max_level must be >= 0")
-        if self.threads < 1:
-            raise UsageError("threads must be >= 1")
+        check_threads(self.threads)
         if self.out is not None:
             _check_out(self.out)
         unknown = set(self.variants) - set(VARIANTS)

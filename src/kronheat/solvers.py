@@ -23,15 +23,19 @@ Every variant back-substitutes over the diagonal blocks of T
 (:func:`_back_substitution`): a 2x2 block of R, a conjugate pair, is one
 complex solve at one eigenvalue of the pair; S and diag(D) have 1x1
 blocks only, and those of diag(D) are uncoupled (the fast
-diagonalization of Lynch, Rice and Thomas).  With ``threads > 1`` fd's
-N_t systems run concurrently on a thread pool, which pays with BLAS
-pinned to one thread (``OPENBLAS_NUM_THREADS=1``), not while BLAS's
-own threads fill the cores.  Last, U = Z right drops an imaginary part
-below the variant's tolerance and the relative residual is checked
-against the variant's bound.  A failed fd solve is rerun with
+diagonalization of Lynch, Rice and Thomas).  The sweep writes Z over G,
+so beside the sparse factors a solve holds one M_x x N_t work array.
+With ``threads > 1`` fd's N_t systems run concurrently, dealt round-robin
+to the calling thread and at most ``threads - 1`` pool workers, which
+pays with BLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``), not
+while BLAS's own threads fill the cores.  Last, U = Z right drops an
+imaginary part below the variant's tolerance, leaving one real copy of
+the coefficients, and the relative residual is checked against the
+variant's bound.  A failed fd solve is rerun with
 bs-complex and the report says so; a failed Schur solve raises.
 """
 
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -294,7 +298,8 @@ def block_starts(T):
 
 
 def _back_substitution(G, T, A, symbolic, threads):
-    """Solve M Z + A Z T^T = G for Z, with T upper quasi-triangular.
+    """Solve M Z + A Z T^T = G for Z, with T upper quasi-triangular, in
+    place: Z overwrites G, which is returned.
 
     Walks the diagonal blocks of T from the last one; each block is one
     shift lambda of the pencil analyzed in ``symbolic``, and ``A`` serves
@@ -305,12 +310,14 @@ def _back_substitution(G, T, A, symbolic, threads):
     w = b2 z_s + i omega z_{s+1}, where h is G less the coupling
     A Z[:, end:] T[s:end, end:]^T to the columns already solved, formed
     when the block is reached and only if T[s:end, end:] is nonzero.
+    A block reads its columns of G before it writes them, and the
+    coupling reads only columns already solved, so one array serves.
     Where no block couples to another (fd's diagonal T) and ``threads``
-    exceeds 1, the blocks run on a pool of that many workers; none then
-    reads Z, and each writes only its own columns.
+    exceeds 1, the blocks are dealt round-robin into min(threads, number
+    of blocks) shares: the calling thread runs one and a pool of workers
+    the rest, each share writing only its own columns.
     """
     n_t = G.shape[1]
-    Z = np.zeros_like(G)
     starts = block_starts(T)
     blocks = list(zip(starts, starts[1:] + [n_t]))
 
@@ -318,10 +325,10 @@ def _back_substitution(G, T, A, symbolic, threads):
         s, end = block
         h = G[:, s:end]
         if T[s:end, end:].any():
-            h = h - A @ (Z[:, end:] @ T[s:end, end:].T)
+            h = h - A @ (G[:, end:] @ T[s:end, end:].T)
         if end - s == 1:
             numeric = sparse_direct.factorize(symbolic, T[s, s])
-            Z[:, s] = sparse_direct.solve(numeric, h[:, 0])
+            G[:, s] = sparse_direct.solve(numeric, h[:, 0])
         else:
             b1, b2 = T[s, s + 1], T[s + 1, s]
             omega = np.sqrt(-b1 * b2)
@@ -329,15 +336,24 @@ def _back_substitution(G, T, A, symbolic, threads):
             numeric = sparse_direct.factorize(symbolic, lam)
             w = sparse_direct.solve(numeric,
                                     b2 * h[:, 0] + 1j * omega * h[:, 1])
-            Z[:, s], Z[:, s + 1] = w.real / b2, w.imag / omega
+            G[:, s], G[:, s + 1] = w.real / b2, w.imag / omega
 
-    if threads > 1 and not any(T[s:end, end:].any() for s, end in blocks):
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(solve_block, blocks))
-    else:
-        for block in reversed(blocks):
+    def solve_share(share):
+        # one block per call, so a factorization is freed before the next
+        for block in share:
             solve_block(block)
-    return Z
+
+    workers = min(threads, len(blocks))
+    if workers > 1 and not any(T[s:end, end:].any() for s, end in blocks):
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            rest = [pool.submit(solve_share, blocks[k::workers])
+                    for k in range(1, workers)]
+            solve_share(blocks[::workers])
+            for future in rest:
+                future.result()
+    else:
+        solve_share(reversed(blocks))
+    return G
 
 
 def _solve(system, variant, threads):
@@ -359,10 +375,14 @@ def _solve(system, variant, threads):
     A = system.spatial.A_II
     symbolic = sparse_direct.analyze(system.spatial.M_II, A)
     Z = _back_substitution(G, pencil.T, A, symbolic, threads)
+    del G, symbolic  # Z is G, overwritten in place
     report.t_spatial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    coeffs = _discard_imaginary(Z @ pencil.right, imag_tol).ravel(order="F")
+    U = Z @ pencil.right
+    del Z
+    coeffs = _discard_imaginary(U, imag_tol).ravel(order="F")
+    del U
     report.t_transform_out = time.perf_counter() - t0
     report.residual = residual(system, coeffs)
     if not report.residual <= residual_bound:
@@ -374,13 +394,15 @@ def _solve(system, variant, threads):
 
 
 def _discard_imaginary(U, tol):
+    """The real part of U in Fortran order, so that the coefficient
+    vector is a view of it; raises if the imaginary part exceeds tol."""
     norm = np.linalg.norm(U)
     imag = np.linalg.norm(U.imag)
     if norm > 0 and imag > tol * norm:
         raise ImaginaryResidueTooLarge(
             f"imaginary residue {imag / norm:.3e} above {tol:.1e}"
         )
-    return np.ascontiguousarray(U.real)
+    return np.asfortranarray(U.real)
 
 
 def residual(system, coefficients):
@@ -401,21 +423,34 @@ def residual(system, coefficients):
     return float(np.linalg.norm(Ku - system.rhs) / denom)
 
 
+def check_threads(threads):
+    """``threads`` as an int; UsageError unless it is an integer >= 1."""
+    try:
+        count = operator.index(threads)
+    except TypeError:
+        raise UsageError(
+            f"threads must be an integer, got {threads!r}") from None
+    if count < 1:
+        raise UsageError(f"threads must be >= 1, got {count}")
+    return count
+
+
 def solve(system, variant, threads=1):
     """Solve the space-time system with one variant.
 
-    ``variant`` is "bs-real", "bs-complex" or "fd"; ``threads`` sizes the
-    fd sweep's worker pool.  Returns (SpaceTimeSolution, SolveReport).
-    A Schur variant whose residual exceeds its bound raises
-    ResidualTooLarge.  If fd fails (defective pencil, imaginary residue
-    or residual above its bound), the solve is rerun with bs-complex and
-    the report carries ``fallback``.  A thread count below 1 raises
-    UsageError.
+    ``variant`` is "bs-real", "bs-complex" or "fd"; ``threads`` is the
+    number of threads of the fd sweep, the calling thread and up to
+    ``threads - 1`` pool workers.  The sweep runs in place on the
+    transformed load, one M_x x N_t work array per solve.  Returns
+    (SpaceTimeSolution, SolveReport).  A Schur variant whose residual
+    exceeds its bound raises ResidualTooLarge.  If fd fails (defective
+    pencil, imaginary residue or residual above its bound), the solve is
+    rerun with bs-complex and the report carries ``fallback``.  A thread
+    count that is not an integer, or is below 1, raises UsageError.
     """
     if variant not in TOLERANCES:
         raise ValueError(f"unknown solver variant: {variant!r}")
-    if threads < 1:
-        raise UsageError(f"threads must be >= 1, got {threads}")
+    threads = check_threads(threads)
     if variant != "fd":
         return _solve(system, variant, threads)
     try:

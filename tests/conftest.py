@@ -8,6 +8,7 @@ from kronheat.errors import DefectivePencil, KronheatError
 from kronheat.fem import _geometry, _space_points, _time_panels
 from kronheat.lshape import TriangleMesh
 from kronheat.manufactured import CENTER
+from kronheat.temporal import TemporalOperators
 
 # Nonuniform base partition of (0, 1/2) used throughout the experiments.
 BASE_NODES = (0.0, 1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 2.0)
@@ -151,6 +152,26 @@ def error_norms_reference(stack, mesh_x, mesh_t, u, grad, dt):
                 acc_h1[k] += wt * h1
         v_lo, g_lo = v_hi, g_hi
     return [(math.sqrt(a), math.sqrt(b)) for a, b in zip(acc_l2, acc_h1)]
+
+
+def random_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n))
+
+
+def pencil_ops(M, A=None):
+    """TemporalOperators of the pencil (M, A), A = I by default."""
+    M = np.asarray(M, dtype=float)
+    A = np.eye(len(M)) if A is None else A
+    return TemporalOperators(A=A, M=M, C=np.zeros_like(M), j_max=0)
+
+
+def random_positive(n, seed):
+    """Random M whose symmetric part is positive definite, so every
+    eigenvalue has positive real part; its skew part makes conjugate
+    pairs."""
+    S = random_matrix(n, seed)
+    return S @ S.T / n + np.eye(n) + 2.0 * (S - S.T)
 
 
 def counting(monkeypatch, module, name):

@@ -10,33 +10,10 @@ import numpy as np
 import pytest
 
 from kronheat import solvers
-from kronheat.errors import (
-    ConvergenceFailure,
-    DefectivePencil,
-    NotPositiveDefinite,
-)
+from kronheat.errors import ConvergenceFailure, DefectivePencil
 from kronheat.solvers import block_starts, build_pencil, eig_pencil
-from kronheat.temporal import TemporalOperators
 
-
-def random_matrix(n, seed):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, n))
-
-
-def pencil_ops(M, A=None):
-    """TemporalOperators of the pencil (M, A), A = I by default."""
-    M = np.asarray(M, dtype=float)
-    A = np.eye(len(M)) if A is None else A
-    return TemporalOperators(A=A, M=M, C=np.zeros_like(M), j_max=0)
-
-
-def random_positive(n, seed):
-    """Random M whose symmetric part is positive definite, so every
-    eigenvalue has positive real part; its skew part makes conjugate
-    pairs."""
-    S = random_matrix(n, seed)
-    return S @ S.T / n + np.eye(n) + 2.0 * (S - S.T)
+from conftest import pencil_ops, random_matrix, random_positive
 
 
 def sort_spectrum(vals):
@@ -229,45 +206,3 @@ class TestEigPencil:
     def test_infinite_eigenvalue_raises(self):
         with pytest.raises(DefectivePencil):
             eig_pencil(np.eye(2), np.zeros((2, 2)))
-
-
-class TestSvdOfEigenvectors:
-    def test_wraps_pencil_output(self):
-        # fd's kappa2 is the 2-norm condition number of eig_pencil's X
-        rng = np.random.default_rng(40)
-        B = rng.standard_normal((5, 5))
-        A = B @ B.T + 5 * np.eye(5)
-        M = random_positive(5, 41)
-        _, vecs = eig_pencil(M, A)
-        pencil = build_pencil(pencil_ops(M, A), "fd")
-        assert pencil.kappa2 == pytest.approx(np.linalg.cond(vecs, 2),
-                                              rel=1e-10)
-
-    def test_singular_matrix_raises(self, base_ops, monkeypatch):
-        vals, vecs = eig_pencil(base_ops.M, base_ops.A)
-        monkeypatch.setattr(solvers, "eig_pencil",
-                            lambda M, A: (vals, np.zeros_like(vecs)))
-        with pytest.raises(DefectivePencil, match="singular"):
-            build_pencil(base_ops, "fd")
-
-
-class TestCholesky:
-    def test_identity(self):
-        pencil = build_pencil(pencil_ops(np.eye(4)), "bs-real")
-        assert np.allclose(pencil.chol_A, np.eye(4))
-
-    def test_hand_factorization(self):
-        A = np.array([[4.0, 2.0], [2.0, 5.0]])
-        pencil = build_pencil(pencil_ops(A, A), "bs-real")
-        assert np.allclose(pencil.chol_A, [[2.0, 0.0], [1.0, 2.0]])
-
-    def test_indefinite_rejected(self):
-        ops = pencil_ops(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
-        for variant in ("bs-real", "bs-complex", "fd"):
-            with pytest.raises(NotPositiveDefinite):
-                build_pencil(ops, variant)
-
-    def test_nonsymmetric_rejected(self):
-        # refused when the record is built, before any factorization
-        with pytest.raises(NotPositiveDefinite, match="symmetric"):
-            pencil_ops(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))

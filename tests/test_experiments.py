@@ -153,6 +153,8 @@ class TestExperimentConfig:
         pytest.param({"variants": ("fd", "fd")}, id="kwargs10"),
         pytest.param({"out": "."}, id="out-is-directory"),
         pytest.param({"out": ""}, id="out-empty"),
+        pytest.param({"threads": 1.5}, id="threads-fraction"),
+        pytest.param({"threads": "2"}, id="threads-string"),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(UsageError):

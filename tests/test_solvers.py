@@ -1,6 +1,9 @@
 """Tests for the three direct space-time solvers."""
 
 import dataclasses
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from kronheat.errors import (
     DefectivePencil,
     DimensionMismatch,
     ImaginaryResidueTooLarge,
+    NotPositiveDefinite,
     ResidualTooLarge,
     UsageError,
 )
@@ -44,6 +48,8 @@ from conftest import (
     BASE_NODES,
     SizeGuardExceeded,
     counting,
+    pencil_ops,
+    random_positive,
     solve_dense_oracle,
 )
 
@@ -125,6 +131,11 @@ def oracle_solution(small_system):
     return solve_dense_oracle(small_system)
 
 
+@pytest.fixture(scope="module")
+def level3_system():
+    return assemble_problem(3).system
+
+
 class TestBuildPencil:
     @pytest.mark.parametrize("variant", ["bs-real", "bs-complex", "fd"])
     def test_transforms_reproduce_pencil(self, base_ops, variant):
@@ -157,6 +168,48 @@ class TestBuildPencil:
     def test_unknown_variant(self, base_ops):
         with pytest.raises(ValueError):
             build_pencil(base_ops, "qr")
+
+
+class TestSvdOfEigenvectors:
+    def test_wraps_pencil_output(self):
+        # fd's kappa2 is the 2-norm condition number of eig_pencil's X
+        rng = np.random.default_rng(40)
+        B = rng.standard_normal((5, 5))
+        A = B @ B.T + 5 * np.eye(5)
+        M = random_positive(5, 41)
+        _, vecs = eig_pencil(M, A)
+        pencil = build_pencil(pencil_ops(M, A), "fd")
+        assert pencil.kappa2 == pytest.approx(np.linalg.cond(vecs, 2),
+                                              rel=1e-10)
+
+    def test_singular_matrix_raises(self, base_ops, monkeypatch):
+        vals, vecs = eig_pencil(base_ops.M, base_ops.A)
+        monkeypatch.setattr(solvers, "eig_pencil",
+                            lambda M, A: (vals, np.zeros_like(vecs)))
+        with pytest.raises(DefectivePencil, match="singular"):
+            build_pencil(base_ops, "fd")
+
+
+class TestCholesky:
+    def test_identity(self):
+        pencil = build_pencil(pencil_ops(np.eye(4)), "bs-real")
+        assert np.allclose(pencil.chol_A, np.eye(4))
+
+    def test_hand_factorization(self):
+        A = np.array([[4.0, 2.0], [2.0, 5.0]])
+        pencil = build_pencil(pencil_ops(A, A), "bs-real")
+        assert np.allclose(pencil.chol_A, [[2.0, 0.0], [1.0, 2.0]])
+
+    def test_indefinite_rejected(self):
+        ops = pencil_ops(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        for variant in ("bs-real", "bs-complex", "fd"):
+            with pytest.raises(NotPositiveDefinite):
+                build_pencil(ops, variant)
+
+    def test_nonsymmetric_rejected(self):
+        # refused when the record is built, before any factorization
+        with pytest.raises(NotPositiveDefinite, match="symmetric"):
+            pencil_ops(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 class TestEigStudy:
@@ -319,11 +372,12 @@ class TestPairSystems:
         assert rel_diff(sol.coefficients, oracle.coefficients) < 1e-10
 
     def test_every_factor_is_spatial_with_predicted_fill(self,
+                                                          level3_system,
                                                           monkeypatch):
         # a conjugate pair is one complex shift of M + A, so every
         # factorization of the sweep has dimension M_x and exactly the
         # fill of the one analysis (18,108 at level 3)
-        system = assemble_problem(3).system
+        system = level3_system
         M, A = system.spatial.M_II, system.spatial.A_II
         predicted = sparse_direct.analyze(M, A).factor_nnz
         sizes, fill = [], []
@@ -375,11 +429,48 @@ class TestPairSystems:
                 k += len(b)
         G = rng.standard_normal((m_x, n_t)).astype(T.dtype)
         symbolic = sparse_direct.analyze(M, A)
-        Z = solvers._back_substitution(G, T, A, symbolic, threads)
+        # the sweep overwrites its right-hand side with Z and returns it
+        work = G.copy()
+        Z = solvers._back_substitution(work, T, A, symbolic, threads)
+        assert Z is work
         K = (np.kron(np.eye(n_t), M.toarray())
              + np.kron(T, A.toarray()))
         expect = np.linalg.solve(K, G.ravel(order="F"))
         assert rel_diff(Z.ravel(order="F"), expect) < 1e-12
+
+    def test_pool_starts_at_most_one_thread_fewer_than_blocks(
+            self, small_system, monkeypatch):
+        # N_t = 4 uncoupled blocks and threads=8: the calling thread runs
+        # one share, so the pool needs at most 3 threads; the result is
+        # the serial one bit for bit
+        assert small_system.n_t == 4
+        serial, _ = solve_as(small_system, "fd", threads=1)
+        pools, runners = [], set()
+
+        class RecordingPool(solvers.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        factorize = sparse_direct.factorize
+
+        def recording(symbolic, shift):
+            runners.add(threading.get_ident())
+            return factorize(symbolic, shift)
+
+        monkeypatch.setattr(solvers, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sparse_direct, "factorize", recording)
+        # frequent switches interleave the shares' writes into one array
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled, _ = solve_as(small_system, "fd", threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [small_system.n_t - 1]
+        assert threading.get_ident() in runners
+        assert len(runners) <= small_system.n_t
+        assert np.array_equal(pooled.coefficients, serial.coefficients)
 
     @pytest.mark.parametrize("variant, threads", [
         ("bs-real", 1), ("bs-complex", 1), ("fd", 1), ("fd", 2),
@@ -402,6 +493,30 @@ class TestPairSystems:
             solve_as(system, variant, threads)
             T = build_pencil(system.temporal, variant).T
             assert len(shifts) == len(block_starts(T))
+
+
+class TestMemory:
+    @pytest.mark.parametrize("variant, threads, bound", [
+        ("bs-real", 1, 4.2), ("bs-complex", 1, 4.2), ("fd", 1, 4.2),
+        ("fd", 2, 4.8),
+    ], ids=["bs-real", "bs-complex", "fd", "fd-t2"])
+    def test_solve_holds_one_work_array(self, level3_system, variant,
+                                        threads, bound):
+        # in arrays of M_x N_t complex entries, a level-3 solve peaks at
+        # about 3.3 (bs-real) and 3.9 (bs-complex, fd) while the analysis
+        # runs beside G, and at 4.4 with two factorizations alive at once
+        # (fd on two threads); a separate Z and two copies of the
+        # coefficients put it at 4.9 and 5.6
+        system = level3_system
+        solve_as(system, variant, threads)  # imports and caches first
+        work = 16 * system.m_x * system.n_t
+        tracemalloc.start()
+        try:
+            solve_as(system, variant, threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * work
 
 
 class TestScalarReductions:
@@ -466,6 +581,13 @@ class TestDispatch:
     def test_rejects_thread_count_below_one(self, small_system, threads):
         for name in ("bs-real", "bs-complex", "fd"):
             with pytest.raises(UsageError, match="threads"):
+                solve(small_system, name, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1.5, "2"])
+    def test_rejects_thread_count_not_an_integer(self, small_system,
+                                                 threads):
+        for name in ("bs-real", "bs-complex", "fd"):
+            with pytest.raises(UsageError, match="integer"):
                 solve(small_system, name, threads=threads)
 
     def test_fd_falls_back_to_complex_schur(self, small_system,
