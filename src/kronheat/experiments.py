@@ -29,7 +29,7 @@ from .manufactured import ExactFields
 from .solvers import (
     TOLERANCES,
     SpaceTimeSystem,
-    check_threads,
+    check_integer,
     eig_study,
     solve,
 )
@@ -52,9 +52,8 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.max_level < 0:
-            raise UsageError("max_level must be >= 0")
-        check_threads(self.threads)
+        check_integer(self.max_level, "max_level", 0)
+        check_integer(self.threads, "threads", 1)
         if self.out is not None:
             _check_out(self.out)
         unknown = set(self.variants) - set(VARIANTS)

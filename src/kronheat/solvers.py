@@ -3,21 +3,23 @@
 The global matrix K = A_t (x) M_x + M_t (x) A_x is never formed: the
 coefficients U solve M_x U A_t + A_x U M_t^T = F.  :func:`solve` runs one
 driver for every variant.  It decomposes P = A_t^{-1} M_t as
-P^T = left T^T right, right = left^{-1} (:func:`build_pencil`), calling
-SciPy's LAPACK routines here and nowhere else:
+P^T = A_t left T^T right, left = A_t^{-1} X^{-T} and right = X^T
+(:func:`build_pencil`), calling SciPy's LAPACK routines here and nowhere
+else:
 
 * ``bs-real``: real Schur (Q, R, Q^T), R quasi-triangular;
 * ``bs-complex``: complex Schur (conj(W), S, W^T), S triangular;
 * ``fd``: eigenvectors (X^{-T}, diag(D), X^T) of the pencil's QZ
-  iteration (:func:`eig_pencil`), both formed from the SVD of X, whose
-  condition number kappa2 the report carries.
+  iteration (:func:`eig_pencil`), X^{-T} from one LU solve of X against
+  I; the singular values of X give the condition number kappa2 the
+  report carries.
 
 Each decomposition's residual against P is checked, and a NaN residual
 fails; the temporal matrices were checked once, when ``TemporalOperators``
 was built.
 
-The driver then transforms in, G = F A_t^{-1} left, and sweeps the spatial
-systems of M_x Z + A_x Z T^T = G, each one shift lambda of the pencil
+The driver then transforms in, G = F left, and sweeps the spatial systems
+of M_x Z + A_x Z T^T = G, each one shift lambda of the pencil
 M_x + lambda A_x under the one ``sparse_direct.analyze`` of every solve.
 Every variant back-substitutes over the diagonal blocks of T
 (:func:`_back_substitution`): a 2x2 block of R, a conjugate pair, is one
@@ -106,15 +108,15 @@ class SpaceTimeSystem:
 
 @dataclass(frozen=True, eq=False)
 class Pencil:
-    """P^T = left T^T right for P = A_t^{-1} M_t, plus chol(A_t).
+    """P^T = A_t left T^T right for P = A_t^{-1} M_t, right (A_t left) = I.
 
-    T is R (bs-real), S (bs-complex) or diag(D) of the eigenvalues D
-    (fd), N_t x N_t for every variant.  ``kappa2`` is the condition
-    number sigma_max/sigma_min of fd's eigenvector matrix (None for the
-    Schur variants).
+    left = A_t^{-1} X^{-T} and right = X^T for the variant's basis X: Q, W
+    or fd's eigenvectors.  T is R (bs-real), S (bs-complex) or diag(D) of
+    the eigenvalues D (fd), N_t x N_t for every variant.  ``kappa2`` is
+    the condition number sigma_max/sigma_min of fd's eigenvector matrix
+    (None for the Schur variants).
     """
 
-    chol_A: np.ndarray
     left: np.ndarray
     T: np.ndarray
     right: np.ndarray
@@ -181,12 +183,12 @@ def build_pencil(temporal, variant):
         If Cholesky finds A_t indefinite.
     """
     if variant == "fd":
-        L, vals, min_re, (U, sigma, Vh) = _fd_spectrum(temporal, True)
-        # X^{-T} and X^T, both formed from the SVD X = U diag(sigma) Vh
-        left = (np.conj(U) / sigma[None, :]) @ np.conj(Vh)
-        right = (Vh.T * sigma[None, :]) @ U.T
-        return Pencil(chol_A=L, left=left, T=np.diag(vals), right=right,
-                      min_re_lambda=min_re,
+        L, vals, min_re, X, sigma = _fd_spectrum(temporal)
+        # X^{-T} by an LU solve against I once sigma_min has passed the
+        # singularity check (sla.inv's getri quadruples the level-5 residual)
+        inv_T = sla.solve(X, np.eye(len(X))).T
+        return Pencil(left=sla.cho_solve((L, True), inv_T),
+                      T=np.diag(vals), right=X.T, min_re_lambda=min_re,
                       kappa2=float(sigma[0] / sigma[-1]))
     if variant not in ("bs-real", "bs-complex"):
         raise ValueError(f"unknown pencil variant: {variant!r}")
@@ -202,8 +204,8 @@ def build_pencil(temporal, variant):
     scale = max(np.linalg.norm(P, "fro"), 1.0)
     if not np.linalg.norm(Z @ T @ Z.conj().T - P, "fro") <= 1e-10 * scale:
         raise ConvergenceFailure(f"{output} Schur residual above tolerance")
-    # (Q, R, Q^T) or (conj(W), S, W^T); conj leaves the real Q as it is
-    return Pencil(chol_A=L, left=np.conj(Z), T=T, right=Z.T,
+    # X^{-T} = conj(Z) and X^T = Z^T: conj leaves the real Q as it is
+    return Pencil(left=sla.cho_solve((L, True), np.conj(Z)), T=T, right=Z.T,
                   min_re_lambda=_min_re_lambda(np.diag(T)))
 
 
@@ -249,13 +251,12 @@ def eig_pencil(M, A):
     return (alphar + 1j * alphai) / beta, vecs
 
 
-def _fd_spectrum(temporal, compute_uv):
-    """(chol(A_t), eigenvalues, min Re lambda, SVD of the eigenvectors).
+def _fd_spectrum(temporal):
+    """(chol(A_t), eigenvalues, min Re lambda, eigenvectors X, sigma).
 
     fd's spectrum of P = A_t^{-1} M_t, for :func:`build_pencil` and
-    :func:`eig_study`; the SVD X = U diag(sigma) Vh, sigma decreasing,
-    is (U, sigma, Vh) for ``compute_uv`` and sigma alone otherwise.  The
-    eigenpairs are those of the pencil (M_t, A_t), which keeps the
+    :func:`eig_study`; sigma holds the singular values of X, decreasing.
+    The eigenpairs are those of the pencil (M_t, A_t), which keeps the
     reference eigenvector scaling for the spectral statistics;
     eigenvectors of (M, A) and of A^{-1} M coincide.  Raises
     DefectivePencil on an eigenvector residual above 1e-8 ||P||_F (or
@@ -269,11 +270,10 @@ def _fd_spectrum(temporal, compute_uv):
     resid = np.linalg.norm(P @ vecs - vecs * vals[None, :], "fro")
     if not resid <= 1e-8 * scale:
         raise DefectivePencil("eigenvector residual above tolerance")
-    svd = sla.svd(vecs, compute_uv=compute_uv)
-    sigma = svd[1] if compute_uv else svd
+    sigma = sla.svd(vecs, compute_uv=False)
     if sigma[-1] <= len(sigma) * np.finfo(float).eps * sigma[0]:
         raise DefectivePencil("eigenvector matrix is numerically singular")
-    return L, vals, _min_re_lambda(vals), svd
+    return L, vals, _min_re_lambda(vals), vecs, sigma
 
 
 def _min_re_lambda(eigenvalues):
@@ -367,8 +367,7 @@ def _solve(system, variant, threads):
     report.kappa2 = pencil.kappa2
 
     t0 = time.perf_counter()
-    F = system.rhs_matrix()
-    G = sla.cho_solve((pencil.chol_A, True), F.T).T @ pencil.left
+    G = system.rhs_matrix() @ pencil.left
     report.t_transform_in = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -423,15 +422,14 @@ def residual(system, coefficients):
     return float(np.linalg.norm(Ku - system.rhs) / denom)
 
 
-def check_threads(threads):
-    """``threads`` as an int; UsageError unless it is an integer >= 1."""
+def check_integer(value, name, least):
+    """``value`` as an int; UsageError unless it is an integer >= least."""
     try:
-        count = operator.index(threads)
+        count = operator.index(value)
     except TypeError:
-        raise UsageError(
-            f"threads must be an integer, got {threads!r}") from None
-    if count < 1:
-        raise UsageError(f"threads must be >= 1, got {count}")
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise UsageError(f"{name} must be >= {least}, got {count}")
     return count
 
 
@@ -450,7 +448,7 @@ def solve(system, variant, threads=1):
     """
     if variant not in TOLERANCES:
         raise ValueError(f"unknown solver variant: {variant!r}")
-    threads = check_threads(threads)
+    threads = check_integer(threads, "threads", 1)
     if variant != "fd":
         return _solve(system, variant, threads)
     try:
@@ -466,7 +464,7 @@ def eig_study(temporal):
     """Spectral statistics row for the temporal pencil.
 
     Those of ``build_pencil(temporal, "fd")``, with its DefectivePencil
-    checks, from the singular values of the eigenvectors alone.
+    checks, without inverting the eigenvectors.
 
     Returns
     -------
@@ -474,7 +472,7 @@ def eig_study(temporal):
     the mesh sizes are the caller's (``experiments.run_eigstudy`` adds
     them from the temporal mesh).
     """
-    _, _, min_re, sigma = _fd_spectrum(temporal, False)
+    _, _, min_re, _, sigma = _fd_spectrum(temporal)
     return {"n_t": temporal.A.shape[0], "min_re_lambda": min_re,
             "sigma_min": float(sigma[-1]), "sigma_max": float(sigma[0]),
             "kappa2": float(sigma[0] / sigma[-1])}

@@ -174,6 +174,13 @@ def random_positive(n, seed):
     return S @ S.T / n + np.eye(n) + 2.0 * (S - S.T)
 
 
+def sort_spectrum(vals):
+    # stable under conjugate-pair ties where sort_complex flips on noise
+    vals = np.asarray(vals, dtype=complex)
+    order = np.lexsort((np.round(vals.imag, 8), np.round(vals.real, 8)))
+    return vals[order]
+
+
 def counting(monkeypatch, module, name):
     """Wrap ``module.name`` to record the arguments of every call.
 

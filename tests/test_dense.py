@@ -1,9 +1,10 @@
 """Tests for the dense decomposition of the temporal pencil in ``solvers``.
 
 ``build_pencil`` factors A_t, forms P = A_t^{-1} M_t and takes its real
-or complex Schur form, or fd's eigenvector basis and its SVD; the
-pencils here are built as ``TemporalOperators`` with A_t = I wherever
-P = M_t is the matrix under test.
+or complex Schur form, and ``eig_pencil`` gives fd's eigenpairs by the
+QZ iteration (fd's pencil is tested in ``test_solvers.py``); the pencils
+here are built as ``TemporalOperators`` with A_t = I wherever P = M_t is
+the matrix under test.
 """
 
 import numpy as np
@@ -13,14 +14,12 @@ from kronheat import solvers
 from kronheat.errors import ConvergenceFailure, DefectivePencil
 from kronheat.solvers import block_starts, build_pencil, eig_pencil
 
-from conftest import pencil_ops, random_matrix, random_positive
-
-
-def sort_spectrum(vals):
-    # stable under conjugate-pair ties where sort_complex flips on noise
-    vals = np.asarray(vals, dtype=complex)
-    order = np.lexsort((np.round(vals.imag, 8), np.round(vals.real, 8)))
-    return vals[order]
+from conftest import (
+    pencil_ops,
+    random_matrix,
+    random_positive,
+    sort_spectrum,
+)
 
 
 def schur_of(M, output):
@@ -129,44 +128,6 @@ def test_schur_residual_check_fails_nan(monkeypatch, output):
     monkeypatch.setattr(solvers.sla, "schur", nan_form)
     with pytest.raises(ConvergenceFailure, match=f"{output} Schur residual"):
         build_pencil(pencil_ops(random_positive(5, 4)), f"bs-{output}")
-
-
-class TestEigSvd:
-    def test_symmetric_has_unit_condition(self):
-        # eig_pencil keeps LAPACK's column scaling; with unit columns the
-        # eigenvectors of a symmetric matrix are orthonormal
-        rng = np.random.default_rng(2)
-        A = rng.standard_normal((6, 6))
-        _, vecs = eig_pencil(A + A.T, np.eye(6))
-        unit = vecs / np.linalg.norm(vecs, axis=0)
-        assert np.linalg.cond(unit) == pytest.approx(1.0, abs=1e-8)
-
-    def test_near_defective_condition_blows_up(self):
-        pencil = build_pencil(
-            pencil_ops([[1.0, 1.0], [0.0, 1.0 + 1e-8]]), "fd")
-        assert pencil.kappa2 > 1e6
-
-    def test_defective_raises(self, base_ops, monkeypatch):
-        # build_pencil rejects eigenpairs whose residual exceeds 1e-8
-        vals, vecs = eig_pencil(base_ops.M, base_ops.A)
-        monkeypatch.setattr(solvers, "eig_pencil",
-                            lambda M, A: (vals * 1.001, vecs))
-        with pytest.raises(DefectivePencil):
-            build_pencil(base_ops, "fd")
-
-    def test_svd_reconstructs_eigenvectors(self, base_ops):
-        # fd forms X^T and X^{-T} from the SVD of the eigenvectors X
-        _, X = eig_pencil(base_ops.M, base_ops.A)
-        pencil = build_pencil(base_ops, "fd")
-        assert np.linalg.norm(pencil.right - X.T) < 1e-12 * np.linalg.norm(X)
-        assert np.allclose(pencil.left @ pencil.right, np.eye(len(X)),
-                           atol=1e-12)
-
-    def test_spectrum_agrees_with_schur(self):
-        ops = pencil_ops(random_positive(6, 17))
-        evals = sort_spectrum(np.diag(build_pencil(ops, "fd").T))
-        svals = sort_spectrum(np.diag(build_pencil(ops, "bs-complex").T))
-        assert np.allclose(evals, svals, atol=1e-10)
 
 
 class TestEigPencil:

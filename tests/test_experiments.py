@@ -155,6 +155,9 @@ class TestExperimentConfig:
         pytest.param({"out": ""}, id="out-empty"),
         pytest.param({"threads": 1.5}, id="threads-fraction"),
         pytest.param({"threads": "2"}, id="threads-string"),
+        pytest.param({"max_level": 2.5}, id="max-level-fraction"),
+        pytest.param({"max_level": "3"}, id="max-level-string"),
+        pytest.param({"max_level": None}, id="max-level-none"),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(UsageError):

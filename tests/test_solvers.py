@@ -51,6 +51,7 @@ from conftest import (
     pencil_ops,
     random_positive,
     solve_dense_oracle,
+    sort_spectrum,
 )
 
 
@@ -139,11 +140,11 @@ def level3_system():
 class TestBuildPencil:
     @pytest.mark.parametrize("variant", ["bs-real", "bs-complex", "fd"])
     def test_transforms_reproduce_pencil(self, base_ops, variant):
-        # P^T = left T^T right, the identity the sweep relies on
+        # P^T = A_t left T^T right, the identity the sweep relies on
         pencil = build_pencil(base_ops, variant)
         P = np.linalg.solve(base_ops.A, base_ops.M)
         assert pencil.T.shape == P.shape
-        PT = pencil.left @ pencil.T.T @ pencil.right
+        PT = base_ops.A @ pencil.left @ pencil.T.T @ pencil.right
         assert np.linalg.norm(PT - P.T) < 1e-10 * np.linalg.norm(P)
         assert (pencil.kappa2 is None) == (variant != "fd")
 
@@ -160,9 +161,8 @@ class TestBuildPencil:
 
     def test_real_schur_reconstructs(self, base_ops):
         pencil = build_pencil(base_ops, "bs-real")
-        L = pencil.chol_A
-        P = np.linalg.solve(L @ L.T, base_ops.M)
-        Q, R = pencil.left, pencil.T
+        P = np.linalg.solve(base_ops.A, base_ops.M)
+        Q, R = pencil.right.T, pencil.T
         assert np.linalg.norm(Q @ R @ Q.T - P) < 1e-12 * np.linalg.norm(P)
 
     def test_unknown_variant(self, base_ops):
@@ -190,15 +190,53 @@ class TestSvdOfEigenvectors:
             build_pencil(base_ops, "fd")
 
 
+class TestEigSvd:
+    def test_symmetric_has_unit_condition(self):
+        # eig_pencil keeps LAPACK's column scaling; with unit columns the
+        # eigenvectors of a symmetric matrix are orthonormal
+        rng = np.random.default_rng(2)
+        A = rng.standard_normal((6, 6))
+        _, vecs = eig_pencil(A + A.T, np.eye(6))
+        unit = vecs / np.linalg.norm(vecs, axis=0)
+        assert np.linalg.cond(unit) == pytest.approx(1.0, abs=1e-8)
+
+    def test_near_defective_condition_blows_up(self):
+        pencil = build_pencil(
+            pencil_ops([[1.0, 1.0], [0.0, 1.0 + 1e-8]]), "fd")
+        assert pencil.kappa2 > 1e6
+
+    def test_defective_raises(self, base_ops, monkeypatch):
+        # build_pencil rejects eigenpairs whose residual exceeds 1e-8
+        vals, vecs = eig_pencil(base_ops.M, base_ops.A)
+        monkeypatch.setattr(solvers, "eig_pencil",
+                            lambda M, A: (vals * 1.001, vecs))
+        with pytest.raises(DefectivePencil):
+            build_pencil(base_ops, "fd")
+
+    def test_svd_reconstructs_eigenvectors(self, base_ops):
+        # fd's right is X^T itself, and A_t left = X^{-T} inverts it
+        _, X = eig_pencil(base_ops.M, base_ops.A)
+        pencil = build_pencil(base_ops, "fd")
+        assert np.array_equal(pencil.right, X.T)
+        assert np.allclose(pencil.right @ (base_ops.A @ pencil.left),
+                           np.eye(len(X)), atol=1e-12)
+
+    def test_spectrum_agrees_with_schur(self):
+        ops = pencil_ops(random_positive(6, 17))
+        evals = sort_spectrum(np.diag(build_pencil(ops, "fd").T))
+        svals = sort_spectrum(np.diag(build_pencil(ops, "bs-complex").T))
+        assert np.allclose(evals, svals, atol=1e-10)
+
+
 class TestCholesky:
     def test_identity(self):
-        pencil = build_pencil(pencil_ops(np.eye(4)), "bs-real")
-        assert np.allclose(pencil.chol_A, np.eye(4))
+        L, _ = solvers._factor(pencil_ops(np.eye(4)))
+        assert np.allclose(L, np.eye(4))
 
     def test_hand_factorization(self):
         A = np.array([[4.0, 2.0], [2.0, 5.0]])
-        pencil = build_pencil(pencil_ops(A, A), "bs-real")
-        assert np.allclose(pencil.chol_A, [[2.0, 0.0], [1.0, 2.0]])
+        L, _ = solvers._factor(pencil_ops(A, A))
+        assert np.allclose(L, [[2.0, 0.0], [1.0, 2.0]])
 
     def test_indefinite_rejected(self):
         ops = pencil_ops(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
