@@ -122,8 +122,8 @@ ERROR_BLOCK_POINTS = 2**14
 GRADED_SPLITS = 12
 
 
-def _graded_unit_edges(m=GRADED_SPLITS, ratio=2.0):
-    """Geometric partition of [0, 1] refining toward 0.
+def _graded_unit_edges():
+    """Partition of [0, 1] into GRADED_SPLITS cells halving toward 0.
 
     The first temporal cell touches t = 0 where the manufactured fields
     behave like exp(-c/t) / t^k: smooth, but with an interior spike a
@@ -132,7 +132,7 @@ def _graded_unit_edges(m=GRADED_SPLITS, ratio=2.0):
     orders, so a fixed rule per subcell converges and the truncated tail
     costs nothing.
     """
-    edges = ratio ** -np.arange(m - 1, -1, -1.0)
+    edges = 2.0 ** -np.arange(GRADED_SPLITS - 1, -1, -1.0)
     return np.concatenate([[0.0], edges])
 
 

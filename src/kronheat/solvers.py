@@ -161,6 +161,9 @@ class SolveReport:
 def build_pencil(temporal, variant):
     """Decompose the temporal pencil for one solver variant.
 
+    A_t is factored once; X^{-T} is conj(X) for the Schur variants, and
+    for fd one LU solve of X against I after the singularity check.
+
     Parameters
     ----------
     temporal : TemporalOperators
@@ -172,41 +175,42 @@ def build_pencil(temporal, variant):
 
     Raises
     ------
+    ValueError
+        For an unknown variant, before any factorization.
     DefectivePencil
         If an eigenvalue has nonpositive real part, or (fd only) the
         eigenvector matrix is numerically defective; the caller should
         fall back to "bs-complex".
     ConvergenceFailure
-        If the Schur form fails, or its residual ||Z T Z^H - P||_F
+        If the Schur form fails, or its residual ||X T X^H - P||_F
         exceeds 1e-10 max(||P||_F, 1) (a NaN residual fails too).
     NotPositiveDefinite
         If Cholesky finds A_t indefinite.
     """
-    if variant == "fd":
-        L, vals, min_re, X, sigma = _fd_spectrum(temporal)
-        # X^{-T} by an LU solve against I once sigma_min has passed the
-        # singularity check (sla.inv's getri quadruples the level-5 residual)
-        inv_T = sla.solve(X, np.eye(len(X))).T
-        return Pencil(left=sla.cho_solve((L, True), inv_T),
-                      T=np.diag(vals), right=X.T, min_re_lambda=min_re,
-                      kappa2=float(sigma[0] / sigma[-1]))
-    if variant not in ("bs-real", "bs-complex"):
+    if variant not in TOLERANCES:
         raise ValueError(f"unknown pencil variant: {variant!r}")
     L, P = _factor(temporal)
-    # R quasi-triangular, LAPACK standardizing each 2x2 block (a pair
-    # alpha +- i sqrt(-b1 b2)) to diagonal entries alpha, alpha; or S
-    # triangular.  Either way diag(T) holds every real part
-    output = "real" if variant == "bs-real" else "complex"
-    try:
-        T, Z = sla.schur(P, output=output)
-    except sla.LinAlgError as exc:  # pragma: no cover - QR failure is rare
-        raise ConvergenceFailure(str(exc)) from exc
-    scale = max(np.linalg.norm(P, "fro"), 1.0)
-    if not np.linalg.norm(Z @ T @ Z.conj().T - P, "fro") <= 1e-10 * scale:
-        raise ConvergenceFailure(f"{output} Schur residual above tolerance")
-    # X^{-T} = conj(Z) and X^T = Z^T: conj leaves the real Q as it is
-    return Pencil(left=sla.cho_solve((L, True), np.conj(Z)), T=T, right=Z.T,
-                  min_re_lambda=_min_re_lambda(np.diag(T)))
+    kappa2 = None
+    if variant == "fd":
+        vals, X, sigma = _fd_spectrum(temporal, P)
+        T, kappa2 = np.diag(vals), float(sigma[0] / sigma[-1])
+        # LU, not sla.inv, whose getri quadruples the level-5 residual
+        inv_T = sla.solve(X, np.eye(len(X))).T
+    else:
+        # R quasi-triangular, LAPACK standardizing each 2x2 block (a pair
+        # alpha +- i sqrt(-b1 b2)) to diagonal entries alpha, alpha; or S
+        # triangular.  Either way diag(T) holds every real part
+        output = "real" if variant == "bs-real" else "complex"
+        try:
+            T, X = sla.schur(P, output=output)
+        except sla.LinAlgError as exc:  # pragma: no cover - QR failure is rare
+            raise ConvergenceFailure(str(exc)) from exc
+        scale = max(np.linalg.norm(P, "fro"), 1.0)
+        if not np.linalg.norm(X @ T @ X.conj().T - P, "fro") <= 1e-10 * scale:
+            raise ConvergenceFailure(f"{output} Schur residual above tolerance")
+        inv_T = np.conj(X)
+    return Pencil(left=sla.cho_solve((L, True), inv_T), T=T, right=X.T,
+                  min_re_lambda=_min_re_lambda(np.diag(T)), kappa2=kappa2)
 
 
 def _factor(temporal):
@@ -251,20 +255,18 @@ def eig_pencil(M, A):
     return (alphar + 1j * alphai) / beta, vecs
 
 
-def _fd_spectrum(temporal):
-    """(chol(A_t), eigenvalues, min Re lambda, eigenvectors X, sigma).
+def _fd_spectrum(temporal, P):
+    """(eigenvalues, eigenvectors X, sigma) of P = A_t^{-1} M_t.
 
-    fd's spectrum of P = A_t^{-1} M_t, for :func:`build_pencil` and
-    :func:`eig_study`; sigma holds the singular values of X, decreasing.
-    The eigenpairs are those of the pencil (M_t, A_t), which keeps the
+    For :func:`build_pencil` and :func:`eig_study`, which check the real
+    parts; sigma holds the singular values of X, decreasing.  The
+    eigenpairs are those of the pencil (M_t, A_t), which keeps the
     reference eigenvector scaling for the spectral statistics;
     eigenvectors of (M, A) and of A^{-1} M coincide.  Raises
     DefectivePencil on an eigenvector residual above 1e-8 ||P||_F (or
-    NaN), a numerically singular eigenvector matrix (sigma_min <=
-    N eps sigma_max; a repeated column leaves sigma_min near 1e-16
-    sigma_max) or an eigenvalue with nonpositive real part.
+    NaN) or a numerically singular X (sigma_min <= N eps sigma_max; a
+    repeated column leaves sigma_min near 1e-16 sigma_max).
     """
-    L, P = _factor(temporal)
     vals, vecs = eig_pencil(temporal.M, temporal.A)
     scale = max(np.linalg.norm(P, "fro"), 1.0)
     resid = np.linalg.norm(P @ vecs - vecs * vals[None, :], "fro")
@@ -273,7 +275,7 @@ def _fd_spectrum(temporal):
     sigma = sla.svd(vecs, compute_uv=False)
     if sigma[-1] <= len(sigma) * np.finfo(float).eps * sigma[0]:
         raise DefectivePencil("eigenvector matrix is numerically singular")
-    return L, vals, _min_re_lambda(vals), vecs, sigma
+    return vals, vecs, sigma
 
 
 def _min_re_lambda(eigenvalues):
@@ -286,15 +288,12 @@ def _min_re_lambda(eigenvalues):
 def block_starts(T):
     """Start indices of the diagonal blocks of an upper quasi-triangular T.
 
-    A nonzero subdiagonal entry T[k+1, k] opens a 2x2 block at k; a
+    A nonzero subdiagonal entry T[k+1, k] opens a 2x2 block at k, so every
+    index starts a block but the one just after such an entry; a
     triangular T, whose subdiagonal is exactly zero, has only 1x1 blocks.
     """
-    n = T.shape[0]
-    starts, k = [], 0
-    while k < n:
-        starts.append(k)
-        k += 2 if k + 1 < n and T[k + 1, k] != 0.0 else 1
-    return starts
+    second = np.flatnonzero(np.diag(T, -1) != 0.0) + 1
+    return np.setdiff1d(np.arange(T.shape[0]), second).tolist()
 
 
 def _back_substitution(G, T, A, symbolic, threads):
@@ -472,7 +471,7 @@ def eig_study(temporal):
     the mesh sizes are the caller's (``experiments.run_eigstudy`` adds
     them from the temporal mesh).
     """
-    _, _, min_re, _, sigma = _fd_spectrum(temporal)
-    return {"n_t": temporal.A.shape[0], "min_re_lambda": min_re,
+    vals, _, sigma = _fd_spectrum(temporal, _factor(temporal)[1])
+    return {"n_t": len(vals), "min_re_lambda": _min_re_lambda(vals),
             "sigma_min": float(sigma[-1]), "sigma_max": float(sigma[0]),
             "kappa2": float(sigma[0] / sigma[-1])}

@@ -50,6 +50,7 @@ tractable by Galerkin methods in the first place.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,16 +199,10 @@ def _blocks(n: int, size: int):
 def _dyadic_period(mesh: TemporalMesh, j_max: int) -> int | None:
     """P = 2^(p+1) for the smallest p with every 2^p t_i/T integral, if P <= j_max + 1.
 
-    The test is exact on the floating-point ratios; None if no such p.
+    Each float ratio is a dyadic fraction, and the largest denominator is 2^p.
     """
-    x = mesh.nodes / mesh.T
-    p = 0
-    while 2 ** (p + 1) <= j_max + 1:
-        scaled = np.ldexp(x, p)
-        if np.array_equal(scaled, np.floor(scaled)):
-            return 2 ** (p + 1)
-        p += 1
-    return None
+    P = 2 * max(float(x).as_integer_ratio()[1] for x in mesh.nodes / mesh.T)
+    return None if P > j_max + 1 else P
 
 
 def _residue_weights(r: np.ndarray, P: int, j_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,8 +246,13 @@ def assemble_temporal_operators(mesh: TemporalMesh, j_max: int = DEFAULT_J_MAX) 
         C = 2T^2 beta diag(W_3) delta^T
 
     On a dyadic mesh the sum runs over r < P/2, each residue with its
-    mirror P - 1 - r folded into its weights (``_folded_weights``).
+    mirror P - 1 - r folded into its weights (``_folded_weights``).  A
+    j_max that is not an integer raises TypeError, a negative one ValueError.
     """
+    try:
+        j_max = operator.index(j_max)
+    except TypeError:
+        raise TypeError(f"j_max must be an integer, got {j_max!r}") from None
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     nodes, T, n = mesh.nodes, mesh.T, mesh.n_cells

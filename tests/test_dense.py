@@ -1,22 +1,20 @@
-"""Tests for the dense decomposition of the temporal pencil in ``solvers``.
+"""Tests for the Schur forms of the temporal pencil in ``solvers``.
 
 ``build_pencil`` factors A_t, forms P = A_t^{-1} M_t and takes its real
-or complex Schur form, and ``eig_pencil`` gives fd's eigenpairs by the
-QZ iteration (fd's pencil is tested in ``test_solvers.py``); the pencils
-here are built as ``TemporalOperators`` with A_t = I wherever P = M_t is
-the matrix under test.
+or complex Schur form (fd's pencil and ``eig_pencil`` are tested in
+``test_solvers.py``); the pencils here are built as ``TemporalOperators``
+with A_t = I wherever P = M_t is the matrix under test.
 """
 
 import numpy as np
 import pytest
 
 from kronheat import solvers
-from kronheat.errors import ConvergenceFailure, DefectivePencil
-from kronheat.solvers import block_starts, build_pencil, eig_pencil
+from kronheat.errors import ConvergenceFailure
+from kronheat.solvers import block_starts, build_pencil
 
 from conftest import (
     pencil_ops,
-    random_matrix,
     random_positive,
     sort_spectrum,
 )
@@ -128,42 +126,3 @@ def test_schur_residual_check_fails_nan(monkeypatch, output):
     monkeypatch.setattr(solvers.sla, "schur", nan_form)
     with pytest.raises(ConvergenceFailure, match=f"{output} Schur residual"):
         build_pencil(pencil_ops(random_positive(5, 4)), f"bs-{output}")
-
-
-class TestEigPencil:
-    def test_identity_pencil_reduces_to_standard(self):
-        M = random_matrix(6, 21)
-        vals, _ = eig_pencil(M, np.eye(6))
-        assert np.allclose(sort_spectrum(vals),
-                           sort_spectrum(np.linalg.eigvals(M)), atol=1e-10)
-
-    @pytest.mark.parametrize("seed", [4, 9])
-    def test_eigenpairs_satisfy_pencil(self, seed):
-        rng = np.random.default_rng(seed)
-        B = rng.standard_normal((7, 7))
-        A = B @ B.T + 7 * np.eye(7)
-        M = rng.standard_normal((7, 7))
-        vals, vecs = eig_pencil(M, A)
-        resid = M @ vecs - A @ vecs * vals[None, :]
-        assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(M)
-
-    def test_conjugate_pairs_share_columns(self):
-        vals, vecs = eig_pencil(np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                                np.eye(2))
-        assert sorted(np.round(vals.imag, 12)) == [-1.0, 1.0]
-        assert np.allclose(vecs[:, 0], np.conj(vecs[:, 1]))
-
-    def test_raw_scaling_is_kept(self):
-        # LAPACK scales so the largest |Re| + |Im| over each column is 1;
-        # overall condition numbers depend on exactly this convention
-        rng = np.random.default_rng(31)
-        B = rng.standard_normal((6, 6))
-        A = B @ B.T + 6 * np.eye(6)
-        M = rng.standard_normal((6, 6))
-        _, vecs = eig_pencil(M, A)
-        peaks = np.max(np.abs(vecs.real) + np.abs(vecs.imag), axis=0)
-        assert np.allclose(peaks, 1.0, atol=1e-12)
-
-    def test_infinite_eigenvalue_raises(self):
-        with pytest.raises(DefectivePencil):
-            eig_pencil(np.eye(2), np.zeros((2, 2)))

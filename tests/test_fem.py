@@ -15,6 +15,7 @@ from kronheat.experiments import (
     time_mesh_at_level,
 )
 from kronheat.fem import (
+    GRADED_SPLITS,
     _graded_unit_edges,
     assemble_global_rhs,
     assemble_p1,
@@ -105,10 +106,10 @@ class TestGaussRule:
 
 class TestGradedEdges:
     def test_structure(self):
-        edges = _graded_unit_edges(m=6, ratio=2.0)
+        edges = _graded_unit_edges()
         assert edges[0] == 0.0
         assert edges[-1] == 1.0
-        assert len(edges) == 7
+        assert len(edges) == GRADED_SPLITS + 1
         # widths double away from the origin, apart from the stub at 0
         widths = np.diff(edges[1:])
         assert np.allclose(widths[1:] / widths[:-1], 2.0)

@@ -49,6 +49,7 @@ from conftest import (
     SizeGuardExceeded,
     counting,
     pencil_ops,
+    random_matrix,
     random_positive,
     solve_dense_oracle,
     sort_spectrum,
@@ -248,6 +249,84 @@ class TestCholesky:
         # refused when the record is built, before any factorization
         with pytest.raises(NotPositiveDefinite, match="symmetric"):
             pencil_ops(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def scan_block_starts(T):
+    """The former scan of T's subdiagonal, the oracle of block_starts."""
+    n = T.shape[0]
+    starts, k = [], 0
+    while k < n:
+        starts.append(k)
+        k += 2 if k + 1 < n and T[k + 1, k] != 0.0 else 1
+    return starts
+
+
+def quasi_triangular(n, pairs, dtype=float):
+    """Upper triangular n x n T with a 2x2 block opened at each k in pairs."""
+    rng = np.random.default_rng(n)
+    T = np.triu(rng.standard_normal((n, n)) + 2.0).astype(dtype)
+    T[[k + 1 for k in pairs], pairs] = -0.5
+    return T
+
+
+class TestBlockStarts:
+    @pytest.mark.parametrize("T, want", [
+        pytest.param(quasi_triangular(5, [0]), [0, 2, 3, 4], id="pair-first"),
+        pytest.param(quasi_triangular(6, [2]), [0, 1, 2, 4, 5],
+                     id="pair-middle"),
+        pytest.param(quasi_triangular(5, [3]), [0, 1, 2, 3], id="pair-last"),
+        pytest.param(quasi_triangular(7, [0, 3, 5]), [0, 2, 3, 5],
+                     id="pairs-first-middle-last"),
+        pytest.param(quasi_triangular(4, [], complex), [0, 1, 2, 3],
+                     id="triangular"),
+        pytest.param(np.diag([1 + 1j, 1 - 1j, 2.0]), [0, 1, 2],
+                     id="diagonal"),
+        pytest.param(np.zeros((0, 0)), [], id="n_t-0"),
+        pytest.param(np.ones((1, 1)), [0], id="n_t-1"),
+    ])
+    def test_matches_scan(self, T, want):
+        starts = block_starts(T)
+        assert starts == want == scan_block_starts(T)
+        assert all(type(k) is int for k in starts)
+
+
+class TestEigPencil:
+    def test_identity_pencil_reduces_to_standard(self):
+        M = random_matrix(6, 21)
+        vals, _ = eig_pencil(M, np.eye(6))
+        assert np.allclose(sort_spectrum(vals),
+                           sort_spectrum(np.linalg.eigvals(M)), atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_eigenpairs_satisfy_pencil(self, seed):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((7, 7))
+        A = B @ B.T + 7 * np.eye(7)
+        M = rng.standard_normal((7, 7))
+        vals, vecs = eig_pencil(M, A)
+        resid = M @ vecs - A @ vecs * vals[None, :]
+        assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(M)
+
+    def test_conjugate_pairs_share_columns(self):
+        vals, vecs = eig_pencil(np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                np.eye(2))
+        assert sorted(np.round(vals.imag, 12)) == [-1.0, 1.0]
+        assert np.allclose(vecs[:, 0], np.conj(vecs[:, 1]))
+
+    def test_raw_scaling_is_kept(self):
+        # LAPACK scales so the largest |Re| + |Im| over each column is 1;
+        # overall condition numbers depend on exactly this convention
+        rng = np.random.default_rng(31)
+        B = rng.standard_normal((6, 6))
+        A = B @ B.T + 6 * np.eye(6)
+        M = rng.standard_normal((6, 6))
+        _, vecs = eig_pencil(M, A)
+        peaks = np.max(np.abs(vecs.real) + np.abs(vecs.imag), axis=0)
+        assert np.allclose(peaks, 1.0, atol=1e-12)
+
+    def test_infinite_eigenvalue_raises(self):
+        with pytest.raises(DefectivePencil):
+            eig_pencil(np.eye(2), np.zeros((2, 2)))
 
 
 class TestEigStudy:
@@ -544,7 +623,12 @@ class TestMemory:
         # about 3.3 (bs-real) and 3.9 (bs-complex, fd) while the analysis
         # runs beside G, and at 4.4 with two factorizations alive at once
         # (fd on two threads); a separate Z and two copies of the
-        # coefficients put it at 4.9 and 5.6
+        # coefficients put it at 4.9 and 5.6.  The bound is a tracemalloc
+        # proxy, not the process's RSS, and the two can rank allocation
+        # orders oppositely: analysing M + A ahead of the transform in
+        # lowered this traced peak, yet raised the benchmark's sweep-l4
+        # peak_rss_mb by 2-5 MB.  A memory change that only this test
+        # gates is no evidence of an RSS saving
         system = level3_system
         solve_as(system, variant, threads)  # imports and caches first
         work = 16 * system.m_x * system.n_t

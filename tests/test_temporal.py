@@ -184,6 +184,27 @@ class TestSineCoefficients:
         with pytest.raises(ValueError):
             assemble_temporal_operators(base_mesh, -1)
 
+    @pytest.mark.parametrize("j_max", [
+        pytest.param(7.5, id="fraction"),
+        pytest.param(2.5, id="fraction-below-period"),
+        pytest.param("5", id="string"),
+        pytest.param(None, id="none"),
+        pytest.param(np.float64(8.0), id="float64-integral"),
+    ])
+    def test_non_integer_j_max(self, j_max):
+        # a float budget, even an integral one, is refused before it can
+        # be recorded or reach range()
+        with pytest.raises(TypeError, match="j_max"):
+            assemble_temporal_operators(TemporalMesh([0.0, 0.25, 0.5]), j_max)
+
+    def test_integer_j_max_recorded_as_int(self):
+        mesh = TemporalMesh([0.0, 0.25, 0.5])
+        ops = assemble_temporal_operators(mesh, np.int64(40))
+        assert type(ops.j_max) is int and ops.j_max == 40
+        want = assemble_temporal_operators(mesh, 40)
+        for got, ref in zip((ops.A, ops.M, ops.C), (want.A, want.M, want.C)):
+            assert np.array_equal(got, ref)
+
 
 class TestAnalyticValues:
     """Frozen unit values, each recomputed from its defining series by mpmath."""
