@@ -5,13 +5,15 @@ import os
 
 import pytest
 
-from kronheat.cli import (
+from kronheat.experiments import (
+    _CONFIG_KEYS,
     _note_unpinned_blas,
     build_parser,
     config_from_args,
     main,
+    make_config,
+    table_paths,
 )
-from kronheat.experiments import _CONFIG_KEYS, make_config, table_paths
 
 
 # the variables this OpenBLAS reads its thread count from
@@ -57,7 +59,8 @@ class TestParsing:
 
     def test_repeated_config_key_exits_2_before_study(self, tmp_path,
                                                       capsys, monkeypatch):
-        monkeypatch.setattr("kronheat.cli.run_convergence", _refuse_study)
+        monkeypatch.setattr("kronheat.experiments.run_convergence",
+                            _refuse_study)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("max_level = 2\nmax_level = 5\n")
         assert main(["convergence", "--config", str(cfg)]) == 2
@@ -70,14 +73,16 @@ class TestParsing:
 
     def test_missing_out_directory_exits_2_before_study(self, tmp_path,
                                                         capsys, monkeypatch):
-        monkeypatch.setattr("kronheat.cli.run_eigstudy", _refuse_study)
+        monkeypatch.setattr("kronheat.experiments.run_eigstudy",
+                            _refuse_study)
         dest = tmp_path / "missing" / "x.csv"
         assert main(["eigstudy", "--max-level", "0", "--out", str(dest)]) == 2
         assert "error: no directory for output file" in capsys.readouterr().err
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch):
         # a directory in place of the file is refused before the study
-        monkeypatch.setattr("kronheat.cli.run_eigstudy", _refuse_study)
+        monkeypatch.setattr("kronheat.experiments.run_eigstudy",
+                            _refuse_study)
         assert main(["eigstudy", "--max-level", "0",
                      "--out", str(tmp_path)]) == 2
         assert "error: cannot write" in capsys.readouterr().err
@@ -86,7 +91,8 @@ class TestParsing:
                                                         capsys, monkeypatch):
         # the per-variant tables would go to <out>-<variant>, but --out
         # names a file, so a directory is refused here too
-        monkeypatch.setattr("kronheat.cli.run_convergence", _refuse_study)
+        monkeypatch.setattr("kronheat.experiments.run_convergence",
+                            _refuse_study)
         assert main(["convergence", "--max-level", "0", "--solver",
                      "bs-real,fd", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -97,7 +103,8 @@ class TestParsing:
         # a directory in place of one per-variant table stops the run
         # before any study, so no other table is written either
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr("kronheat.cli.run_convergence", _refuse_study)
+        monkeypatch.setattr("kronheat.experiments.run_convergence",
+                            _refuse_study)
         (tmp_path / "table-fd.csv").mkdir()
         assert main(["convergence", "--max-level", "0", "--solver",
                      "bs-real,fd", "--out", "table.csv"]) == 2
@@ -107,7 +114,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_empty_out_exits_2(self, source, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("kronheat.cli.run_eigstudy", _refuse_study)
+        monkeypatch.setattr("kronheat.experiments.run_eigstudy",
+                            _refuse_study)
         argv = ["eigstudy", "--max-level", "0"]
         if source == "flag":
             argv += ["--out", ""]

@@ -1,7 +1,10 @@
-"""Smoke tests: the demos and the README quick start run against the
-package, and the README names exactly the CLI flags and config keys."""
+"""Smoke tests: the demos, the README quick start and the installed
+entry point run against the package, the README names exactly the CLI
+flags and config keys, and no module reaches into a sibling's private
+names."""
 
 import argparse
+import ast
 import importlib
 import os
 import pathlib
@@ -11,7 +14,7 @@ import sys
 
 import pytest
 
-from kronheat import cli, experiments
+from kronheat import experiments
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -27,6 +30,7 @@ def run_python(args):
     proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -52,7 +56,8 @@ def test_readme_lists_config_keys_and_flags():
     keys = re.findall(r"`(\w+)`", keys_text.split(".", 1)[0])
     assert keys == list(experiments._CONFIG_KEYS)
     flags = set(re.findall(r"`(--[\w-]+)", flags_text))
-    subparsers = next(action for action in cli.build_parser()._actions
+    subparsers = next(action for action
+                      in experiments.build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
     for command in subparsers.choices.values():
         options = {option for action in command._actions
@@ -69,3 +74,28 @@ def test_public_exports_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
+
+
+def test_entry_point_runs():
+    # the ``kronheat`` script that an install makes names a callable, and
+    # that module runs as ``python -m`` without installing
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["kronheat"]
+    module, attr = target.split(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+    proc = run_python(["-m", module, "eigstudy", "--max-level", "0"])
+    assert proc.stdout.splitlines()[0] == experiments.EIGSTUDY_HEADER
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a module that needs another's underscore name should own it, or the
+    # name should be public; tests may still import private names
+    offenders = []
+    for path in sorted((ROOT / "src" / "kronheat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                offenders += [f"{path.name}: {alias.name}"
+                              for alias in node.names
+                              if alias.name.startswith("_")]
+    assert not offenders

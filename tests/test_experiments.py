@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import kronheat.experiments as experiments
-from kronheat.cli import build_parser, config_from_args
 from kronheat.errors import SingularMatrix, UsageError
 from kronheat.experiments import (
     BASE_TIME_NODES,
@@ -18,7 +17,9 @@ from kronheat.experiments import (
     ConvergenceRow,
     EigRow,
     ExperimentConfig,
+    build_parser,
     compare_solvers,
+    config_from_args,
     eoc,
     format_compare_row,
     format_convergence_row,

@@ -51,6 +51,7 @@ from conftest import (
     pencil_ops,
     random_matrix,
     random_positive,
+    schur_of,
     solve_dense_oracle,
     sort_spectrum,
 )
@@ -288,6 +289,50 @@ class TestBlockStarts:
         starts = block_starts(T)
         assert starts == want == scan_block_starts(T)
         assert all(type(k) is int for k in starts)
+
+
+class TestRealSchur:
+    def test_symmetric_gives_diagonal_r(self):
+        rng = np.random.default_rng(3)
+        B = rng.standard_normal((5, 5))
+        P = B @ B.T + np.eye(5)
+        _, R = schur_of(P, "real")
+        off = R - np.diag(np.diag(R))
+        assert np.max(np.abs(off)) < 1e-10
+        assert np.allclose(np.sort(np.diag(R)),
+                           np.sort(np.linalg.eigvalsh(P)), atol=1e-10)
+
+    def test_rotation_block(self):
+        # [[1,1],[-1,1]] has eigenvalues 1 +- i: one 2x2 block, alpha = 1
+        _, R = schur_of(np.array([[1.0, 1.0], [-1.0, 1.0]]), "real")
+        assert R[1, 0] != 0.0
+        assert R[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert R[0, 1] * R[1, 0] == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reconstruction_and_structure(self, seed):
+        P = random_positive(7, seed)
+        Q, R = schur_of(P, "real")
+        assert np.linalg.norm(Q @ Q.T - np.eye(7)) < 1e-12
+        assert np.linalg.norm(Q @ R @ Q.T - P) < 1e-11
+        # zero below the first subdiagonal
+        assert not np.tril(R, -2).any()
+        # each 2x2 block is standardized: off-diagonal entries of opposite
+        # signs and equal diagonal entries, so diag(R) holds every real part
+        pairs = [k for k in block_starts(R)
+                 if k + 1 < 7 and R[k + 1, k] != 0.0]
+        assert pairs, "expected a conjugate pair"
+        for k in pairs:
+            assert R[k, k + 1] * R[k + 1, k] < 0.0
+            assert R[k, k] == R[k + 1, k + 1]
+
+    def test_eigenvalues_match_numpy(self):
+        P = random_positive(6, 11)
+        # diag(R) holds the real parts of the eigenvalues, each pair twice
+        _, R = schur_of(P, "real")
+        expected = np.linalg.eigvals(P)
+        assert np.allclose(np.sort(np.diag(R)), np.sort(expected.real),
+                           atol=1e-10)
 
 
 class TestEigPencil:
