@@ -17,6 +17,7 @@ a file.
 
 import argparse
 import math
+import operator
 import os
 import re
 import sys
@@ -151,7 +152,10 @@ class CompareRow:
 
 
 def time_mesh_at_level(level):
-    """``BASE_TIME_NODES`` bisected ``level`` times."""
+    """``BASE_TIME_NODES`` bisected ``level`` >= 0 times."""
+    level = operator.index(level)
+    if level < 0:
+        raise ValueError("level must be >= 0")
     mesh = TemporalMesh(np.asarray(BASE_TIME_NODES, dtype=float))
     for _ in range(level):
         mesh = refine_bisect(mesh)
@@ -501,8 +505,8 @@ def cmd_eigstudy(config):
 
 
 def cmd_compare(config):
-    rows, residuals = compare_solvers(config)
     _note_unpinned_blas(config)
+    rows, residuals = compare_solvers(config)
     _emit(COMPARE_HEADER, [format_compare_row(r) for r in rows], config.out)
     for (level, variant), res in sorted(residuals.items()):
         print(f"# residual level {level} {variant}: {res:.3e}")

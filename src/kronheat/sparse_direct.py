@@ -25,11 +25,11 @@ PIVOT_THRESHOLD = 1e-13
 class SymbolicFactorization:
     """The pencil M + shift * A under its fill-reducing ordering.
 
-    Immutable; shareable across threads.  ``perm`` is the minimum-degree
-    ordering of the union pattern, ``M`` and ``A`` are P M P^T and
-    P A P^T in CSC, and ``factor_nnz`` is the predicted L+U fill of
-    every shift.  ``M`` and ``A`` are stored on one sorted pattern, the
-    union of the patterns given, explicit zeros included.
+    Built by :func:`analyze`; immutable and shareable across threads.
+    ``perm`` is the minimum-degree ordering of the union pattern, ``M``
+    and ``A`` are P M P^T and P A P^T in CSC on one sorted pattern, the
+    union of theirs, explicit zeros included, and ``factor_nnz`` is the
+    predicted L+U fill of every shift.
     """
 
     n: int
@@ -37,24 +37,6 @@ class SymbolicFactorization:
     factor_nnz: int
     M: sp.csc_matrix
     A: sp.csc_matrix
-
-    def __post_init__(self):
-        p = np.sort(np.asarray(self.perm))
-        if not np.array_equal(p, np.arange(self.n)):
-            raise DimensionMismatch("permutation is not a bijection on 0..n-1")
-        M, A = _shared_pattern(self.M, self.A)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "A", A)
-
-
-def _shared_pattern(M, A):
-    # M and A in CSC on the union of their patterns, sorted; coo -> csc
-    # sums duplicates and keeps explicit zeros
-    M, A = sp.coo_matrix(M), sp.coo_matrix(A)
-    ij = (np.concatenate([M.row, A.row]), np.concatenate([M.col, A.col]))
-    return tuple(
-        sp.csc_matrix((np.concatenate(data), ij), shape=M.shape)
-        for data in ((M.data, np.zeros(A.nnz)), (np.zeros(M.nnz), A.data)))
 
 
 class NumericFactorization:
@@ -82,7 +64,7 @@ def analyze(M, A):
     DimensionMismatch
         If M is not square or A's shape differs from M's.
     """
-    M, A = sp.csr_matrix(M), sp.csr_matrix(A)
+    M, A = sp.coo_matrix(M), sp.coo_matrix(A)
     if M.shape[0] != M.shape[1] or A.shape != M.shape:
         raise DimensionMismatch(
             f"M {M.shape} and A {A.shape} do not form a square pencil")
@@ -100,11 +82,16 @@ def analyze(M, A):
     # perm_c maps original index -> elimination position; invert it to
     # the elimination sequence.  SuperLU postorders the elimination tree
     # of each matrix it factorizes, so no postorder is needed here.
-    perm = np.argsort(np.asarray(probe.perm_c))
+    position = np.asarray(probe.perm_c)
+    perm = np.argsort(position)
+    # P M P^T and P A P^T on the union of their patterns in one coo ->
+    # csc step, which sorts, sums duplicates and keeps explicit zeros
+    ij = (position[np.concatenate([M.row, A.row])],
+          position[np.concatenate([M.col, A.col])])
+    M, A = (sp.csc_matrix((np.concatenate(data), ij), shape=(n, n))
+            for data in ((M.data, np.zeros(A.nnz)), (np.zeros(M.nnz), A.data)))
     return SymbolicFactorization(
-        n=n, perm=perm, factor_nnz=int(probe.L.nnz + probe.U.nnz),
-        M=sp.csc_matrix(M[perm, :][:, perm]),
-        A=sp.csc_matrix(A[perm, :][:, perm]))
+        n=n, perm=perm, factor_nnz=int(probe.L.nnz + probe.U.nnz), M=M, A=A)
 
 
 def factorize(symbolic, shift):

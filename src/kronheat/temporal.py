@@ -64,8 +64,10 @@ from .errors import DimensionMismatch, NotPositiveDefinite, UsageError
 # tail decays like j_max^-2 and sits near 5e-9 at this budget (measured).
 DEFAULT_J_MAX = 2_000_000
 
-# Residues per accumulation block; keeps the sin/cos workspaces at a few
-# megabytes while the products stay BLAS-bound.
+# Residues per accumulation block, large enough that the products stay
+# BLAS-bound.  Each sin/cos workspace is (N_t + 1) x _CHUNK doubles, 17 MB
+# at N_t = 64, on a non-dyadic mesh, which runs in such blocks.  A dyadic
+# study mesh up to level 4 sums P/2 <= 256 residues, all in one block.
 _CHUNK = 1 << 15
 
 

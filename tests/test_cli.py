@@ -294,6 +294,15 @@ class TestUnpinnedBlasNote:
 
         assert rows(bare.out) == rows(pinned.out)
 
+    def test_compare_notes_before_the_study(self, forced_fd_fallback,
+                                            unpinned, capsys):
+        # as for convergence, the note comes ahead of the study's
+        # fallback lines on stderr
+        assert main(["compare", "--max-level", "0", "--threads", "2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("# note: --threads 2")
+        assert any(line.startswith("# fallback") for line in err[1:])
+
     @pytest.mark.parametrize("env, noted", [
         ({}, True),
         ({"OPENBLAS_NUM_THREADS": "1"}, False),

@@ -175,6 +175,15 @@ class TestTimeMesh:
         assert fine.h_max / fine.h_min == pytest.approx(12.0, rel=1e-12)
         assert base.nodes[1] / 4 == pytest.approx(fine.nodes[1], rel=1e-14)
 
+    def test_negative_level_rejected(self):
+        # range(-1) is empty: unchecked, -1 would return the level-0 mesh
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            time_mesh_at_level(-1)
+
+    def test_non_integer_level_rejected(self):
+        with pytest.raises(TypeError):
+            time_mesh_at_level(1.0)
+
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):

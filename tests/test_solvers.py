@@ -335,6 +335,36 @@ class TestRealSchur:
                            atol=1e-10)
 
 
+class TestComplexSchur:
+    def test_diagonal_passthrough(self):
+        _, S = schur_of(np.diag([1.0, 2.0]), "complex")
+        assert np.allclose(np.diag(S), [1.0, 2.0])
+
+    def test_rotation_eigenvalues(self):
+        _, S = schur_of(np.array([[1.0, 1.0], [-1.0, 1.0]]), "complex")
+        assert np.allclose(sort_spectrum(np.diag(S)),
+                           [1 - 1j, 1 + 1j], atol=1e-14)
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_matches_real_schur_spectrum(self, seed):
+        P = random_positive(6, seed)
+        # diag(S) is the spectrum; diag(R) its real parts
+        _, S = schur_of(P, "complex")
+        _, R = schur_of(P, "real")
+        expected = np.linalg.eigvals(P)
+        assert np.allclose(sort_spectrum(np.diag(S)), sort_spectrum(expected),
+                           atol=1e-10)
+        assert np.allclose(np.sort(np.diag(S).real), np.sort(np.diag(R)),
+                           atol=1e-10)
+
+    def test_unitary_and_triangular(self):
+        P = random_positive(5, 9)
+        W, S = schur_of(P, "complex")
+        assert np.linalg.norm(W @ W.conj().T - np.eye(5)) < 1e-12
+        assert np.max(np.abs(np.tril(S, -1))) == 0.0
+        assert np.linalg.norm(W @ S @ W.conj().T - P) < 1e-11
+
+
 class TestEigPencil:
     def test_identity_pencil_reduces_to_standard(self):
         M = random_matrix(6, 21)

@@ -40,11 +40,16 @@ class TestAnalyze:
         assert sym.factor_nnz == 20  # diagonal L and U only
 
     def test_tridiagonal_natural_order_no_fill(self):
-        # with the identity permutation elimination stays bandwidth 1
+        # with the identity permutation elimination stays bandwidth 1;
+        # the record holds M and A on one pattern, as analyze stores
+        # them: M = I on A's tridiagonal pattern, explicit zeros included
         n = 50
+        A = sp.csc_matrix(laplacian_1d(n))
+        M = A.copy()
+        M.data = (A.data > 0.0).astype(float)  # 1 on A's diagonal, else 0
+        assert np.array_equal(M.toarray(), np.eye(n)) and M.nnz == A.nnz
         sym = sd.SymbolicFactorization(
-            n=n, perm=np.arange(n), factor_nnz=4 * n - 2,
-            M=sp.csc_matrix(identity(n)), A=sp.csc_matrix(laplacian_1d(n)))
+            n=n, perm=np.arange(n), factor_nnz=4 * n - 2, M=M, A=A)
         num = sd.factorize(sym, 1.0)
         assert num._lu.L.nnz + num._lu.U.nnz <= 4 * n - 2
 
