@@ -8,7 +8,8 @@ P^T = A_t left T^T right, left = A_t^{-1} X^{-T} and right = X^T
 else:
 
 * ``bs-real``: real Schur (Q, R, Q^T), R quasi-triangular;
-* ``bs-complex``: complex Schur (conj(W), S, W^T), S triangular;
+* ``bs-complex``: complex Schur (conj(W), S, W^T), S triangular, by
+  ``rsf2csf`` from the real form, so each conjugate pair is adjacent;
 * ``fd``: eigenvectors (X^{-T}, diag(D), X^T) of the pencil's QZ
   iteration (:func:`eig_pencil`), X^{-T} from one LU solve of X against
   I; the singular values of X give the condition number kappa2 the
@@ -21,10 +22,10 @@ was built.
 The driver then transforms in, G = F left, and sweeps the spatial systems
 of M_x Z + A_x Z T^T = G, each one shift lambda of the pencil
 M_x + lambda A_x under the one ``sparse_direct.analyze`` of every solve.
-Every variant back-substitutes over the diagonal blocks of T
-(:func:`_back_substitution`): a 2x2 block of R, a conjugate pair, is one
-complex solve at one eigenvalue of the pair; S and diag(D) have 1x1
-blocks only, and those of diag(D) are uncoupled (the fast
+Every variant back-substitutes over the diagonal blocks the pencil
+records (:func:`_back_substitution`), one factorization each: a 2x2
+block of R or S is a conjugate pair, solved at one eigenvalue of the
+pair; diag(D) has 1x1 blocks only, and they are uncoupled (the fast
 diagonalization of Lynch, Rice and Thomas).  The sweep writes Z over G,
 so beside the sparse factors a solve holds one M_x x N_t work array.
 With ``threads > 1`` fd's N_t systems run concurrently, dealt round-robin
@@ -112,14 +113,18 @@ class Pencil:
 
     left = A_t^{-1} X^{-T} and right = X^T for the variant's basis X: Q, W
     or fd's eigenvectors.  T is R (bs-real), S (bs-complex) or diag(D) of
-    the eigenvalues D (fd), N_t x N_t for every variant.  ``kappa2`` is
-    the condition number sigma_max/sigma_min of fd's eigenvector matrix
+    the eigenvalues D (fd), N_t x N_t for every variant.  ``starts``
+    opens each diagonal block of T: R's blocks for both Schur variants
+    (S keeps R's pairs as triangular 2x2 blocks), every index for fd.
+    ``kappa2`` is the
+    condition number sigma_max/sigma_min of fd's eigenvector matrix
     (None for the Schur variants).
     """
 
     left: np.ndarray
     T: np.ndarray
     right: np.ndarray
+    starts: list
     min_re_lambda: float
     kappa2: Optional[float] = None
 
@@ -194,23 +199,30 @@ def build_pencil(temporal, variant):
     if variant == "fd":
         vals, X, sigma = _fd_spectrum(temporal, P)
         T, kappa2 = np.diag(vals), float(sigma[0] / sigma[-1])
+        starts = list(range(len(vals)))
         # LU, not sla.inv, whose getri quadruples the level-5 residual
         inv_T = sla.solve(X, np.eye(len(X))).T
     else:
         # R quasi-triangular, LAPACK standardizing each 2x2 block (a pair
-        # alpha +- i sqrt(-b1 b2)) to diagonal entries alpha, alpha; or S
-        # triangular.  Either way diag(T) holds every real part
+        # alpha +- i sqrt(-b1 b2)) to diagonal entries alpha, alpha; S
+        # triangular, each pair of R a block [[lam, c], [0, mu]] with
+        # mu = conj(lam) to rounding.  Either way diag(T) holds every
+        # real part
         output = "real" if variant == "bs-real" else "complex"
         try:
-            T, X = sla.schur(P, output=output)
+            T, X = sla.schur(P, output="real")
         except sla.LinAlgError as exc:  # pragma: no cover - QR failure is rare
             raise ConvergenceFailure(str(exc)) from exc
+        starts = block_starts(T)
+        if output == "complex":
+            T, X = sla.rsf2csf(T, X, check_finite=False)
         scale = max(np.linalg.norm(P, "fro"), 1.0)
         if not np.linalg.norm(X @ T @ X.conj().T - P, "fro") <= 1e-10 * scale:
             raise ConvergenceFailure(f"{output} Schur residual above tolerance")
         inv_T = np.conj(X)
     return Pencil(left=sla.cho_solve((L, True), inv_T), T=T, right=X.T,
-                  min_re_lambda=_min_re_lambda(np.diag(T)), kappa2=kappa2)
+                  starts=starts, min_re_lambda=_min_re_lambda(np.diag(T)),
+                  kappa2=kappa2)
 
 
 def _factor(temporal):
@@ -296,19 +308,22 @@ def block_starts(T):
     return np.setdiff1d(np.arange(T.shape[0]), second).tolist()
 
 
-def _back_substitution(G, T, A, symbolic, threads):
+def _back_substitution(G, T, starts, A, symbolic, threads):
     """Solve M Z + A Z T^T = G for Z, with T upper quasi-triangular, in
     place: Z overwrites G, which is returned.
 
-    Walks the diagonal blocks of T from the last one; each block is one
-    shift lambda of the pencil analyzed in ``symbolic``, and ``A`` serves
-    only the coupling update.  A 1x1
-    block has lambda = T[k, k].  A 2x2 block [[a, b1], [b2, a]] of R, a
-    conjugate pair a +- i omega with omega = sqrt(-b1 b2), is one complex
-    solve (M + (a + i omega) A) w = b2 h_s + i omega h_{s+1} for
-    w = b2 z_s + i omega z_{s+1}, where h is G less the coupling
-    A Z[:, end:] T[s:end, end:]^T to the columns already solved, formed
-    when the block is reached and only if T[s:end, end:] is nonzero.
+    Walks the diagonal blocks of T opened by ``starts`` from the last
+    one; each block is one factorization at a shift lambda of the pencil
+    analyzed in ``symbolic``, and ``A`` serves only the coupling update:
+    h is G less A Z[:, end:] T[s:end, end:]^T, formed when the block is
+    reached and only if T[s:end, end:] is nonzero.  A 1x1 block has
+    lambda = T[k, k].  A 2x2 block [[a, b1], [b2, a]] of R, a conjugate
+    pair a +- i omega with omega = sqrt(-b1 b2), is one complex solve
+    (M + (a + i omega) A) w = b2 h_s + i omega h_{s+1} for
+    w = b2 z_s + i omega z_{s+1}.  A 2x2 block [[lam, c], [0, mu]] of S,
+    mu = conj(lam), is one two-column solve with F = M + lam A,
+    F [y, w] = [h_s - v h_{s+1}, conj(h_{s+1})], v = c / (conj(lam) - lam):
+    M and A are real, so z_{s+1} = conj(w), and z_s = y + v z_{s+1}.
     A block reads its columns of G before it writes them, and the
     coupling reads only columns already solved, so one array serves.
     Where no block couples to another (fd's diagonal T) and ``threads``
@@ -317,7 +332,6 @@ def _back_substitution(G, T, A, symbolic, threads):
     the rest, each share writing only its own columns.
     """
     n_t = G.shape[1]
-    starts = block_starts(T)
     blocks = list(zip(starts, starts[1:] + [n_t]))
 
     def solve_block(block):
@@ -328,6 +342,14 @@ def _back_substitution(G, T, A, symbolic, threads):
         if end - s == 1:
             numeric = sparse_direct.factorize(symbolic, T[s, s])
             G[:, s] = sparse_direct.solve(numeric, h[:, 0])
+        elif T[s + 1, s] == 0.0:
+            lam = T[s, s]
+            v = T[s, s + 1] / (np.conj(lam) - lam)
+            numeric = sparse_direct.factorize(symbolic, lam)
+            y, w = sparse_direct.solve(numeric, np.column_stack(
+                [h[:, 0] - v * h[:, 1], np.conj(h[:, 1])])).T
+            G[:, s + 1] = np.conj(w)
+            G[:, s] = y + v * G[:, s + 1]
         else:
             b1, b2 = T[s, s + 1], T[s + 1, s]
             omega = np.sqrt(-b1 * b2)
@@ -372,7 +394,7 @@ def _solve(system, variant, threads):
     t0 = time.perf_counter()
     A = system.spatial.A_II
     symbolic = sparse_direct.analyze(system.spatial.M_II, A)
-    Z = _back_substitution(G, pencil.T, A, symbolic, threads)
+    Z = _back_substitution(G, pencil.T, pencil.starts, A, symbolic, threads)
     del G, symbolic  # Z is G, overwritten in place
     report.t_spatial = time.perf_counter() - t0
 
@@ -422,8 +444,11 @@ def residual(system, coefficients):
 
 
 def check_integer(value, name, least):
-    """``value`` as an int; UsageError unless it is an integer >= least."""
+    """``value`` as an int; UsageError unless it is an integer >= least.
+    A bool is refused, though ``operator.index(True)`` is 1."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise UsageError(f"{name} must be an integer, got {value!r}") from None

@@ -166,12 +166,6 @@ def pencil_ops(M, A=None):
     return TemporalOperators(A=A, M=M, C=np.zeros_like(M), j_max=0)
 
 
-def schur_of(M, output):
-    """(Z, T) with M = Z T Z^H, as build_pencil forms them for A_t = I."""
-    pencil = solvers.build_pencil(pencil_ops(M), f"bs-{output}")
-    return pencil.right.T, pencil.T
-
-
 def random_positive(n, seed):
     """Random M whose symmetric part is positive definite, so every
     eigenvalue has positive real part; its skew part makes conjugate

@@ -159,6 +159,7 @@ class TestExperimentConfig:
         pytest.param({"max_level": 2.5}, id="max-level-fraction"),
         pytest.param({"max_level": "3"}, id="max-level-string"),
         pytest.param({"max_level": None}, id="max-level-none"),
+        pytest.param({"max_level": True}, id="max-level-bool"),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(UsageError):

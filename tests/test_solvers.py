@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 from kronheat import solvers, sparse_direct
 from kronheat.errors import (
+    ConvergenceFailure,
     DefectivePencil,
     DimensionMismatch,
     ImaginaryResidueTooLarge,
@@ -51,7 +52,6 @@ from conftest import (
     pencil_ops,
     random_matrix,
     random_positive,
-    schur_of,
     solve_dense_oracle,
     sort_spectrum,
 )
@@ -118,6 +118,12 @@ def solve_as(system, variant, threads=1):
     sol, report = solve(system, variant, threads=threads)
     assert report.variant == variant and report.fallback is None
     return sol, report
+
+
+def schur_of(M, output):
+    """(Z, T) with M = Z T Z^H, as build_pencil forms them for A_t = I."""
+    pencil = build_pencil(pencil_ops(M), f"bs-{output}")
+    return pencil.right.T, pencil.T
 
 
 def rel_diff(a, b):
@@ -365,6 +371,36 @@ class TestComplexSchur:
         assert np.linalg.norm(W @ S @ W.conj().T - P) < 1e-11
 
 
+# the residual check of build_pencil; the pencils are TemporalOperators
+# with A_t = I, so that P = M_t is the matrix under test
+@pytest.mark.parametrize("output", ["real", "complex"])
+def test_schur_residual_check(monkeypatch, output):
+    # one check serves both forms: a factor off by 1e-8 fails it
+    schur_lapack = solvers.sla.schur
+
+    def perturbed(P, output):
+        T, Z = schur_lapack(P, output=output)
+        return T * (1 + 1e-8), Z
+
+    monkeypatch.setattr(solvers.sla, "schur", perturbed)
+    with pytest.raises(ConvergenceFailure, match=f"{output} Schur residual"):
+        build_pencil(pencil_ops(random_positive(5, 4)), f"bs-{output}")
+
+
+@pytest.mark.parametrize("output", ["real", "complex"])
+def test_schur_residual_check_fails_nan(monkeypatch, output):
+    # a NaN residual is not below the bound: it fails, it does not pass
+    schur_lapack = solvers.sla.schur
+
+    def nan_form(P, output):
+        T, Z = schur_lapack(P, output=output)
+        return np.full_like(T, np.nan), Z
+
+    monkeypatch.setattr(solvers.sla, "schur", nan_form)
+    with pytest.raises(ConvergenceFailure, match=f"{output} Schur residual"):
+        build_pencil(pencil_ops(random_positive(5, 4)), f"bs-{output}")
+
+
 class TestEigPencil:
     def test_identity_pencil_reduces_to_standard(self):
         M = random_matrix(6, 21)
@@ -588,18 +624,26 @@ class TestPairSystems:
         assert set(sizes) == {system.m_x}
         assert set(fill) == {predicted}
 
+    @staticmethod
+    def complex_pair(lam, c):
+        """S's triangular 2x2 block of the conjugate pair lam, conj(lam)."""
+        return np.array([[lam, c], [0.0, np.conj(lam)]])
+
     @pytest.mark.parametrize("form, threads", [
         ("quasi-triangular", 1), ("diagonal", 1), ("diagonal", 2),
-        ("quasi-triangular", 2),
+        ("quasi-triangular", 2), ("complex-triangular", 1),
     ], ids=["quasi-triangular", "diagonal-t1", "diagonal-t2",
-            "quasi-triangular-t2"])
+            "quasi-triangular-t2", "complex-triangular"])
     def test_back_substitution_matches_dense_kronecker(self, form, threads):
         # quasi-triangular: a standardized T with 2x2 blocks
         # [[a, b1], [b2, a]], |b1/b2| of 69 and 1/69 and b2 of both signs,
         # 1x1 blocks between them, and nonzero couplings above the blocks,
         # which keep the walk serial whatever the thread count;
         # diagonal: fd's complex diag(D), whose blocks are uncoupled and
-        # run on the pool when threads > 1
+        # run on the pool when threads > 1; complex-triangular: S's form,
+        # conjugate pairs as triangular 2x2 blocks [[lam, c], [0,
+        # conj(lam)]] with imaginary parts of both signs and sizes, 1x1
+        # blocks between them, and complex couplings above the blocks
         m_x = 9
         M, A = fem_pair_1d(m_x, 21)
         rng = np.random.default_rng(22)
@@ -607,23 +651,34 @@ class TestPairSystems:
             n_t = 6
             T = np.diag(rng.uniform(0.1, 2.0, n_t)
                         + 1j * rng.uniform(-1.0, 1.0, n_t))
+            starts = list(range(n_t))
         else:
-            blocks = [np.array([[0.3, 6.9], [-0.1, 0.3]]),
-                      np.array([[0.7]]),
-                      np.array([[0.5, -0.05], [3.45, 0.5]]),
-                      np.array([[1.2, -0.8], [0.6, 1.2]]),
-                      np.array([[0.2]])]
+            if form == "quasi-triangular":
+                blocks = [np.array([[0.3, 6.9], [-0.1, 0.3]]),
+                          np.array([[0.7]]),
+                          np.array([[0.5, -0.05], [3.45, 0.5]]),
+                          np.array([[1.2, -0.8], [0.6, 1.2]]),
+                          np.array([[0.2]])]
+            else:
+                blocks = [self.complex_pair(0.3 + 0.83j, 6.9 - 2.1j),
+                          np.array([[0.7]]),
+                          self.complex_pair(0.5 - 0.42j, -0.05 + 3.4j),
+                          self.complex_pair(1.2 + 0.01j, 0.6),
+                          np.array([[0.2]])]
             n_t = sum(len(b) for b in blocks)
             T = np.triu(rng.standard_normal((n_t, n_t)), 1)
-            k = 0
-            for b in blocks:
+            if form == "complex-triangular":
+                T = T + 1j * np.triu(rng.standard_normal((n_t, n_t)), 1)
+            starts = np.cumsum([0] + [len(b) for b in blocks[:-1]]).tolist()
+            for k, b in zip(starts, blocks):
                 T[k:k + len(b), k:k + len(b)] = b
-                k += len(b)
         G = rng.standard_normal((m_x, n_t)).astype(T.dtype)
+        if form == "complex-triangular":
+            G = G + 1j * rng.standard_normal((m_x, n_t))
         symbolic = sparse_direct.analyze(M, A)
         # the sweep overwrites its right-hand side with Z and returns it
         work = G.copy()
-        Z = solvers._back_substitution(work, T, A, symbolic, threads)
+        Z = solvers._back_substitution(work, T, starts, A, symbolic, threads)
         assert Z is work
         K = (np.kron(np.eye(n_t), M.toarray())
              + np.kron(T, A.toarray()))
@@ -670,8 +725,9 @@ class TestPairSystems:
     def test_one_factorization_per_diagonal_block(self, small_system,
                                                   odd_system, monkeypatch,
                                                   variant, threads):
-        # one shift per diagonal block of the variant's T: pairs of R are
-        # one factorization each, and no block is skipped or solved twice
+        # one shift per diagonal block of the pencil: the pairs of R, and
+        # those of S at the same places, are one factorization each, and
+        # no block is skipped or solved twice
         factorize = sparse_direct.factorize
         shifts = []
 
@@ -683,8 +739,14 @@ class TestPairSystems:
         for system in (small_system, odd_system):
             shifts.clear()
             solve_as(system, variant, threads)
-            T = build_pencil(system.temporal, variant).T
-            assert len(shifts) == len(block_starts(T))
+            pencil = build_pencil(system.temporal, variant)
+            assert len(shifts) == len(pencil.starts)
+            if variant == "fd":
+                assert pencil.starts == list(range(system.n_t))
+            else:
+                R = build_pencil(system.temporal, "bs-real").T
+                assert pencil.starts == block_starts(R)
+                assert len(shifts) < system.n_t  # pairs solved as pairs
 
 
 class TestMemory:
@@ -780,7 +842,7 @@ class TestDispatch:
             with pytest.raises(UsageError, match="threads"):
                 solve(small_system, name, threads=threads)
 
-    @pytest.mark.parametrize("threads", [1.5, "2"])
+    @pytest.mark.parametrize("threads", [1.5, "2", True])
     def test_rejects_thread_count_not_an_integer(self, small_system,
                                                  threads):
         for name in ("bs-real", "bs-complex", "fd"):

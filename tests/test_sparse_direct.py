@@ -114,6 +114,42 @@ class TestAnalyze:
         assert sym.factor_nnz == 18_108
         assert num.factor_nnz == sym.factor_nnz
 
+    def test_narrow_panel_keeps_pivots_fill_and_solution(self, monkeypatch):
+        # the panel width changes how SuperLU runs its dense kernels, not
+        # the factors: at complex shifts of the level-3 pencil, factorize
+        # pivots as a default-panel splu of the same matrix does, with the
+        # same fill, and both solve alike; the analysis' probe and every
+        # factorization pass the one panel width
+        default_splu = spla.splu
+        panels = []
+
+        def recording(*args, **kwargs):
+            panels.append(kwargs.get("panel_size"))
+            return default_splu(*args, **kwargs)
+
+        monkeypatch.setattr(sd.spla, "splu", recording)
+        ops = assemble_p1(build_lshape_mesh(3))
+        sym = sd.analyze(ops.M_II, ops.A_II)
+        rng = np.random.default_rng(35)
+        b = rng.standard_normal(sym.n) + 1j * rng.standard_normal(sym.n)
+        shifts = (0.05 + 0.9j, 0.4 - 1.3j, 3.0 + 0.2j, 17.0 + 40.0j)
+        for shift in shifts:
+            num = sd.factorize(sym, shift)
+            K = sp.csc_matrix(
+                (sym.M.data + shift * sym.A.data, sym.M.indices,
+                 sym.M.indptr), shape=sym.M.shape)
+            ref = default_splu(K, permc_spec="NATURAL",
+                               options={"SymmetricMode": True})
+            assert np.array_equal(num._lu.perm_r, ref.perm_r), shift
+            assert num.factor_nnz == ref.L.nnz + ref.U.nnz == 18_108
+            expect = np.empty_like(b)
+            expect[sym.perm] = ref.solve(b[sym.perm])
+            x = sd.solve(num, b)
+            err = np.linalg.norm(x - expect) / np.linalg.norm(expect)
+            assert err < 1e-12, (shift, err)
+        assert sd.PANEL_SIZE == 1
+        assert panels == [sd.PANEL_SIZE] * (1 + len(shifts))
+
 
 class TestFactorizeSolve:
     def test_identity(self):
