@@ -152,7 +152,10 @@ class CompareRow:
 
 
 def time_mesh_at_level(level):
-    """``BASE_TIME_NODES`` bisected ``level`` >= 0 times."""
+    """``BASE_TIME_NODES`` bisected ``level`` >= 0 times; a level that
+    is not an integer (a bool included) raises TypeError."""
+    if isinstance(level, bool):
+        raise TypeError(f"level must be an integer, got {level!r}")
     level = operator.index(level)
     if level < 0:
         raise ValueError("level must be >= 0")

@@ -3,13 +3,15 @@
 Assembles the spatial mass and stiffness matrices, the mixed mass matrix
 coupling nodal hats with piecewise constants, the projected right-hand
 side, the boundary lift, and the combined load vector of the Kronecker
-system.  Error norms are evaluated with tensor Gauss quadrature per
-space-time element, split per triangle and time point into the exact
-field less its local L2 projection onto P1, shared by every discrete
-function measured, and the projection less the discrete function, a P1
-function measured from its vertex values.  The split is exact because
-the spatial rule integrates products of P1 functions exactly.
-The triangles are measured in cache-sized blocks, one after another.
+system.  Error norms are evaluated per space-time element with
+Dunavant's 33-point degree-12 triangle rule times 8 Gauss points in
+time, split per triangle and time point into the exact field less its
+local L2 projection onto P1, shared by every discrete function
+measured, and the projection less the discrete function, a P1 function
+measured from its vertex values.  The split is exact because the
+spatial rule, of degree 2 or more, integrates products of P1 functions
+exactly.  The triangles are measured in cache-sized blocks, one after
+another.
 """
 
 import math
@@ -33,26 +35,46 @@ __all__ = [
 ]
 
 
-def _perm3(a):
-    b = 1.0 - 2.0 * a
-    return [(a, a), (a, b), (b, a)]
+def _orbit_rule(orbits):
+    # a symmetric rule on the reference triangle (0,0)-(1,0)-(0,1), its
+    # points in barycentric orbits listed by their last two coordinates:
+    # (w, b) for the 3 permutations of (1 - 2b, b, b) and (w, a, b) for
+    # the 6 of (a, b, 1 - a - b); the weights w sum to one
+    pts, wts = [], []
+    for w, *ab in orbits:
+        if len(ab) == 1:
+            [b] = ab
+            a = 1.0 - 2.0 * b
+            orbit = [(b, b), (b, a), (a, b)]
+        else:
+            a, b = ab
+            c = 1.0 - a - b
+            orbit = [(a, b), (b, a), (a, c), (c, a), (b, c), (c, b)]
+        pts += orbit
+        wts += [w] * len(orbit)
+    return pts, wts
 
 
-def _perm6(a, b):
-    c = 1.0 - a - b
-    return [(a, b), (b, a), (a, c), (c, a), (b, c), (c, b)]
+# the 12-point degree-6 rule
+_DEGREE6_RULE = _orbit_rule([
+    (0.050844906370207, 0.063089014491502),
+    (0.116786275726379, 0.249286745170910),
+    (0.082851075618374, 0.310352451033785, 0.053145049844816),
+])
 
-
-# The 12-point degree-6 rule on the reference triangle (0,0)-(1,0)-(0,1):
-# points and normalized weights summing to one.
-_DEGREE6_RULE = (
-    _perm3(0.063089014491502)
-    + _perm3(0.249286745170910)
-    + _perm6(0.310352451033785, 0.053145049844816),
-    [0.050844906370207] * 3
-    + [0.116786275726379] * 3
-    + [0.082851075618374] * 6,
-)
+# Dunavant's 33-point degree-12 rule (IJNME 21, 1985, pp. 1129-1148),
+# refined to double precision by a Newton solve of its moment equations;
+# every point lies strictly inside the triangle, every weight is positive
+_DEGREE12_RULE = _orbit_rule([
+    (0.025731066440455335, 0.48821738977380488),
+    (0.043692544538038402, 0.43972439229446027),
+    (0.0628582242178851, 0.27121038501211592),
+    (0.034796112930708943, 0.12757614554158592),
+    (0.0061662610515590172, 0.02131735045321037),
+    (0.04037155776638093, 0.115343494534698, 0.27571326968551419),
+    (0.022356773202303446, 0.02283833222225703, 0.28132558098993955),
+    (0.017316231108658892, 0.025734050548330228, 0.11625191590759714),
+])
 
 
 def _collapsed_rule(order):
@@ -74,9 +96,9 @@ def _collapsed_rule(order):
 def triangle_rule(order):
     """Quadrature points and weights on the reference triangle.
 
-    Up to degree 6 this is the 12-point degree-6 rule; beyond it a
-    collapsed tensor rule is constructed.  Weights sum to the reference
-    area 1/2.
+    Up to degree 6 this is the 12-point degree-6 rule, from degree 7 to
+    12 Dunavant's 33-point degree-12 rule, and beyond it a collapsed
+    tensor rule is constructed.  Weights sum to the reference area 1/2.
 
     Parameters
     ----------
@@ -89,10 +111,10 @@ def triangle_rule(order):
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    if order <= 6:
-        pts, wts = _DEGREE6_RULE
-        return np.array(pts, dtype=float), 0.5 * np.array(wts, dtype=float)
-    return _collapsed_rule(order)
+    if order > 12:
+        return _collapsed_rule(order)
+    pts, wts = _DEGREE6_RULE if order <= 6 else _DEGREE12_RULE
+    return np.array(pts, dtype=float), 0.5 * np.array(wts, dtype=float)
 
 
 def gauss_rule_01(n):
@@ -107,9 +129,10 @@ def _load_quadrature():
 
 
 def _error_quadrature():
-    # the spatial and temporal rule of error_norms, chosen so level-0
-    # norms are stable to ~1e-5 relative; the spatial rule is the
-    # limiting factor on the coarse 0.5-sized triangles
+    # the spatial and temporal rule of error_norms, chosen so the norms
+    # are stable to ~1e-5 relative at level 0 and ~1e-7 at level 1
+    # (against a degree-30 rule); the spatial rule is the limiting
+    # factor on the coarse 0.5-sized triangles
     return triangle_rule(12), gauss_rule_01(8)
 
 
@@ -352,12 +375,13 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt):
     e = (u - Pi u) + (Pi u - u_h), where Pi is the local L2 projection
     onto P1, for the value, each gradient component and the time
     derivative alike: within a cell u_h's time derivative is P1 in space
-    and its gradient constant per triangle.  The spatial rule (degree 12)
-    integrates products of P1 functions exactly, so the two parts are
-    orthogonal under it and their squares add.  The first part does not
-    depend on u_h and is measured once per time point at the quadrature
-    points; the second is a P1 function per triangle, measured from its
-    vertex values with the exact local mass matrix area (1 + I)/12.
+    and its gradient constant per triangle.  The spatial rule (degree
+    12, 33 points) integrates products of P1 functions exactly, so the
+    two parts are orthogonal under it and their squares add.  The first
+    part does not depend on u_h and is measured once per time point at
+    the quadrature points; the second is a P1 function per triangle,
+    measured from its vertex values with the exact local mass matrix
+    area (1 + I)/12.
     Both are summed directly, without cancellation.
 
     The triangles are taken in contiguous blocks of at most
@@ -441,15 +465,23 @@ def _block_squares(stack, mesh_x, mesh_t, block, rules, area, grads,
         return c, np.einsum("kit,tid->kdt", c, grads)[:, :, None]
 
     def p1_square(d):
-        # d^T (area (1 + I)/12) d summed over triangles, for d (..., 3, m)
-        s = d.sum(axis=-2)
-        return (np.einsum("...it,...it->...t", d, d) + s * s) @ area_12
+        # d^T (area (1 + I)/12) d summed over triangles, for d (..., 3, m),
+        # which is overwritten with its squares
+        s = d[..., 0, :] + d[..., 1, :]
+        s += d[..., 2, :]
+        s *= s
+        d *= d
+        for i in range(3):
+            s += d[..., i, :]
+        return s @ area_12
 
     # one panel: vertex values of the projections of u, du/dx1, du/dx2
-    # and du/dt, and their first parts per triangle
+    # and du/dt, and the first parts of the L2 and H1 squares per time
+    # point, summed over the triangles
     n_q = len(tq)
     proj = np.empty((4, n_q, 3, m))
-    first = np.empty((4, n_q, m))
+    first = np.empty((2, n_q))
+    d = None
     nodes = mesh_t.nodes
     squares = np.zeros((2, len(stack)))
     c_lo, g_lo = at_node(0)
@@ -462,21 +494,33 @@ def _block_squares(stack, mesh_x, mesh_t, block, rules, area, grads,
             for i, q in enumerate(qs):
                 t = nodes[ell] + h * q
                 fields = (u(x1, x2, t), *grad(x1, x2, t), dt(x1, x2, t))
-                for j, f in enumerate(fields):
-                    proj[j, i], first[j, i] = _p1_split(f, p1, lam, wts, r)
-            # the second part of every stack entry (k, n_q, 3, m) at once;
-            # u_h = c_lo + (t - t_ell) c_dt within the cell, and its
-            # gradient, constant per triangle, interpolates g_lo and g_hi
-            d = (h * qs)[:, None, None] * c_dt[:, None]
+                # the first parts of u, and of du/dx1 + du/dx2 + du/dt
+                proj[0, i], part = _p1_split(fields[0], p1, lam, wts, r)
+                first[0, i] = part @ two_area
+                proj[1, i], part = _p1_split(fields[1], p1, lam, wts, r)
+                for j in (2, 3):
+                    proj[j, i], more = _p1_split(fields[j], p1, lam, wts, r)
+                    part += more
+                first[1, i] = part @ two_area
+            # the second part of every stack entry (k, n_q, 3, m) at once,
+            # in one buffer per block, allocated only after the fields
+            # have switched to the block's points so that it stays out of
+            # the switch's memory peak; u_h = c_lo + (t - t_ell) c_dt
+            # within the cell, and its gradient, constant per triangle,
+            # interpolates g_lo and g_hi
+            if d is None:
+                d = np.empty((len(stack), n_q, 3, m))
+            np.multiply((h * qs)[:, None, None], c_dt[:, None], out=d)
             d += c_lo[:, None]
             np.subtract(proj[0], d, out=d)
-            l2 = p1_square(d) + first[0] @ two_area
+            l2 = p1_square(d) + first[0]
             np.subtract(proj[3], c_dt[:, None], out=d)
-            h1 = p1_square(d) + first[1:].sum(axis=0) @ two_area
+            h1 = p1_square(d) + first[1]
             for j in range(2):
                 g = (1.0 - qs)[:, None, None] * g_lo[:, None, j]
                 g += qs[:, None, None] * g_hi[:, None, j]
                 np.subtract(proj[j + 1], g, out=d)
+                del g
                 h1 += p1_square(d)
             squares[0] += l2 @ (h * ws)
             squares[1] += h1 @ (h * ws)

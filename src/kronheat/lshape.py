@@ -98,8 +98,11 @@ def build_lshape_mesh(level):
     """Build the structured L-shape triangulation at a refinement level.
 
     Lattice spacing is 0.5 * 2**(-level); level 0 has 24 triangles and
-    5 interior vertices.
+    5 interior vertices.  A level that is not an integer (a bool
+    included) raises TypeError, a negative one ValueError.
     """
+    if isinstance(level, bool):
+        raise TypeError(f"level must be an integer, got {level!r}")
     level = operator.index(level)
     if level < 0:
         raise ValueError("level must be >= 0")

@@ -29,6 +29,13 @@ CENTER = (0.25, -0.25)
 _EXP_CUT = 700.0
 
 
+def _read_only(buffer):
+    # a buffer and a read-only view of it
+    view = buffer.view()
+    view.flags.writeable = False
+    return buffer, view
+
+
 class ExactFields:
     """The manufactured solution, its derivatives and source, memoized.
 
@@ -51,8 +58,11 @@ class ExactFields:
       call, so they never match); the old pair's factors are freed
       before the new pair's are formed.  Arrays passed in must therefore
       not be modified in place between calls.  The two factors only the
-      source uses are formed on its first call for a point set;
-    - one buffer per returned field, allocated once per point set, and
+      source uses, its buffer and one for its Gaussian factor are formed
+      on its first call for a point set;
+    - one buffer per returned field, allocated once per point set (the
+      Gaussian factor of ``u``, ``grad`` and ``dt`` passes through
+      ``u``'s), and
       ``u``, ``grad`` and ``dt`` at the last ``t``: the three at one time
       point cost a single ``exp`` per point together.  ``source`` takes
       its own ``exp`` on every call, as the load and the error norms
@@ -83,21 +93,21 @@ class ExactFields:
 
     def source(self, x1, x2, t):
         self._use(x1, x2, t)
-        f = self._buffers[5]
+        if self._source is None:
+            a1, a2 = self._points
+            _, s, _, _, x2c, x1c = self._factors
+            self._source = (
+                (a1 - CENTER[0]) * x2c + (a2 - CENTER[1]) * x1c,
+                np.pi**2 * (a1**2 + a2**2) * s, np.empty(a1.shape),
+                *_read_only(np.empty(a1.shape)))
+        cross_c, lap_s, g, f, view = self._source
         if self._vanishes(t):
             f.fill(0.0)
         else:
-            if self._source_factors is None:
-                a1, a2 = self._points
-                _, s, _, _, x2c, x1c = self._factors
-                self._source_factors = (
-                    (a1 - CENTER[0]) * x2c + (a2 - CENTER[1]) * x1c,
-                    np.pi**2 * (a1**2 + a2**2) * s)
-            cross_c, lap_s = self._source_factors
             np.multiply(cross_c, 1.0 / t, out=f)
             f += lap_s
-            f *= self._gaussian(t)
-        return self._views[5]
+            f *= self._gaussian(t, g)
+        return view
 
     def _use(self, x1, x2, t):
         # switch to the point set (x1, x2), dropping the cached time
@@ -109,7 +119,7 @@ class ExactFields:
             if a1.shape != a2.shape:
                 raise DimensionMismatch(
                     f"x1 of shape {a1.shape} and x2 of shape {a2.shape}")
-            self._factors = self._source_factors = None
+            self._factors = self._source = None
             self._buffers = self._views = None
             self._points = (a1, a2)
             d1 = a1 - CENTER[0]
@@ -120,21 +130,18 @@ class ExactFields:
             self._factors = (r2, s, d1 * s, d2 * s, a2 * c, a1 * c)
             # NaN in r2 makes both comparisons with the cut false
             self._r2_range = (r2.min(initial=np.inf), r2.max(initial=-np.inf))
-            # G, u, du/dx1, du/dx2, du/dt, f; 0-d for scalar points
-            self._buffers = [np.empty(a1.shape) for _ in range(6)]
-            self._views = tuple(buffer.view() for buffer in self._buffers)
-            for view in self._views:
-                view.flags.writeable = False
+            # u, du/dx1, du/dx2, du/dt; 0-d for scalar points
+            self._buffers, self._views = zip(
+                *(_read_only(np.empty(a1.shape)) for _ in range(4)))
             self._fields_t = None
 
     def _vanishes(self, t):
         # every field is 0 at t: t <= 0, or r2 / (4 t) past the cut
         return t <= 0.0 or self._r2_range[0] * (0.25 / t) > _EXP_CUT
 
-    def _gaussian(self, t):
-        # G = 5/(2 pi t) exp(-r2 / (4 t)) at one t > 0, and 0 where
-        # r2 / (4 t) passes the cut
-        g = self._buffers[0]
+    def _gaussian(self, t, g):
+        # G = 5/(2 pi t) exp(-r2 / (4 t)) into g at one t > 0, and 0
+        # where r2 / (4 t) passes the cut
         np.multiply(self._factors[0], -0.25 / t, out=g)
         if self._r2_range[1] * (0.25 / t) > _EXP_CUT:
             below = g < -_EXP_CUT
@@ -152,21 +159,22 @@ class ExactFields:
         self._use(x1, x2, t)
         if t != self._fields_t:
             r2, s, d1s, d2s, x2c, x1c = self._factors
-            u, g1, g2, u_t = self._buffers[1:5]
+            u, g1, g2, u_t = self._buffers
             if self._vanishes(t):
                 for field in (u, g1, g2, u_t):
                     field.fill(0.0)
             else:
-                g = self._gaussian(t)
-                np.multiply(g, s, out=u)
+                # G in u's buffer until the gradient has taken it
+                g = self._gaussian(t, u)
                 np.multiply(d1s, -0.5 / t, out=g1)
                 g1 += x2c
                 g1 *= g
                 np.multiply(d2s, -0.5 / t, out=g2)
                 g2 += x1c
                 g2 *= g
+                u *= s
                 np.multiply(r2, 0.25 / t**2, out=u_t)
                 u_t -= 1.0 / t
                 u_t *= u
             self._fields_t = t
-        return self._views[1:5]
+        return self._views

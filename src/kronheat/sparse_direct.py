@@ -36,7 +36,9 @@ class SymbolicFactorization:
     ``perm`` is the minimum-degree ordering of the union pattern, ``M``
     and ``A`` are P M P^T and P A P^T in CSC on one sorted pattern, the
     union of theirs, explicit zeros included, and ``factor_nnz`` is the
-    predicted L+U fill of every shift.
+    L+U fill predicted from the ordering.  It is exact at levels 0-5 of
+    the L-shape pencil; SuperLU's row pivoting can add to it (at level 6
+    a shift's factors hold 3,496,060 entries against 3,377,487, +3.5%).
     """
 
     n: int

@@ -249,9 +249,12 @@ def assemble_temporal_operators(mesh: TemporalMesh, j_max: int = DEFAULT_J_MAX) 
 
     On a dyadic mesh the sum runs over r < P/2, each residue with its
     mirror P - 1 - r folded into its weights (``_folded_weights``).  A
-    j_max that is not an integer raises TypeError, a negative one ValueError.
+    j_max that is not an integer (a bool included) raises TypeError, a
+    negative one ValueError.
     """
     try:
+        if isinstance(j_max, bool):
+            raise TypeError
         j_max = operator.index(j_max)
     except TypeError:
         raise TypeError(f"j_max must be an integer, got {j_max!r}") from None

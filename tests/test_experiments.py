@@ -184,6 +184,10 @@ class TestTimeMesh:
     def test_non_integer_level_rejected(self):
         with pytest.raises(TypeError):
             time_mesh_at_level(1.0)
+        # operator.index(True) is 1: unchecked, True would return the
+        # level-1 mesh
+        with pytest.raises(TypeError, match="level"):
+            time_mesh_at_level(True)
 
 
 class TestConfigFile:

@@ -69,23 +69,29 @@ class TestTriangleRule:
                 assert val == pytest.approx(exact, rel=5e-13, abs=1e-15)
 
     def test_points_inside_closed_triangle(self):
-        for order in (2, 5, 6, 9, 13):
+        for order in (2, 5, 6, 9, 12, 13):
             pts, _ = triangle_rule(order)
             assert np.all(pts >= -1e-14)
             assert np.all(pts.sum(axis=1) <= 1.0 + 1e-14)
+        _, wts = triangle_rule(12)
+        assert np.all(wts > 0.0)
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             triangle_rule(0)
 
     def test_fixed_rules(self):
-        # one 12-point rule up to degree 6; the load takes it with 5
-        # Gauss points in time, the error norms degree 12 with 8
-        pts6, wts6 = triangle_rule(6)
-        for order in range(1, 7):
-            pts, wts = triangle_rule(order)
-            assert len(pts) == 12
-            assert np.array_equal(pts, pts6) and np.array_equal(wts, wts6)
+        # one 12-point rule up to degree 6 and one 33-point rule from 7
+        # to 12; the load takes the first with 5 Gauss points in time,
+        # the error norms degree 12 with 8
+        for orders, degree, n in ((range(1, 7), 6, 12),
+                                  (range(7, 13), 12, 33)):
+            want_pts, want_wts = triangle_rule(degree)
+            for order in orders:
+                pts, wts = triangle_rule(order)
+                assert len(pts) == n
+                assert np.array_equal(pts, want_pts)
+                assert np.array_equal(wts, want_wts)
         for seam, degree, n in ((fem._load_quadrature, 6, 5),
                                 (fem._error_quadrature, 12, 8)):
             (pts, wts), (tq, tw) = seam()
@@ -405,7 +411,7 @@ class TestErrorBlocks:
     @pytest.fixture
     def blocks_of_ten(self, meshes, monkeypatch):
         # the 24 level-0 triangles in blocks of 10, 10 and 4; the bound
-        # is no multiple of the rule's 49 points
+        # is no multiple of the rule's 33 points
         (pts, _), _ = fem._error_quadrature()
         assert meshes[0].n_triangles == 24
         monkeypatch.setattr(fem, "ERROR_BLOCK_POINTS", 10 * len(pts) + 3)
@@ -491,6 +497,22 @@ def spy_first_parts(monkeypatch):
 
     monkeypatch.setattr(fem, "_p1_split", first_part)
     return ratios
+
+
+class TestErrorRule:
+    @pytest.mark.parametrize("level, rel", [(0, 1e-5), (1, 1e-7)])
+    def test_problem_norms_match_fine_rule(self, monkeypatch, level, rel):
+        # the degree-12 rule against a 256-point degree-30 one, both with
+        # 8 Gauss points in time, on the problem's own solutions: the
+        # spatial rule limits the norms on the coarse triangles
+        problem = assemble_problem(level)
+        solutions = [solve(problem.system, variant)[0]
+                     for variant in ("bs-real", "bs-complex", "fd")]
+        got = solution_errors(problem, solutions)
+        rules = (fem._collapsed_rule(30), gauss_rule_01(8))
+        monkeypatch.setattr(fem, "_error_quadrature", lambda: rules)
+        want = solution_errors(problem, solutions)
+        assert_pairs_close(got, want, rel)
 
 
 class TestErrorSplit:
@@ -580,10 +602,10 @@ class TestErrorSplit:
 
     def test_memory_is_a_few_point_sets(self):
         # the second part is measured a panel of time points at a time:
-        # a stacked level-2 measurement allocates at most 25 arrays of
-        # the point set's size (about 19 in blocks of 334 and 50
-        # triangles, about 22 as one block), where the 96 time points of
-        # the whole first cell at a time take about 72
+        # a stacked level-2 measurement, one block of 384 triangles,
+        # allocates at most 25 arrays of the point set's size (about
+        # 23.3), where the 96 time points of the whole first cell at a
+        # time take about 72
         problem = assemble_problem(2)
         solutions = [solve(problem.system, variant)[0]
                      for variant in ("bs-real", "bs-complex", "fd")]
@@ -599,9 +621,10 @@ class TestErrorSplit:
 
     def test_memory_is_a_few_block_sets(self):
         # each triangle block runs the whole time sweep in turn, so a
-        # stacked level-3 measurement (five blocks) allocates its stack
-        # and at most 25 arrays of a block's points (about 23), where the
-        # whole mesh as one block took about 22 arrays of all its points
+        # stacked level-3 measurement (blocks of 496, 496, 496 and 48
+        # triangles) allocates its stack and at most 25 arrays of a
+        # block's points (about 22.8), where the whole mesh as one block
+        # took about 22 arrays of all its points
         problem = assemble_problem(3)
         solutions = [solve(problem.system, variant)[0]
                      for variant in ("bs-real", "bs-complex", "fd")]

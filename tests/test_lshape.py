@@ -86,6 +86,9 @@ class TestBuildMesh:
     def test_non_integer_level_rejected(self):
         with pytest.raises(TypeError):
             build_lshape_mesh(1.0)
+        # operator.index(True) is 1: unchecked, True would build level 1
+        with pytest.raises(TypeError, match="level"):
+            build_lshape_mesh(True)
 
     def test_vertices_stay_out_of_removed_quadrant(self):
         mesh = build_lshape_mesh(2)

@@ -190,6 +190,7 @@ class TestSineCoefficients:
         pytest.param("5", id="string"),
         pytest.param(None, id="none"),
         pytest.param(np.float64(8.0), id="float64-integral"),
+        pytest.param(True, id="bool"),
     ])
     def test_non_integer_j_max(self, j_max):
         # a float budget, even an integral one, is refused before it can
