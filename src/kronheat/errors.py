@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
+
+import operator
 
 
 class KronheatError(Exception):
@@ -39,3 +41,17 @@ class SingularMatrix(KronheatError):
 
 class UsageError(KronheatError):
     """An operation was invoked with an unusable configuration."""
+
+
+def check_integer(value, name, least):
+    """``value`` as an int; UsageError unless it is an integer >= least.
+    A bool is refused, though ``operator.index(True)`` is 1."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise UsageError(f"{name} must be >= {least}, got {count}")
+    return count

@@ -17,7 +17,6 @@ a file.
 
 import argparse
 import math
-import operator
 import os
 import re
 import sys
@@ -26,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import KronheatError, UsageError
+from .errors import KronheatError, UsageError, check_integer
 from .fem import (
     assemble_global_rhs,
     assemble_p1,
@@ -39,7 +38,6 @@ from .manufactured import ExactFields
 from .solvers import (
     TOLERANCES,
     SpaceTimeSystem,
-    check_integer,
     eig_study,
     solve,
 )
@@ -152,13 +150,9 @@ class CompareRow:
 
 
 def time_mesh_at_level(level):
-    """``BASE_TIME_NODES`` bisected ``level`` >= 0 times; a level that
-    is not an integer (a bool included) raises TypeError."""
-    if isinstance(level, bool):
-        raise TypeError(f"level must be an integer, got {level!r}")
-    level = operator.index(level)
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    """``BASE_TIME_NODES`` bisected ``level`` times; a level that is
+    not an integer (a bool included), or is negative, raises UsageError."""
+    level = check_integer(level, "level", 0)
     mesh = TemporalMesh(np.asarray(BASE_TIME_NODES, dtype=float))
     for _ in range(level):
         mesh = refine_bisect(mesh)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import roots_jacobi
 
-from .errors import DimensionMismatch, UsageError
+from .errors import DimensionMismatch, UsageError, check_integer
 
 __all__ = [
     "SpatialOperators",
@@ -77,49 +76,34 @@ _DEGREE12_RULE = _orbit_rule([
 ])
 
 
-def _collapsed_rule(order):
-    # Duffy map x = u (1 - v), y = v with the Jacobian (1 - v) folded
-    # into a Gauss-Jacobi rule in v; exact to the requested total degree
-    n = (order + 2) // 2
-    u, wu = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (u + 1.0)
-    wu = 0.5 * wu
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
-    v = 0.5 * (xj + 1.0)
-    wv = 0.25 * wj
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    pts = np.column_stack([(uu * (1.0 - vv)).ravel(), vv.ravel()])
-    wts = np.outer(wu, wv).ravel()
-    return pts, wts
-
-
 def triangle_rule(order):
     """Quadrature points and weights on the reference triangle.
 
     Up to degree 6 this is the 12-point degree-6 rule, from degree 7 to
-    12 Dunavant's 33-point degree-12 rule, and beyond it a collapsed
-    tensor rule is constructed.  Weights sum to the reference area 1/2.
+    12 Dunavant's 33-point degree-12 rule: the rules of the load and of
+    the error norms.  Weights sum to the reference area 1/2.
 
     Parameters
     ----------
     order : int
-        Polynomial degree to integrate exactly, >= 1.
+        Polynomial degree to integrate exactly, 1 to 12.  Any other
+        value, a bool or a non-integer included, raises UsageError.
 
     Returns
     -------
     points : ndarray (n, 2), weights : ndarray (n,)
     """
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
+    order = check_integer(order, "order", 1)
     if order > 12:
-        return _collapsed_rule(order)
+        raise UsageError(f"order must be <= 12, got {order}")
     pts, wts = _DEGREE6_RULE if order <= 6 else _DEGREE12_RULE
     return np.array(pts, dtype=float), 0.5 * np.array(wts, dtype=float)
 
 
 def gauss_rule_01(n):
-    """n-point Gauss-Legendre rule on the unit interval."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre rule on the unit interval; an n that is
+    not an integer >= 1 (a bool included) raises UsageError."""
+    x, w = np.polynomial.legendre.leggauss(check_integer(n, "n", 1))
     return 0.5 * (x + 1.0), 0.5 * w
 
 

@@ -7,12 +7,11 @@ two triangles along its bottom-left to top-right diagonal.  Boundary
 flags are read off the integer lattice coordinates, exactly.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateElement
+from .errors import DegenerateElement, check_integer
 
 __all__ = ["TriangleMesh", "build_lshape_mesh"]
 
@@ -99,13 +98,9 @@ def build_lshape_mesh(level):
 
     Lattice spacing is 0.5 * 2**(-level); level 0 has 24 triangles and
     5 interior vertices.  A level that is not an integer (a bool
-    included) raises TypeError, a negative one ValueError.
+    included), or is negative, raises UsageError.
     """
-    if isinstance(level, bool):
-        raise TypeError(f"level must be an integer, got {level!r}")
-    level = operator.index(level)
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    level = check_integer(level, "level", 0)
     m = 2 ** (level + 1)  # lattice intervals per unit length
 
     # integer lattice i, j in [-m, m], j slowest; drop i > 0 and j < 0

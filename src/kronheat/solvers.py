@@ -38,7 +38,6 @@ variant's bound.  A failed fd solve is rerun with
 bs-complex and the report says so; a failed Schur solve raises.
 """
 
-import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -57,6 +56,7 @@ from .errors import (
     NotPositiveDefinite,
     ResidualTooLarge,
     UsageError,
+    check_integer,
 )
 from .fem import SpatialOperators
 from .temporal import TemporalOperators
@@ -76,6 +76,7 @@ class SpaceTimeSystem:
 
     ``rhs`` is ordered with the spatial index fastest: it is the
     column-major vectorization of the M_x-by-N_t right-hand-side matrix.
+    A sequence is taken as an array and checked like one.
     """
 
     temporal: TemporalOperators
@@ -83,6 +84,7 @@ class SpaceTimeSystem:
     rhs: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "rhs", np.asarray(self.rhs))
         if self.rhs.shape != (self.n_t * self.m_x,):
             raise DimensionMismatch(
                 f"rhs length {self.rhs.shape} does not match "
@@ -441,20 +443,6 @@ def residual(system, coefficients):
     if denom == 0.0:
         return float(np.linalg.norm(Ku))
     return float(np.linalg.norm(Ku - system.rhs) / denom)
-
-
-def check_integer(value, name, least):
-    """``value`` as an int; UsageError unless it is an integer >= least.
-    A bool is refused, though ``operator.index(True)`` is 1."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        count = operator.index(value)
-    except TypeError:
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
-    if count < least:
-        raise UsageError(f"{name} must be >= {least}, got {count}")
-    return count
 
 
 def solve(system, variant, threads=1):

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix, UsageError
 
 PIVOT_THRESHOLD = 1e-13
 
@@ -114,9 +114,13 @@ def factorize(symbolic, shift):
 
     Raises
     ------
+    UsageError
+        If the shift is not finite.
     SingularMatrix
         If a pivot magnitude falls below 1e-13 times the largest entry.
     """
+    if not np.isfinite(shift):
+        raise UsageError(f"shift must be finite, got {shift!r}")
     M, A = symbolic.M, symbolic.A
     K = sp.csc_matrix((M.data + shift * A.data, M.indices, M.indptr),
                       shape=M.shape)

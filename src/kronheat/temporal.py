@@ -50,14 +50,13 @@ tractable by Galerkin methods in the first place.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.special import zeta
 
-from .errors import DimensionMismatch, NotPositiveDefinite, UsageError
+from .errors import DimensionMismatch, NotPositiveDefinite, UsageError, check_integer
 
 # Default series truncation.  The acceptance bar is that doubling j_max moves
 # no entry by more than 1e-8 relative on meshes up to N_t = 64; the entrywise
@@ -180,10 +179,11 @@ def tail_bounds(mesh: TemporalMesh, j_max: int) -> tuple[float, float, float]:
     Derived from the envelopes |a| <= 8T/(h_min theta^2),
     |b| <= T/theta + 4T^2/(h_min theta^2), |d| <= 2T/theta and the integral
     bounds sum_{j>J} theta_j^-3 <= 1/(2 pi^3 (J+1)^2),
-    sum_{j>J} theta_j^-4 <= 1/(3 pi^4 (J+1)^3).
+    sum_{j>J} theta_j^-4 <= 1/(3 pi^4 (J+1)^3).  A j_max that is not an
+    integer >= 0 (a bool included) raises UsageError.
     """
     T, hmin = mesh.T, mesh.h_min
-    J1 = j_max + 1.0
+    J1 = check_integer(j_max, "j_max", 0) + 1.0
     s3 = 1.0 / (2.0 * np.pi**3 * J1**2)
     s4 = 1.0 / (3.0 * np.pi**4 * J1**3)
     tail_a = 32.0 * T**2 / hmin**2 * s3
@@ -249,17 +249,10 @@ def assemble_temporal_operators(mesh: TemporalMesh, j_max: int = DEFAULT_J_MAX) 
 
     On a dyadic mesh the sum runs over r < P/2, each residue with its
     mirror P - 1 - r folded into its weights (``_folded_weights``).  A
-    j_max that is not an integer (a bool included) raises TypeError, a
-    negative one ValueError.
+    j_max that is not an integer (a bool included), or is negative,
+    raises UsageError.
     """
-    try:
-        if isinstance(j_max, bool):
-            raise TypeError
-        j_max = operator.index(j_max)
-    except TypeError:
-        raise TypeError(f"j_max must be an integer, got {j_max!r}") from None
-    if j_max < 0:
-        raise ValueError("j_max must be >= 0")
+    j_max = check_integer(j_max, "j_max", 0)
     nodes, T, n = mesh.nodes, mesh.T, mesh.n_cells
     x = nodes / T
     dyadic = _dyadic_period(mesh, j_max)

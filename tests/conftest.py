@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from kronheat import TemporalMesh, assemble_temporal_operators, fem, solvers
 from kronheat.errors import DefectivePencil, KronheatError
@@ -233,6 +234,27 @@ def full_p1(mesh):
                               np.zeros(mesh.n_vertices, dtype=bool))
     ops = fem.assemble_p1(everywhere)
     return ops.M_II, ops.A_II
+
+
+def collapsed_rule(order):
+    """Reference-triangle rule exact to total degree ``order``, any order.
+
+    The Duffy map x = u (1 - v), y = v with the Jacobian (1 - v) folded
+    into a Gauss-Jacobi rule in v; ``(order + 2) // 2`` points per axis.
+    The reference rule the fixed rules of ``fem.triangle_rule`` are
+    checked against.  Weights sum to the reference area 1/2.
+    """
+    n = (order + 2) // 2
+    u, wu = np.polynomial.legendre.leggauss(n)
+    u = 0.5 * (u + 1.0)
+    wu = 0.5 * wu
+    xj, wj = roots_jacobi(n, 1.0, 0.0)
+    v = 0.5 * (xj + 1.0)
+    wv = 0.25 * wj
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    pts = np.column_stack([(uu * (1.0 - vv)).ravel(), vv.ravel()])
+    wts = np.outer(wu, wv).ravel()
+    return pts, wts
 
 
 def on_lshape_boundary(points):

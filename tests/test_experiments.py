@@ -178,15 +178,15 @@ class TestTimeMesh:
 
     def test_negative_level_rejected(self):
         # range(-1) is empty: unchecked, -1 would return the level-0 mesh
-        with pytest.raises(ValueError, match="level must be >= 0"):
+        with pytest.raises(UsageError, match="level must be >= 0"):
             time_mesh_at_level(-1)
 
     def test_non_integer_level_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(UsageError, match="level"):
             time_mesh_at_level(1.0)
         # operator.index(True) is 1: unchecked, True would return the
         # level-1 mesh
-        with pytest.raises(TypeError, match="level"):
+        with pytest.raises(UsageError, match="level"):
             time_mesh_at_level(True)
 
 

@@ -32,6 +32,7 @@ from kronheat.temporal import TemporalMesh, assemble_temporal_operators
 
 from conftest import (
     BASE_NODES,
+    collapsed_rule,
     error_norms_reference,
     exact_dt,
     exact_grad,
@@ -49,16 +50,21 @@ def reference_triangle():
     )
 
 
+def rule_of_order(order):
+    # fem's fixed rules up to degree 12, the reference rule beyond
+    return triangle_rule(order) if order <= 12 else collapsed_rule(order)
+
+
 class TestTriangleRule:
-    @pytest.mark.parametrize("order", range(1, 15))
+    @pytest.mark.parametrize("order", [*range(1, 15), 30])
     def test_weights_sum_to_area(self, order):
-        _, wts = triangle_rule(order)
+        _, wts = rule_of_order(order)
         assert wts.sum() == pytest.approx(0.5, rel=1e-14)
 
-    @pytest.mark.parametrize("order", range(1, 15))
+    @pytest.mark.parametrize("order", [*range(1, 15), 30])
     def test_monomial_exactness(self, order):
         # int_T x^a y^b = a! b! / (a + b + 2)! on the unit triangle
-        pts, wts = triangle_rule(order)
+        pts, wts = rule_of_order(order)
         for a in range(order + 1):
             for b in range(order + 1 - a):
                 val = np.sum(wts * pts[:, 0] ** a * pts[:, 1] ** b)
@@ -70,15 +76,23 @@ class TestTriangleRule:
 
     def test_points_inside_closed_triangle(self):
         for order in (2, 5, 6, 9, 12, 13):
-            pts, _ = triangle_rule(order)
+            pts, _ = rule_of_order(order)
             assert np.all(pts >= -1e-14)
             assert np.all(pts.sum(axis=1) <= 1.0 + 1e-14)
         _, wts = triangle_rule(12)
         assert np.all(wts > 0.0)
 
     def test_rejects_nonpositive_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="order"):
             triangle_rule(0)
+
+    @pytest.mark.parametrize("order", [True, 2.5, 13],
+                             ids=["bool", "fraction", "above-12"])
+    def test_rejects_unusable_order(self, order):
+        # a bool or a fraction is not a degree, and no rule above 12 is
+        # kept: the load takes degree 6 and the error norms degree 12
+        with pytest.raises(UsageError, match="order"):
+            triangle_rule(order)
 
     def test_fixed_rules(self):
         # one 12-point rule up to degree 6 and one 33-point rule from 7
@@ -108,6 +122,12 @@ class TestGaussRule:
         q, w = gauss_rule_01(n)
         for k in range(2 * n):
             assert np.sum(w * q**k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [True, 0, 2.5],
+                             ids=["bool", "zero", "fraction"])
+    def test_rejects_unusable_count(self, n):
+        with pytest.raises(UsageError, match="n must be"):
+            gauss_rule_01(n)
 
 
 class TestGradedEdges:
@@ -341,7 +361,7 @@ class TestErrorNorms:
         u, grad, dt = quartic_fields()
         [a] = error_norms(zero, mesh_x, mesh_t, u, grad, dt)
         monkeypatch.setattr(fem, "_error_quadrature",
-                            lambda: (triangle_rule(16), gauss_rule_01(9)))
+                            lambda: (collapsed_rule(16), gauss_rule_01(9)))
         [b] = error_norms(zero, mesh_x, mesh_t, u, grad, dt)
         assert a[0] == pytest.approx(b[0], rel=1e-12)
         assert a[1] == pytest.approx(b[1], rel=1e-12)
@@ -509,7 +529,7 @@ class TestErrorRule:
         solutions = [solve(problem.system, variant)[0]
                      for variant in ("bs-real", "bs-complex", "fd")]
         got = solution_errors(problem, solutions)
-        rules = (fem._collapsed_rule(30), gauss_rule_01(8))
+        rules = (collapsed_rule(30), gauss_rule_01(8))
         monkeypatch.setattr(fem, "_error_quadrature", lambda: rules)
         want = solution_errors(problem, solutions)
         assert_pairs_close(got, want, rel)
@@ -546,7 +566,7 @@ class TestErrorSplit:
         # that does not integrate the quartic field exactly; the
         # reference reads the patched rule too
         if degree is not None:
-            rules = (fem._collapsed_rule(degree), gauss_rule_01(n_time))
+            rules = (collapsed_rule(degree), gauss_rule_01(n_time))
             monkeypatch.setattr(fem, "_error_quadrature", lambda: rules)
         mesh_x, mesh_t = meshes
         rng = np.random.default_rng(11)

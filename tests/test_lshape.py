@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kronheat.errors import DegenerateElement
+from kronheat.errors import DegenerateElement, UsageError
 from kronheat.lshape import TriangleMesh, build_lshape_mesh
 
 from conftest import on_lshape_boundary, refine_uniform
@@ -80,14 +80,14 @@ class TestBuildMesh:
             assert mesh.h_x == pytest.approx(expect, rel=1e-12)
 
     def test_negative_level_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="level"):
             build_lshape_mesh(-1)
 
     def test_non_integer_level_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(UsageError, match="level"):
             build_lshape_mesh(1.0)
         # operator.index(True) is 1: unchecked, True would build level 1
-        with pytest.raises(TypeError, match="level"):
+        with pytest.raises(UsageError, match="level"):
             build_lshape_mesh(True)
 
     def test_vertices_stay_out_of_removed_quadrant(self):

@@ -948,6 +948,20 @@ class TestSystemValidation:
             SpaceTimeSystem(temporal=small_system.temporal,
                             spatial=small_system.spatial, rhs=rhs)
 
+    def test_list_rhs_checked_as_array(self, small_system):
+        # unchecked, a list fails with AttributeError on its missing shape
+        rhs = small_system.rhs.tolist()
+        system = SpaceTimeSystem(temporal=small_system.temporal,
+                                 spatial=small_system.spatial, rhs=rhs)
+        assert np.array_equal(system.rhs, small_system.rhs)
+        with pytest.raises(DimensionMismatch):
+            SpaceTimeSystem(temporal=small_system.temporal,
+                            spatial=small_system.spatial, rhs=rhs[1:])
+        rhs[3] = np.nan
+        with pytest.raises(UsageError):
+            SpaceTimeSystem(temporal=small_system.temporal,
+                            spatial=small_system.spatial, rhs=rhs)
+
 
 class TestOracleGuard:
     def test_size_guard(self, small_system, monkeypatch):

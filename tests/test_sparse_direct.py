@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from kronheat import sparse_direct as sd
-from kronheat.errors import DimensionMismatch, SingularMatrix
+from kronheat.errors import DimensionMismatch, SingularMatrix, UsageError
 from kronheat.experiments import time_mesh_at_level
 from kronheat.fem import assemble_p1
 from kronheat.lshape import build_lshape_mesh
@@ -217,6 +217,22 @@ class TestFactorizeSolve:
         b = np.array([1.0, 3.0])
         x = sd.solve(sd.factorize(sym, 1.0), b)
         assert np.allclose(x, b / 2.0)
+
+    @pytest.mark.parametrize("level", [None, 1], ids=["diagonal", "lshape-1"])
+    @pytest.mark.parametrize("shift", [np.inf, -np.inf, np.nan,
+                                       complex(1.0, np.inf)],
+                             ids=["inf", "-inf", "nan", "complex-inf"])
+    def test_non_finite_shift_refused(self, level, shift):
+        # unchecked, inf passes the pivot check of a diagonal pencil
+        # (inf < 1e-13 * inf is false) and solves to zeros, and on the
+        # L-shape pencil warns, then reports a singular factor
+        if level is None:
+            M, A = identity(4), sp.diags([1.0, 2.0, 3.0, 4.0], format="csr")
+        else:
+            ops = assemble_p1(build_lshape_mesh(level))
+            M, A = ops.M_II, ops.A_II
+        with pytest.raises(UsageError, match="shift"):
+            sd.factorize(sd.analyze(M, A), shift)
 
     def test_deterministic_factorization(self):
         sym = sd.analyze(identity(100), grid_5pt(10))

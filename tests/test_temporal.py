@@ -181,7 +181,7 @@ class TestSineCoefficients:
         assert np.all(a <= 1.0000001 * c / (j + 1) ** 2)
 
     def test_negative_j_max(self, base_mesh):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="j_max"):
             assemble_temporal_operators(base_mesh, -1)
 
     @pytest.mark.parametrize("j_max", [
@@ -195,8 +195,16 @@ class TestSineCoefficients:
     def test_non_integer_j_max(self, j_max):
         # a float budget, even an integral one, is refused before it can
         # be recorded or reach range()
-        with pytest.raises(TypeError, match="j_max"):
+        with pytest.raises(UsageError, match="j_max"):
             assemble_temporal_operators(TemporalMesh([0.0, 0.25, 0.5]), j_max)
+
+    @pytest.mark.parametrize("j_max", [True, -1, 7.5],
+                             ids=["bool", "negative", "fraction"])
+    def test_tail_bounds_refuse_unusable_j_max(self, j_max):
+        # the bounds of a budget the assembly would refuse mean nothing;
+        # at -1 they would divide by zero
+        with pytest.raises(UsageError, match="j_max"):
+            tail_bounds(TemporalMesh([0.0, 0.25, 0.5]), j_max)
 
     def test_integer_j_max_recorded_as_int(self):
         mesh = TemporalMesh([0.0, 0.25, 0.5])
