@@ -5,12 +5,14 @@ coupling nodal hats with piecewise constants, the projected right-hand
 side, the boundary lift, and the combined load vector of the Kronecker
 system.  Error norms are evaluated per space-time element with
 Dunavant's 33-point degree-12 triangle rule times 8 Gauss points in
-time, split per triangle and time point into the exact field less its
-local L2 projection onto P1, shared by every discrete function
-measured, and the projection less the discrete function, a P1 function
-measured from its vertex values.  The split is exact because the
-spatial rule, of degree 2 or more, integrates products of P1 functions
-exactly.  The triangles are measured in cache-sized blocks, one after
+time on coarse meshes (h_x above 1/16), and with the 12-point degree-6
+rule times 5 on finer ones, whose quadrature error lies far below the
+discretization error.  They are split per triangle and time point into
+the exact field less its local L2 projection onto P1, shared by every
+discrete function measured, and the projection less the discrete
+function, a P1 function measured from its vertex values.  The split is
+exact because either spatial rule, of degree 2 or more, integrates
+products of P1 functions exactly.  The triangles are measured in cache-sized blocks, one after
 another.
 """
 
@@ -112,18 +114,26 @@ def _load_quadrature():
     return triangle_rule(6), gauss_rule_01(5)
 
 
-def _error_quadrature():
-    # the spatial and temporal rule of error_norms, chosen so the norms
-    # are stable to ~1e-5 relative at level 0 and ~1e-7 at level 1
-    # (against a degree-30 rule); the spatial rule is the limiting
-    # factor on the coarse 0.5-sized triangles
+def _error_quadrature(mesh_x):
+    # the spatial and temporal rule of error_norms on mesh_x, within
+    # ~1e-5 relative of a degree-30 rule with 12 Gauss points at level 0,
+    # ~1e-7 at level 1 and ~1e-6 at level 3.  Coarse triangles need
+    # degree 12 and 8 Gauss points, the spatial rule being the limiting
+    # factor; on finer ones the quadrature error falls far faster than
+    # the discretization error, and degree 6 with 5 Gauss points is
+    # enough.  The switch, h_x <= 1/16, lies between the L-shape's levels
+    # 2 (h_x 0.088) and 3 (0.044)
+    if mesh_x.h_x <= 1.0 / 16.0:
+        return triangle_rule(6), gauss_rule_01(5)
     return triangle_rule(12), gauss_rule_01(8)
 
 
-# the most spatial quadrature points error_norms evaluates at once (its
-# triangle block); a point array of 2**14 doubles is 128 KiB, about one
-# L2 cache, and 2**13-2**14 measured fastest at level 5
-ERROR_BLOCK_POINTS = 2**14
+# the most triangles error_norms measures at once (its triangle block):
+# a point array of the 33-point rule then holds at most 2**14 doubles,
+# 128 KiB, about one L2 cache (2**13-2**14 points measured fastest at
+# level 5).  Counted in triangles, not points, because the panel arrays
+# hold 3 vertex values per triangle and time point whatever the rule
+ERROR_BLOCK_TRIANGLES = 2**14 // 33
 
 
 GRADED_SPLITS = 12
@@ -359,24 +369,31 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt):
     e = (u - Pi u) + (Pi u - u_h), where Pi is the local L2 projection
     onto P1, for the value, each gradient component and the time
     derivative alike: within a cell u_h's time derivative is P1 in space
-    and its gradient constant per triangle.  The spatial rule (degree
-    12, 33 points) integrates products of P1 functions exactly, so the
-    two parts are orthogonal under it and their squares add.  The first
-    part does not depend on u_h and is measured once per time point at
-    the quadrature points; the second is a P1 function per triangle,
-    measured from its vertex values with the exact local mass matrix
-    area (1 + I)/12.
-    Both are summed directly, without cancellation.
+    and its gradient constant per triangle.  The spatial rule integrates
+    products of P1 functions exactly, so the two parts are orthogonal
+    under it and their squares add.  The first part does not depend on
+    u_h and is measured once per time point at the quadrature points;
+    the second is a P1 function per triangle, measured from its vertex
+    values with the exact local mass matrix area (1 + I)/12.  Both are
+    summed directly, without cancellation.
+
+    The rule is chosen from the mesh.  Where ``mesh_x.h_x`` exceeds 1/16
+    (the L-shape's levels 0-2) it is Dunavant's degree-12 rule on 33
+    points with 8 Gauss points per time panel: coarse triangles need it
+    to keep the norms within 1e-5 relative of a far finer rule.  At
+    1/16 and below it is the degree-6 rule on 12 points with 5 Gauss
+    points per panel, within 1e-6 of the finer rule at a third of the
+    cost.
 
     The triangles are taken in contiguous blocks of at most
-    ``ERROR_BLOCK_POINTS`` spatial quadrature points, and each block runs
+    ``ERROR_BLOCK_TRIANGLES`` (496) triangles, and each block runs
     the whole time sweep before the next starts, so the arrays of a time
     point stay block-sized; the blocks' squared errors are added at the
     end.  The functions of one stack (for instance one per solver
     variant) are measured in one call; they share the first part and
     every evaluation of the exact fields.  ``u``, ``grad`` and ``dt`` are
-    each called once per temporal quadrature point per block (8 Gauss
-    points per panel, on 12 graded panels in the first cell), in that
+    each called once per temporal quadrature point per block (8 or 5
+    Gauss points per panel, on 12 graded panels in the first cell), in that
     order and at the same time, with that block's own ``x1`` and ``x2``
     arrays (its physical spatial quadrature points), whatever the stack
     size.  The calls of one block are contiguous, so a memoizing callable
@@ -409,10 +426,9 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt):
             f"coeffs shape {stack.shape} does not match (k, *{shape})")
     if not np.isfinite(stack).all():
         raise UsageError("coeffs hold a non-finite value")
-    rules = _error_quadrature()
-    (pts, _), _ = rules
+    rules = _error_quadrature(mesh_x)
     area, grads = _geometry(mesh_x)
-    step = max(1, ERROR_BLOCK_POINTS // len(pts))
+    step = ERROR_BLOCK_TRIANGLES
     squares = np.zeros((2, len(stack)))
     for start in range(0, mesh_x.n_triangles, step):
         block = slice(start, start + step)

@@ -182,7 +182,7 @@ def build_pencil(temporal, variant):
 
     Raises
     ------
-    ValueError
+    UsageError
         For an unknown variant, before any factorization.
     DefectivePencil
         If an eigenvalue has nonpositive real part, or (fd only) the
@@ -195,7 +195,7 @@ def build_pencil(temporal, variant):
         If Cholesky finds A_t indefinite.
     """
     if variant not in TOLERANCES:
-        raise ValueError(f"unknown pencil variant: {variant!r}")
+        raise UsageError(f"unknown pencil variant: {variant!r}")
     L, P = _factor(temporal)
     kappa2 = None
     if variant == "fd":
@@ -455,11 +455,12 @@ def solve(system, variant, threads=1):
     (SpaceTimeSolution, SolveReport).  A Schur variant whose residual
     exceeds its bound raises ResidualTooLarge.  If fd fails (defective
     pencil, imaginary residue or residual above its bound), the solve is
-    rerun with bs-complex and the report carries ``fallback``.  A thread
-    count that is not an integer, or is below 1, raises UsageError.
+    rerun with bs-complex and the report carries ``fallback``.  An
+    unknown variant, or a thread count that is not an integer or is
+    below 1, raises UsageError.
     """
     if variant not in TOLERANCES:
-        raise ValueError(f"unknown solver variant: {variant!r}")
+        raise UsageError(f"unknown solver variant: {variant!r}")
     threads = check_integer(threads, "threads", 1)
     if variant != "fd":
         return _solve(system, variant, threads)

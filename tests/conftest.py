@@ -103,11 +103,12 @@ def error_norms_reference(stack, mesh_x, mesh_t, u, grad, dt):
 
     Measures every coefficient set of the stack ``(k, n_vertices, N_t)``
     by its error u - u_h at every space-time quadrature point, on the
-    rules ``fem._error_quadrature()`` returns when called, so one
-    monkeypatch moves both sides; the oracle of the split that
-    ``error_norms`` computes.
+    rules ``fem._error_quadrature(mesh_x)`` returns when called, the
+    rules ``error_norms`` reads on the same mesh, so one monkeypatch
+    moves both sides; the oracle of the split that ``error_norms``
+    computes.
     """
-    (pts, wts), (tq, tw) = fem._error_quadrature()
+    (pts, wts), (tq, tw) = fem._error_quadrature(mesh_x)
     area, grads = _geometry(mesh_x)
     tris = mesh_x.triangles
     x1, x2, lam = _space_points(mesh_x, pts)

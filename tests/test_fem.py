@@ -96,8 +96,10 @@ class TestTriangleRule:
 
     def test_fixed_rules(self):
         # one 12-point rule up to degree 6 and one 33-point rule from 7
-        # to 12; the load takes the first with 5 Gauss points in time,
-        # the error norms degree 12 with 8
+        # to 12; the load takes the first with 5 Gauss points in time;
+        # the error norms take degree 12 with 8 on the coarse meshes of
+        # levels 0-2 (h_x 0.354-0.088) and degree 6 with 5 from level 3
+        # (h_x 0.044) on, either side of the switch at h_x = 1/16
         for orders, degree, n in ((range(1, 7), 6, 12),
                                   (range(7, 13), 12, 33)):
             want_pts, want_wts = triangle_rule(degree)
@@ -106,9 +108,11 @@ class TestTriangleRule:
                 assert len(pts) == n
                 assert np.array_equal(pts, want_pts)
                 assert np.array_equal(wts, want_wts)
-        for seam, degree, n in ((fem._load_quadrature, 6, 5),
-                                (fem._error_quadrature, 12, 8)):
-            (pts, wts), (tq, tw) = seam()
+        rules = [(fem._load_quadrature(), 6, 5)]
+        for level, degree, n in ((0, 12, 8), (2, 12, 8), (3, 6, 5)):
+            mesh_x = build_lshape_mesh(level)
+            rules.append((fem._error_quadrature(mesh_x), degree, n))
+        for ((pts, wts), (tq, tw)), degree, n in rules:
             want_pts, want_wts = triangle_rule(degree)
             want_tq, want_tw = gauss_rule_01(n)
             assert np.array_equal(pts, want_pts)
@@ -361,7 +365,8 @@ class TestErrorNorms:
         u, grad, dt = quartic_fields()
         [a] = error_norms(zero, mesh_x, mesh_t, u, grad, dt)
         monkeypatch.setattr(fem, "_error_quadrature",
-                            lambda: (collapsed_rule(16), gauss_rule_01(9)))
+                            lambda mesh_x: (collapsed_rule(16),
+                                            gauss_rule_01(9)))
         [b] = error_norms(zero, mesh_x, mesh_t, u, grad, dt)
         assert a[0] == pytest.approx(b[0], rel=1e-12)
         assert a[1] == pytest.approx(b[1], rel=1e-12)
@@ -430,11 +435,12 @@ class TestErrorBlocks:
 
     @pytest.fixture
     def blocks_of_ten(self, meshes, monkeypatch):
-        # the 24 level-0 triangles in blocks of 10, 10 and 4; the bound
-        # is no multiple of the rule's 33 points
-        (pts, _), _ = fem._error_quadrature()
+        # the 24 level-0 triangles in blocks of 10, 10 and 4, where the
+        # default cap of 496 triangles takes meshes up to level 2 (384
+        # triangles) as one block and level 3's 1536 as 496, 496, 496
+        # and 48
         assert meshes[0].n_triangles == 24
-        monkeypatch.setattr(fem, "ERROR_BLOCK_POINTS", 10 * len(pts) + 3)
+        monkeypatch.setattr(fem, "ERROR_BLOCK_TRIANGLES", 10)
 
     @pytest.fixture
     def stack(self, meshes):
@@ -448,9 +454,8 @@ class TestErrorBlocks:
         fields = ExactFields()
         split = error_norms(stack, mesh_x, mesh_t,
                             fields.u, fields.grad, fields.dt)
-        (pts, _), _ = fem._error_quadrature()
-        monkeypatch.setattr(fem, "ERROR_BLOCK_POINTS",
-                            mesh_x.n_triangles * len(pts))
+        monkeypatch.setattr(fem, "ERROR_BLOCK_TRIANGLES",
+                            mesh_x.n_triangles)
         one = error_norms(stack, mesh_x, mesh_t,
                           fields.u, fields.grad, fields.dt)
         assert_pairs_close(split, one, 1e-13)
@@ -520,17 +525,19 @@ def spy_first_parts(monkeypatch):
 
 
 class TestErrorRule:
-    @pytest.mark.parametrize("level, rel", [(0, 1e-5), (1, 1e-7)])
+    @pytest.mark.parametrize("level, rel", [(0, 1e-5), (1, 1e-7), (3, 1e-6)])
     def test_problem_norms_match_fine_rule(self, monkeypatch, level, rel):
-        # the degree-12 rule against a 256-point degree-30 one, both with
-        # 8 Gauss points in time, on the problem's own solutions: the
-        # spatial rule limits the norms on the coarse triangles
+        # the mesh's own rule (degree 12 with 8 Gauss points in time at
+        # levels 0 and 1, degree 6 with 5 at level 3) against a
+        # 256-point degree-30 one with 12, on the problem's own
+        # solutions: the spatial rule limits the norms on the coarse
+        # triangles
         problem = assemble_problem(level)
         solutions = [solve(problem.system, variant)[0]
                      for variant in ("bs-real", "bs-complex", "fd")]
         got = solution_errors(problem, solutions)
-        rules = (collapsed_rule(30), gauss_rule_01(8))
-        monkeypatch.setattr(fem, "_error_quadrature", lambda: rules)
+        rules = (collapsed_rule(30), gauss_rule_01(12))
+        monkeypatch.setattr(fem, "_error_quadrature", lambda mesh_x: rules)
         want = solution_errors(problem, solutions)
         assert_pairs_close(got, want, rel)
 
@@ -538,7 +545,7 @@ class TestErrorRule:
 class TestErrorSplit:
     """``error_norms`` against the unsplit per-point measurement."""
 
-    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_matches_reference_on_problem(self, level):
         # all three variants' solutions, boundary rows from the lift
         problem = assemble_problem(level)
@@ -567,7 +574,8 @@ class TestErrorSplit:
         # reference reads the patched rule too
         if degree is not None:
             rules = (collapsed_rule(degree), gauss_rule_01(n_time))
-            monkeypatch.setattr(fem, "_error_quadrature", lambda: rules)
+            monkeypatch.setattr(fem, "_error_quadrature",
+                                lambda mesh_x: rules)
         mesh_x, mesh_t = meshes
         rng = np.random.default_rng(11)
         stack = rng.standard_normal((3, mesh_x.n_vertices, mesh_t.n_cells))
@@ -622,14 +630,14 @@ class TestErrorSplit:
 
     def test_memory_is_a_few_point_sets(self):
         # the second part is measured a panel of time points at a time:
-        # a stacked level-2 measurement, one block of 384 triangles,
-        # allocates at most 25 arrays of the point set's size (about
-        # 23.3), where the 96 time points of the whole first cell at a
-        # time take about 72
+        # a stacked level-2 measurement, one block of 384 triangles on
+        # the 33-point rule, allocates at most 25 arrays of the point
+        # set's size (about 23.3, 2.36 of 2.53 MB), where the 96 time
+        # points of the whole first cell at a time take about 72
         problem = assemble_problem(2)
         solutions = [solve(problem.system, variant)[0]
                      for variant in ("bs-real", "bs-complex", "fd")]
-        (pts, _), _ = fem._error_quadrature()
+        (pts, _), _ = fem._error_quadrature(problem.mesh_x)
         point_set = 8 * len(pts) * problem.mesh_x.n_triangles
         tracemalloc.start()
         try:
@@ -642,15 +650,18 @@ class TestErrorSplit:
     def test_memory_is_a_few_block_sets(self):
         # each triangle block runs the whole time sweep in turn, so a
         # stacked level-3 measurement (blocks of 496, 496, 496 and 48
-        # triangles) allocates its stack and at most 25 arrays of a
-        # block's points (about 22.8), where the whole mesh as one block
-        # took about 22 arrays of all its points
+        # triangles on the 12-point rule) allocates its stack and at
+        # most 25 arrays of a 496-triangle block's 33-point set (about
+        # 11.7, 2.18 of 3.91 MB).  Blocks of 2**14 points would hold 1365
+        # triangles of 12 points, and their per-triangle panel arrays
+        # would break the bound (4.38 MB)
         problem = assemble_problem(3)
         solutions = [solve(problem.system, variant)[0]
                      for variant in ("bs-real", "bs-complex", "fd")]
         stack = 8 * len(solutions) * problem.mesh_x.n_vertices \
             * problem.mesh_t.n_cells
-        block_set = 8 * fem.ERROR_BLOCK_POINTS
+        pts, _ = triangle_rule(12)
+        block_set = 8 * len(pts) * fem.ERROR_BLOCK_TRIANGLES
         tracemalloc.start()
         try:
             solution_errors(problem, solutions)

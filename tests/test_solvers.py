@@ -174,7 +174,7 @@ class TestBuildPencil:
         assert np.linalg.norm(Q @ R @ Q.T - P) < 1e-12 * np.linalg.norm(P)
 
     def test_unknown_variant(self, base_ops):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="unknown pencil variant"):
             build_pencil(base_ops, "qr")
 
 
@@ -833,7 +833,7 @@ class TestDispatch:
             assert report.fallback is None
 
     def test_unknown_variant(self, small_system):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="unknown solver variant"):
             solve(small_system, "multigrid")
 
     @pytest.mark.parametrize("threads", [0, -3])
