@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and its one integer check."""
+"""Exception types shared across the package, and its two argument checks."""
 
 import operator
+
+import numpy as np
 
 
 class KronheatError(Exception):
@@ -55,3 +57,22 @@ def check_integer(value, name, least):
     if count < least:
         raise UsageError(f"{name} must be >= {least}, got {count}")
     return count
+
+
+def check_array(value, name, shape, dtype=None):
+    """``value`` as an ndarray of ``dtype``, ``value`` itself if it is one
+    (no copy, flags as they are).  UsageError unless it is an array of
+    numbers with no NaN or infinity, DimensionMismatch unless its shape
+    is ``shape``, where a None matches any length."""
+    try:
+        array = np.asarray(value, dtype=dtype)
+        finite = np.isfinite(array).all()
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} is not an array of numbers") from None
+    if array.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, array.shape)):
+        raise DimensionMismatch(
+            f"{name} has shape {array.shape}, expected {shape}")
+    if not finite:
+        raise UsageError(f"{name} holds a non-finite entry")
+    return array

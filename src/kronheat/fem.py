@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, UsageError, check_integer
+from .errors import UsageError, check_array, check_integer
 
 __all__ = [
     "SpatialOperators",
@@ -323,19 +323,16 @@ def assemble_global_rhs(F, ops, temp, lift):
     lift : ndarray (n_boundary, N_t)
         Boundary nodal values from dirichlet_lift.
 
+    Another shape raises DimensionMismatch, a NaN or an infinity
+    UsageError.
+
     Returns
     -------
     ndarray of length n_interior * N_t
     """
     n_t = temp.n
-    if F.shape != (ops.M10.shape[1], n_t):
-        raise DimensionMismatch(
-            f"F has shape {F.shape}, expected {(ops.M10.shape[1], n_t)}"
-        )
-    if lift.shape != (ops.M_IB.shape[1], n_t):
-        raise DimensionMismatch(
-            f"lift has shape {lift.shape}, expected {(ops.M_IB.shape[1], n_t)}"
-        )
+    F = check_array(F, "F", (ops.M10.shape[1], n_t))
+    lift = check_array(lift, "lift", (ops.M_IB.shape[1], n_t))
     rhs = ops.M10 @ F @ temp.C.T
     rhs = rhs - ops.M_IB @ lift @ temp.A.T - ops.A_IB @ lift @ temp.M.T
     return rhs.ravel(order="F")
@@ -419,13 +416,8 @@ def error_norms(coeffs, mesh_x, mesh_t, u, grad, dt):
     -------
     list of k pairs (l2_error, h1_error) of floats
     """
-    stack = np.asarray(coeffs)
-    shape = (mesh_x.n_vertices, mesh_t.n_cells)
-    if stack.ndim != 3 or stack.shape[1:] != shape:
-        raise DimensionMismatch(
-            f"coeffs shape {stack.shape} does not match (k, *{shape})")
-    if not np.isfinite(stack).all():
-        raise UsageError("coeffs hold a non-finite value")
+    stack = check_array(coeffs, "coeffs",
+                        (None, mesh_x.n_vertices, mesh_t.n_cells))
     rules = _error_quadrature(mesh_x)
     area, grads = _geometry(mesh_x)
     step = ERROR_BLOCK_TRIANGLES

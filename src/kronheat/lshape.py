@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateElement, check_integer
+from .errors import DegenerateElement, UsageError, check_array, check_integer
 
 __all__ = ["TriangleMesh", "build_lshape_mesh"]
 
@@ -21,9 +21,10 @@ class TriangleMesh:
     """Conforming triangulation with per-vertex boundary flags.
 
     The mesh checks itself once, at construction, and keeps read-only
-    copies of its arrays, so it stays valid: finite vertices, vertex
-    indices in range, and every triangle counterclockwise with a
-    positive, finite area (``DegenerateElement`` otherwise).
+    copies of its arrays, so it stays valid: arrays of the shapes below
+    (``DimensionMismatch`` otherwise), finite vertices and vertex indices
+    in range (``UsageError``), and every triangle counterclockwise with a
+    positive, finite area (``DegenerateElement``).
 
     Attributes
     ----------
@@ -38,22 +39,17 @@ class TriangleMesh:
     boundary_flags: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("vertices", float), ("triangles", np.int64),
-                            ("boundary_flags", bool)):
-            array = np.array(getattr(self, name), dtype=dtype)
+        for name, dtype, shape in (("vertices", float, (None, 2)),
+                                   ("triangles", np.int64, (None, 3)),
+                                   ("boundary_flags", bool, None)):
+            # one flag per vertex: the vertices are checked and kept first
+            array = check_array(getattr(self, name), name,
+                                shape or (self.n_vertices,), dtype).copy()
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
-            raise ValueError("vertices must have shape (n, 2)")
-        if not np.all(np.isfinite(self.vertices)):
-            raise ValueError("vertices must be finite")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise ValueError("triangles must have shape (m, 3)")
         if not np.all((self.triangles >= 0)
                       & (self.triangles < self.n_vertices)):
-            raise ValueError("triangle vertex index out of range")
-        if self.boundary_flags.shape != (self.n_vertices,):
-            raise ValueError("one boundary flag per vertex required")
+            raise UsageError("triangle vertex index out of range")
         p = self.vertices[self.triangles]
         # far-apart finite vertices can overflow to an inf or NaN area
         with np.errstate(over="ignore", invalid="ignore"):

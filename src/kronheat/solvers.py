@@ -56,6 +56,7 @@ from .errors import (
     NotPositiveDefinite,
     ResidualTooLarge,
     UsageError,
+    check_array,
     check_integer,
 )
 from .fem import SpatialOperators
@@ -84,14 +85,8 @@ class SpaceTimeSystem:
     rhs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rhs", np.asarray(self.rhs))
-        if self.rhs.shape != (self.n_t * self.m_x,):
-            raise DimensionMismatch(
-                f"rhs length {self.rhs.shape} does not match "
-                f"N_t*M_x = {self.n_t}*{self.m_x}"
-            )
-        if not np.all(np.isfinite(self.rhs)):
-            raise UsageError("rhs contains non-finite entries")
+        object.__setattr__(self, "rhs", check_array(
+            self.rhs, "rhs", (self.n_t * self.m_x,)))
 
     @property
     def n_t(self):

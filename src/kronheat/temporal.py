@@ -56,7 +56,7 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.special import zeta
 
-from .errors import DimensionMismatch, NotPositiveDefinite, UsageError, check_integer
+from .errors import NotPositiveDefinite, UsageError, check_array, check_integer
 
 # Default series truncation.  The acceptance bar is that doubling j_max moves
 # no entry by more than 1e-8 relative on meshes up to N_t = 64; the entrywise
@@ -77,22 +77,21 @@ class TemporalMesh:
     Parameters
     ----------
     nodes : array_like
-        Strictly increasing finite node coordinates starting at 0.
+        At least two strictly increasing finite node coordinates starting
+        at 0, kept as a read-only copy: ``DimensionMismatch`` unless one
+        axis, ``UsageError`` for every other refusal.
     """
 
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("need at least two nodes")
+        nodes = check_array(self.nodes, "nodes", (None,), float).copy()
+        if nodes.size < 2:
+            raise UsageError("need at least two nodes")
         if nodes[0] != 0.0:
-            raise ValueError("mesh must start at t = 0")
-        if not np.all(np.isfinite(nodes)):
-            raise ValueError("nodes must be finite")
+            raise UsageError("mesh must start at t = 0")
         if not np.all(np.diff(nodes) > 0):
-            raise ValueError("nodes must be strictly increasing")
-        nodes = nodes.copy()
+            raise UsageError("nodes must be strictly increasing")
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
 
@@ -155,18 +154,13 @@ class TemporalOperators:
     j_max: int
 
     def __post_init__(self):
-        A, M, C = (np.array(x, dtype=float) for x in (self.A, self.M, self.C))
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or not (
-                A.shape == M.shape == C.shape):
-            raise DimensionMismatch(
-                f"A, M, C must be N x N, got {A.shape}, {M.shape}, {C.shape}")
-        if not all(np.all(np.isfinite(x)) for x in (A, M, C)):
-            raise UsageError("temporal matrices contain non-finite entries")
-        if not np.allclose(A, A.T, rtol=1e-10, atol=1e-14):
-            raise NotPositiveDefinite("A is not symmetric")
-        for name, x in zip("AMC", (A, M, C)):
+        n = len(check_array(self.A, "A", (None, None), float))
+        for name in "AMC":
+            x = check_array(getattr(self, name), name, (n, n), float).copy()
             x.flags.writeable = False
             object.__setattr__(self, name, x)
+        if not np.allclose(self.A, self.A.T, rtol=1e-10, atol=1e-14):
+            raise NotPositiveDefinite("A is not symmetric")
 
     @property
     def n(self) -> int:

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from kronheat.errors import DefectivePencil
 from kronheat.experiments import (
     _CONFIG_KEYS,
     _note_unpinned_blas,
@@ -194,6 +195,18 @@ class TestEigstudy:
         lines = dest.read_text().splitlines()
         assert lines[0].startswith("N_t,")
         assert len(lines) == 2
+
+    def test_library_error_exits_1(self, capsys, monkeypatch):
+        # a KronheatError other than UsageError is named on stderr
+        def defective(temporal):
+            raise DefectivePencil("eigenvector residual above tolerance")
+
+        monkeypatch.setattr("kronheat.experiments.eig_study", defective)
+        assert main(["eigstudy", "--max-level", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: DefectivePencil: eigenvector "
+                                "residual above tolerance\n")
+        assert captured.out == ""
 
 
 class TestConvergence:

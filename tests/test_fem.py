@@ -325,6 +325,25 @@ class TestAssembleGlobalRhs:
         with pytest.raises(DimensionMismatch):
             assemble_global_rhs(F, ops, temp, lift=G[:-1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["F", "lift"])
+    def test_non_finite_input_is_refused(self, pieces, name, bad):
+        ops, temp, F, G = pieces
+        arrays = {"F": F.copy(), "lift": G.copy()}
+        arrays[name][1, 2] = bad
+        with pytest.raises(UsageError, match=f"{name} holds a non-finite"):
+            assemble_global_rhs(arrays["F"], ops, temp, arrays["lift"])
+
+    def test_read_only_input_is_taken_as_it_is(self, pieces):
+        # read-only arrays pass, and their flags stay as they are
+        ops, temp, F, G = pieces
+        want = assemble_global_rhs(F, ops, temp, G)
+        F, G = F.copy(), G.copy()
+        F.flags.writeable = False
+        G.flags.writeable = False
+        assert np.array_equal(assemble_global_rhs(F, ops, temp, G), want)
+        assert not F.flags.writeable and not G.flags.writeable
+
 
 class TestErrorNorms:
     def test_reproduces_discrete_function(self, meshes):
@@ -525,18 +544,25 @@ def spy_first_parts(monkeypatch):
 
 
 class TestErrorRule:
-    @pytest.mark.parametrize("level, rel", [(0, 1e-5), (1, 1e-7), (3, 1e-6)])
-    def test_problem_norms_match_fine_rule(self, monkeypatch, level, rel):
+    @pytest.mark.parametrize("level, rel, degree, n_time", [
+        pytest.param(0, 1e-5, 30, 12, id="0-1e-05"),
+        pytest.param(1, 1e-7, 30, 12, id="1-1e-07"),
+        pytest.param(3, 1e-6, 16, 10, id="3-1e-06"),
+    ])
+    def test_problem_norms_match_fine_rule(self, monkeypatch, level, rel,
+                                           degree, n_time):
         # the mesh's own rule (degree 12 with 8 Gauss points in time at
-        # levels 0 and 1, degree 6 with 5 at level 3) against a
-        # 256-point degree-30 one with 12, on the problem's own
-        # solutions: the spatial rule limits the norms on the coarse
-        # triangles
+        # levels 0 and 1, degree 6 with 5 at level 3) against a finer
+        # collapsed rule, on the problem's own solutions: the spatial
+        # rule limits the norms on the coarse triangles.  The coarse
+        # levels take the 256-point degree-30 rule with 12 Gauss points;
+        # at level 3 the 81-point degree-16 rule with 10 agrees with it
+        # to 7.5e-15 relative at a quarter of the cost
         problem = assemble_problem(level)
         solutions = [solve(problem.system, variant)[0]
                      for variant in ("bs-real", "bs-complex", "fd")]
         got = solution_errors(problem, solutions)
-        rules = (collapsed_rule(30), gauss_rule_01(12))
+        rules = (collapsed_rule(degree), gauss_rule_01(n_time))
         monkeypatch.setattr(fem, "_error_quadrature", lambda mesh_x: rules)
         want = solution_errors(problem, solutions)
         assert_pairs_close(got, want, rel)
@@ -676,5 +702,16 @@ class TestErrorSplit:
         for bad in (np.nan, np.inf):
             coeffs = np.zeros((2, mesh_x.n_vertices, mesh_t.n_cells))
             coeffs[1, 5, 2] = bad
-            with pytest.raises(UsageError):
+            with pytest.raises(UsageError, match="coeffs holds a non-finite"):
                 error_norms(coeffs, mesh_x, mesh_t, u, grad, dt)
+
+    def test_read_only_stack_is_taken_as_it_is(self, meshes):
+        # a read-only stack passes, and its flags stay as they are
+        mesh_x, mesh_t = meshes
+        u, grad, dt = quartic_fields()
+        coeffs = np.random.default_rng(3).standard_normal(
+            (2, mesh_x.n_vertices, mesh_t.n_cells))
+        want = error_norms(coeffs, mesh_x, mesh_t, u, grad, dt)
+        coeffs.flags.writeable = False
+        assert error_norms(coeffs, mesh_x, mesh_t, u, grad, dt) == want
+        assert not coeffs.flags.writeable

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from kronheat.errors import DegenerateElement, UsageError
+from kronheat.errors import (
+    DegenerateElement,
+    DimensionMismatch,
+    KronheatError,
+    UsageError,
+)
 from kronheat.lshape import TriangleMesh, build_lshape_mesh
 
 from conftest import on_lshape_boundary, refine_uniform
@@ -154,7 +159,7 @@ class TestMeshType:
     def test_vertex_index_out_of_range_rejected(self, index):
         # -1 would silently mean the last vertex, n_vertices an
         # IndexError inside the assembly
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(UsageError, match="out of range"):
             one_triangle([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
                          triangle=(0, 1, index))
 
@@ -173,10 +178,33 @@ class TestMeshType:
         # refused before any arithmetic: (bad, 1) would meet inf - inf in
         # the doubled area, which numpy warns about
         for vertex in ((0.0, bad), (bad, 1.0)):
-            with pytest.raises(ValueError, match="vertices must be finite"):
+            with pytest.raises(UsageError,
+                               match="vertices holds a non-finite entry"):
                 one_triangle([(0.0, 0.0), (1.0, 0.0), vertex])
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match="vertices has shape"):
             TriangleMesh(vertices=[(0.0, 0.0, 0.0)], triangles=[(0, 0, 0)],
                          boundary_flags=[True])
+
+    @pytest.mark.parametrize("vertices, triangles, flags", [
+        ([(0.0, 0.0, 0.0)], [(0, 0, 0)], [True]),
+        ([0.0, 1.0, 0.0], [(0, 1, 2)], [True] * 3),
+        ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1)], [True] * 3),
+        ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], (0, 1, 2), [True] * 3),
+        ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], [True] * 2),
+        ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], True),
+        ([(0.0, 0.0), (np.inf, 0.0), (0.0, 1.0)], [(0, 1, 2)], [True] * 3),
+        ([(0.0, 0.0), ("x", 0.0), (0.0, 1.0)], [(0, 1, 2)], [True] * 3),
+        ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 5)], [True] * 3),
+        ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, -1)], [True] * 3),
+        ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(0, 1, 2)], [True] * 3),
+        ([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)], [(0, 1, 2)], [True] * 3),
+    ], ids=["vertex-width", "vertices-1d", "triangle-width", "triangles-1d",
+            "flag-count", "flags-scalar", "inf-vertex", "text-vertex",
+            "index-high", "index-negative", "degenerate", "clockwise"])
+    def test_every_refusal_is_a_kronheat_error(self, vertices, triangles,
+                                               flags):
+        with pytest.raises(KronheatError):
+            TriangleMesh(vertices=vertices, triangles=triangles,
+                         boundary_flags=flags)

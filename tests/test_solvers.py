@@ -177,6 +177,17 @@ class TestBuildPencil:
         with pytest.raises(UsageError, match="unknown pencil variant"):
             build_pencil(base_ops, "qr")
 
+    @pytest.mark.parametrize("study", ["bs-real", "bs-complex", "fd",
+                                       "eig_study"])
+    def test_nonpositive_eigenvalue_refused(self, study):
+        # A = I, M = -I: every eigenvalue of P = A^{-1} M is -1
+        ops = pencil_ops(-np.eye(3))
+        with pytest.raises(DefectivePencil, match="nonpositive real part"):
+            if study == "eig_study":
+                eig_study(ops)
+            else:
+                build_pencil(ops, study)
+
 
 class TestSvdOfEigenvectors:
     def test_wraps_pencil_output(self):

@@ -218,6 +218,14 @@ class TestFactorizeSolve:
         x = sd.solve(sd.factorize(sym, 1.0), b)
         assert np.allclose(x, b / 2.0)
 
+    def test_pivot_below_threshold_detected(self):
+        # SuperLU factors this one (its last pivot is 1.1e-15, not 0),
+        # and the check against 1e-13 times the largest entry refuses it
+        M = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+        sym = sd.analyze(M, identity(2))
+        with pytest.raises(SingularMatrix, match="below threshold"):
+            sd.factorize(sym, 0.0)
+
     @pytest.mark.parametrize("level", [None, 1], ids=["diagonal", "lshape-1"])
     @pytest.mark.parametrize("shift", [np.inf, -np.inf, np.nan,
                                        complex(1.0, np.inf)],

@@ -14,7 +14,12 @@ from kronheat import (
     tail_bounds,
 )
 from kronheat import temporal
-from kronheat.errors import DimensionMismatch, NotPositiveDefinite, UsageError
+from kronheat.errors import (
+    DimensionMismatch,
+    KronheatError,
+    NotPositiveDefinite,
+    UsageError,
+)
 from kronheat.temporal import _dyadic_period, _residue_weights
 
 mp.mp.dps = 30
@@ -51,11 +56,11 @@ class TestTemporalMesh:
         assert mesh.h_min == pytest.approx(0.1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="at least two nodes"):
             TemporalMesh([0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="start at t = 0"):
             TemporalMesh([0.1, 0.5])
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="strictly increasing"):
             TemporalMesh([0.0, 0.3, 0.2])
 
     @pytest.mark.parametrize("nodes", [[0.0, np.inf], [0.0, 0.25, np.inf],
@@ -63,8 +68,23 @@ class TestTemporalMesh:
     def test_non_finite_node_rejected(self, nodes):
         # an infinite end node is strictly increasing, but its operators
         # would be NaN
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(UsageError, match="nodes holds a non-finite"):
             TemporalMesh(nodes)
+
+    @pytest.mark.parametrize("nodes", [
+        [], [0.0], [0.1, 0.5], [0.0, 0.3, 0.2], [0.0, 0.5, 0.5],
+        [0.0, np.nan], [-np.inf, 0.0], 0.0, [[0.0, 0.5]], [0.0, "x"],
+        [[0.0], [0.0, 0.5]],
+    ], ids=["empty", "one-node", "late-start", "decreasing", "repeated",
+            "nan", "inf-start", "scalar", "two-axes", "text", "ragged"])
+    def test_every_refusal_is_a_kronheat_error(self, nodes):
+        with pytest.raises(KronheatError):
+            TemporalMesh(nodes)
+
+    def test_wrong_axes_are_a_dimension_mismatch(self):
+        for nodes in (0.0, [[0.0, 0.5]]):
+            with pytest.raises(DimensionMismatch, match="nodes has shape"):
+                TemporalMesh(nodes)
 
     def test_refine_bisect_keeps_ratio(self, base_mesh):
         fine = refine_bisect(base_mesh)
